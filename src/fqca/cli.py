@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import nogo, spectral, walk
-from .evolution import evolve, step
+from .evolution import step
 from .fermion import (
     DimensionTooLargeError,
     LadderOp,
     NotLinearError,
     OpKind,
+    bulk_cells,
     heisenberg_image,
 )
 from .lattice import (
@@ -32,8 +33,8 @@ from .lattice import (
     FockState,
     LatticeConfig,
     LatticeError,
+    bit_index,
     inner_product,
-    vacuum,
 )
 from .fermion import build_state
 
@@ -145,7 +146,27 @@ def load_config(path: str | Path) -> dict:
                 0 <= int(params[key]) < raw["_config"].L,
                 f"{p}: {key}={params[key]} outside the lattice",
             )
+    if raw["experiment"] == "heisenberg_check":
+        cfg = raw["_config"]
+        cells = bulk_cells(cfg)
+        cell = int(params.get("cell", cfg.L // 2))
+        _require(
+            cell in cells,
+            f"{p}: heisenberg_check needs a bulk cell, "
+            f"{cells.start} <= cell <= {cells.stop - 1}, got {cell}",
+        )
+    if raw["experiment"] == "two_particle_scatter":
+        cfg, x = raw["_config"], _scatter_cell(raw["_config"], params)
+        _require(
+            cfg.boundary is Boundary.PERIODIC or 1 <= x <= cfg.L - 2,
+            f"{p}: two_particle_scatter uses cells cell-1..cell+1, so on the open "
+            f"chain it needs 1 <= cell <= {cfg.L - 2}, got {x}",
+        )
     return raw
+
+
+def _scatter_cell(cfg: LatticeConfig, params: dict) -> int:
+    return int(params.get("cell", cfg.L // 2 - 1))
 
 
 def config_hash(raw: dict) -> str:
@@ -226,17 +247,17 @@ def run_wavepacket(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     return {"nsteps": nsteps}, checks
 
 
+def _pair_state(cfg: LatticeConfig, sites) -> FockState:
+    """Creators applied in canonical site order, so a pair that wraps the
+    ring's seam carries the same sign convention as one in the bulk."""
+    ops = [LadderOp(OpKind.CREATE, c % cfg.L, e) for c, e in sites]
+    return build_state(cfg, sorted(ops, key=lambda op: bit_index(op.cell, op.eps)))
+
+
 def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path):
-    x = int(params.get("cell", cfg.L // 2 - 1))
+    x = _scatter_cell(cfg, params)
     c, s = math.cos(cfg.theta), math.sin(cfg.theta)
-    initial = build_state(
-        cfg,
-        [
-            LadderOp(OpKind.CREATE, x, Eps.PLUS),
-            LadderOp(OpKind.CREATE, x + 1, Eps.MINUS),
-        ],
-    )
-    final = step(initial)
+    final = step(_pair_state(cfg, [(x, Eps.PLUS), (x + 1, Eps.MINUS)]))
     probes = [
         ("counter_swapped", [(x, Eps.MINUS), (x + 1, Eps.PLUS)], -c * c),
         ("both_left", [(x, Eps.MINUS), (x + 1, Eps.MINUS)], -c * s),
@@ -246,23 +267,13 @@ def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path
     rows = []
     checks = []
     for name, sites, expected in probes:
-        probe = build_state(cfg, [LadderOp(OpKind.CREATE, c0, e) for c0, e in sites])
-        amp = inner_product(probe, final)
+        amp = inner_product(_pair_state(cfg, sites), final)
         rows.append((name, float(amp.real), float(amp.imag), float(expected)))
         checks.append(_check(f"coefficient_{name}", abs(amp - expected), 1e-14))
     # two counter-movers meeting head-on at cell x from distance one: the
     # crossed pair picks up a bare -1, independent of theta
-    meet_initial = build_state(
-        cfg,
-        [
-            LadderOp(OpKind.CREATE, x - 1, Eps.PLUS),
-            LadderOp(OpKind.CREATE, x + 1, Eps.MINUS),
-        ],
-    )
-    meet_probe = build_state(
-        cfg,
-        [LadderOp(OpKind.CREATE, x, Eps.MINUS), LadderOp(OpKind.CREATE, x, Eps.PLUS)],
-    )
+    meet_initial = _pair_state(cfg, [(x - 1, Eps.PLUS), (x + 1, Eps.MINUS)])
+    meet_probe = _pair_state(cfg, [(x, Eps.MINUS), (x, Eps.PLUS)])
     amp = inner_product(meet_probe, step(meet_initial))
     rows.append(("head_on_meeting", float(amp.real), float(amp.imag), -1.0))
     checks.append(_check("crossing_phase_minus_one", abs(amp - (-1.0)), 1e-14))
@@ -336,7 +347,7 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
         )
         residual = 0.0
     except NotLinearError as e:
-        residual = float(str(e).split("residual ")[1].rstrip(")"))
+        residual = e.residual
     checks.append(_check("bosonic_control_residual", residual, 1e-3, lower=True))
     return {"cell": cell, "theta": cfg.theta}, checks
 
@@ -487,7 +498,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
     p_run.add_argument("--quiet", action="store_true")
-    p_run.add_argument("--threads", type=int, default=0, help="0 = auto")
     p_val = sub.add_parser("validate", help="parse and bounds-check a config")
     p_val.add_argument("config")
     sub.add_parser("list-experiments", help="print known experiment names")

@@ -5,20 +5,38 @@ Each gate acts on an ordered pair of sites (p1, p2) in the local basis
 coin couples the (Minus, Plus) pair inside each cell; the shift couples the
 offset pair ((cell, Plus), (cell+1, Minus)). Both put a phase of -1 on the
 doubly occupied pair, which is what makes two particles passing each other
-pick up the fermionic exchange sign.
+pick up the fermionic exchange sign. Gates apply one after another in pair
+order, and amplitudes of modulus <= PRUNE_THRESHOLD are dropped after each.
 
 Note on the coin's sin(theta) signs: the convention here is the one under
 which a single + particle evolves to cos(theta)|x+1,+> + sin(theta)|x+1,->
 and creation operators conjugate to cos/sin combinations with a +sin on the
 + branch. The alternative sign choice (theta -> -theta) breaks those
 relations.
+
+The engine holds a batch of states as one sorted array of keys and a
+complex amplitude array. A key is a basis word with the state's index in
+the batch above its 2L bits, so states never mix. The gates of one layer
+sit on disjoint pairs and a gate leaves an unoccupied pair alone, so a key
+changes only at the pairs it occupies, and the set of occupied pairs is the
+same for a key and every key it mixes with. A layer therefore runs in
+rounds: round r applies, to every key at once, the r-th gate among those
+it occupies. That is one gather per round, at most one round per particle,
+and amplitudes equal to applying every gate in order.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
+
 import numpy as np
 
-from .lattice import Boundary, FockState, LatticeConfig, PRUNE_THRESHOLD
+from .lattice import Boundary, FockState, LatticeConfig, PRUNE_THRESHOLD, word_dtype
+
+# states stepped together by step_all; bounds the engine's working arrays
+BATCH_STATES = 256
 
 
 def coin_matrix(theta: float, bosonic: bool = False) -> np.ndarray:
@@ -59,56 +77,176 @@ def is_unitary(m: np.ndarray, tol: float = 1e-14) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < tol)
 
 
-def _apply_pair_gate(amps: dict, p1: int, p2: int, gate: np.ndarray) -> dict:
-    out: dict = {}
-    for w, a in amps.items():
-        b1 = (w >> p1) & 1
-        b2 = (w >> p2) & 1
-        col = 2 * b1 + b2
-        base = w & ~(1 << p1) & ~(1 << p2)
-        for row in range(4):
-            g = gate[row, col]
-            if g == 0:
-                continue
-            w2 = base
-            if row & 2:
-                w2 |= 1 << p1
-            if row & 1:
-                w2 |= 1 << p2
-            out[w2] = out.get(w2, 0.0) + a * g
-    return {w: a for w, a in out.items() if abs(a) > PRUNE_THRESHOLD}
+@dataclass(frozen=True)
+class _Layer:
+    """One gate applied to pairs j = 0, 1, ... of a layer, in that order.
+
+    Words are read in a pair frame where pair j holds bits 2j (its p1) and
+    2j+1 (its p2). Coin pairs already do. Shift pairs (2j+1, 2j+2) do once
+    the word is rotated right by one bit, which also turns the ring's seam
+    pair (2L-1, 0) into pair L-1.
+    """
+
+    diag: np.ndarray  # gate[c, c] for the local state c = 2*b1 + b2
+    off: np.ndarray  # gate[c, 3-c], the coefficient of the partner word
+    nbits: int
+    rotated: bool
+    pair_bits: int  # bit 2j for every pair j of the layer, in the pair frame
+
+    @classmethod
+    def of(cls, gate: np.ndarray, nbits: int, rotated: bool, npairs: int) -> "_Layer":
+        c = np.arange(4)
+        pair_bits = ((1 << (2 * npairs)) - 1) // 3  # 0b0101...01, npairs ones
+        return cls(gate[c, c], gate[c, 3 - c], nbits, rotated, pair_bits)
+
+
+def _shift_layer(cfg: LatticeConfig, bosonic: bool) -> _Layer:
+    npairs = cfg.L if cfg.boundary is Boundary.PERIODIC else cfg.L - 1
+    return _Layer.of(shift_matrix(bosonic), cfg.n_sites, True, npairs)
+
+
+def _coin_layer(cfg: LatticeConfig, bosonic: bool) -> _Layer:
+    return _Layer.of(coin_matrix(cfg.theta, bosonic), cfg.n_sites, False, cfg.L)
+
+
+def _step_layers(cfg: LatticeConfig, bosonic: bool) -> list[_Layer]:
+    return [_shift_layer(cfg, bosonic), _coin_layer(cfg, bosonic)]
+
+
+def _pruned(amps: np.ndarray) -> np.ndarray:
+    # + 0.0 turns -0.0 into 0.0, as accumulating onto a 0.0 start does
+    amps = amps + 0.0
+    amps[np.abs(amps) <= PRUNE_THRESHOLD] = 0
+    return amps
+
+
+def _merge(keys, cols: list, add, add_cols: list) -> list:
+    """Insert the sorted keys add into sorted keys, with their column values."""
+    at = np.searchsorted(keys, add) + np.arange(len(add))
+    old = np.ones(len(keys) + len(add), dtype=bool)
+    old[at] = False
+    out = []
+    for a, b in zip([keys, *cols], [add, *add_cols]):
+        merged = np.empty(len(old), dtype=a.dtype)
+        merged[old], merged[at] = a, b
+        out.append(merged)
+    return out
+
+
+def _apply_layer(keys, amps, layer: _Layer, clean: bool):
+    """Apply one layer to sorted keys; returns the new sorted (keys, amps).
+
+    clean says that every amplitude is already pruned, as after any gate.
+    Otherwise the layer's first gate prunes the keys it does not touch.
+    """
+    t = keys.dtype.type
+    one, three, top = t(1), t(3), t(layer.nbits - 1)
+    full = t((1 << layer.nbits) - 1)
+    v = keys & full  # the word, read in the pair frame
+    if layer.rotated:
+        v = (v >> one) | ((v & one) << top)
+    # bit 2j of x: the key occupies pair j, whose gate has yet to act on it
+    x = (v | (v >> one)) & t(layer.pair_bits)
+    if not clean:
+        rest = (x & one) == 0
+        amps[rest] = _pruned(amps[rest])
+        live = ~rest | (amps != 0)
+        keys, amps, v, x = keys[live], amps[live], v[live], x[live]
+    while True:
+        act = np.flatnonzero(x)
+        if not act.size:
+            return keys, amps
+        xa = x[act]
+        low = xa & (~xa + one)  # the p1 bit of the key's next pair
+        pair = low * three
+        occ = v[act] & pair
+        mixed = occ != pair  # exactly one site of the pair occupied
+        mask = ((pair << one) & full) | (pair >> top) if layer.rotated else pair
+        partner = keys[act] ^ mask
+        pos = np.searchsorted(keys, partner)
+        found = mixed & (keys[np.minimum(pos, len(keys) - 1)] == partner)
+        before = np.append(amps, 0)  # the last entry stands in for absent partners
+        local = 2 * ((occ & low) != 0) + (occ > low)
+        out = _pruned(
+            layer.diag[local] * before[act]
+            + layer.off[local] * before[np.where(found, pos, len(keys))]
+        )
+        amps[act] = out
+        x[act] = xa ^ low
+        # an absent partner of a mixed key enters with its share alone
+        new = np.flatnonzero(mixed & ~found)
+        if new.size:
+            added = _pruned(layer.off[3 - local[new]] * before[act[new]])
+            new, added = new[added != 0], added[added != 0]
+            order = np.argsort(partner[new])
+            new, added = new[order], added[order]
+            src = act[new]
+            add_cols = [added, v[src] ^ pair[new], x[src]]
+        dead = out == 0
+        if dead.any():
+            live = np.ones(len(keys), dtype=bool)
+            live[act[dead]] = False
+            keys, amps, v, x = keys[live], amps[live], v[live], x[live]
+        if new.size:
+            keys, amps, v, x = _merge(keys, [amps, v, x], partner[new], add_cols)
+
+
+def _run(states: list[FockState], layers: list[_Layer]) -> list[FockState]:
+    """Apply the layers in order to every state, as one batch."""
+    cfg = states[0].config
+    if any(s.config != cfg for s in states):
+        raise ValueError("states in one batch must share a lattice config")
+    nbits = cfg.n_sites
+    t = word_dtype(nbits + (len(states) - 1).bit_length()).type
+    keys = np.concatenate(
+        [
+            np.fromiter(s.amplitudes, t, len(s.amplitudes)) | t(i << nbits)
+            for i, s in enumerate(states)
+        ]
+    )
+    amps = np.concatenate(
+        [np.fromiter(s.amplitudes.values(), complex, len(s.amplitudes)) for s in states]
+    )
+    order = np.argsort(keys)
+    keys, amps = keys[order], amps[order]
+    for n, layer in enumerate(layers):
+        keys, amps = _apply_layer(keys, amps, layer, clean=n > 0)
+    index = (keys >> t(nbits)).astype(np.int64)
+    bounds = np.searchsorted(index, np.arange(len(states) + 1))
+    words = (keys & t((1 << nbits) - 1)).tolist()
+    values = amps.tolist()
+    return [
+        FockState(cfg, dict(zip(words[lo:hi], values[lo:hi])))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def apply_coin(state: FockState, bosonic: bool = False) -> FockState:
-    cfg = state.config
-    gate = coin_matrix(cfg.theta, bosonic)
-    amps = state.amplitudes
-    for j in range(cfg.L):
-        amps = _apply_pair_gate(amps, 2 * j, 2 * j + 1, gate)
-    return FockState(cfg, amps)
+    return _run([state], [_coin_layer(state.config, bosonic)])[0]
 
 
 def apply_shift(state: FockState, bosonic: bool = False) -> FockState:
-    cfg = state.config
-    gate = shift_matrix(bosonic)
-    npairs = cfg.L if cfg.boundary is Boundary.PERIODIC else cfg.L - 1
-    amps = state.amplitudes
-    for j in range(npairs):
-        amps = _apply_pair_gate(amps, 2 * j + 1, (2 * j + 2) % (2 * cfg.L), gate)
-    return FockState(cfg, amps)
+    return _run([state], [_shift_layer(state.config, bosonic)])[0]
 
 
 def step(state: FockState, bosonic: bool = False) -> FockState:
     """One automaton step: shift, then coin."""
-    return apply_coin(apply_shift(state, bosonic), bosonic)
+    return evolve(state, 1, bosonic)
+
+
+def step_all(states: Iterable[FockState], bosonic: bool = False) -> Iterator[FockState]:
+    """step() of each state in turn, computed BATCH_STATES states at a time."""
+    states = iter(states)
+    while batch := list(itertools.islice(states, BATCH_STATES)):
+        yield from _run(batch, _step_layers(batch[0].config, bosonic))
 
 
 def evolve(state: FockState, nsteps: int, bosonic: bool = False) -> FockState:
     if nsteps < 0:
         raise ValueError("nsteps must be >= 0")
-    for _ in range(nsteps):
-        state = step(state, bosonic)
-    return state
+    if nsteps == 0:
+        return state
+    return _run([state], _step_layers(state.config, bosonic) * nsteps)[0]
 
 
 def light_cone_check(

@@ -36,6 +36,12 @@ class DimensionTooLargeError(Exception):
 class NotLinearError(Exception):
     """Heisenberg image is not a linear combination of ladder operators."""
 
+    def __init__(self, residual: float):
+        super().__init__(
+            f"conjugated operator is not a ladder combination (residual {residual:.3e})"
+        )
+        self.residual = residual
+
 
 @dataclass(frozen=True)
 class LadderOp:
@@ -132,6 +138,17 @@ def _bulk_span_words(config: LatticeConfig, center: int, max_n: int) -> list[int
     return words
 
 
+def bulk_cells(config: LatticeConfig) -> range:
+    """Cells whose Heisenberg image heisenberg_image can fit.
+
+    The spanning words reach two cells out, so an open chain needs that
+    much room. On the ring the fit must also keep every spanning word off
+    the seam, where wrap-around reordering makes the image parity-dependent.
+    """
+    margin = 2 if config.boundary is Boundary.OPEN else 3
+    return range(margin, config.L - margin)
+
+
 def heisenberg_image(
     config: LatticeConfig,
     op: LadderOp,
@@ -146,32 +163,27 @@ def heisenberg_image(
     reproduces the evolution (the residual test that makes the -1 gate
     phases necessary).
     """
-    from .evolution import step
+    from .evolution import step_all
 
-    if config.boundary is Boundary.OPEN:
-        if not 2 <= op.cell <= config.L - 3:
-            raise OutOfRangeError(
-                "bulk cell required: distance >= 2 from the boundary"
-            )
-    # on the ring the fit must also keep every spanning word off the seam,
-    # where wrap-around reordering makes the image parity-dependent
-    elif not 3 <= op.cell <= config.L - 4:
-        raise OutOfRangeError("bulk cell required: distance >= 3 from the seam")
+    cells = bulk_cells(config)
+    if op.cell not in cells:
+        edge = "boundary" if config.boundary is Boundary.OPEN else "seam"
+        raise OutOfRangeError(f"bulk cell required: distance >= {cells.start} from the {edge}")
 
     candidates = [
         LadderOp(op.kind, (op.cell + d) % config.L, e)
         for d in (-1, 1)
         for e in (Eps.MINUS, Eps.PLUS)
     ]
+    # one engine batch: op|w> and |w> for each spanning word w, in turn
     words = _bulk_span_words(config, op.cell, max_n=3)
+    pairs = ((apply_ladder(psi, op), psi) for psi in (FockState(config, {w: 1.0}) for w in words))
+    images = step_all(itertools.chain.from_iterable(pairs), bosonic=bosonic)
 
     rows: dict[tuple[int, int], int] = {}
     lhs_entries: dict[tuple[int, int], complex] = {}
     col_entries: list[dict[tuple[int, int], complex]] = [{} for _ in candidates]
-    for si, w in enumerate(words):
-        psi = FockState(config, {w: 1.0})
-        lhs = step(apply_ladder(psi, op), bosonic=bosonic)
-        evolved = step(psi, bosonic=bosonic)
+    for si, (lhs, evolved) in enumerate(zip(images, images)):  # consecutive pairs
         for w2, a in lhs.amplitudes.items():
             lhs_entries[(si, w2)] = a
             rows.setdefault((si, w2), len(rows))
@@ -191,9 +203,7 @@ def heisenberg_image(
     coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
     residual = float(np.linalg.norm(A @ coeffs - y))
     if residual > residual_tol:
-        raise NotLinearError(
-            f"conjugated operator is not a ladder combination (residual {residual:.3e})"
-        )
+        raise NotLinearError(residual)
     terms = [
         (complex(c), cand)
         for c, cand in zip(coeffs, candidates)

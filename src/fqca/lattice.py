@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 PRUNE_THRESHOLD = 1e-14
 
@@ -83,6 +85,15 @@ class LatticeConfig:
 
 def bit_index(cell: int, eps: Eps) -> int:
     return 2 * cell + int(eps)
+
+
+def word_dtype(nbits: int) -> np.dtype:
+    """Array dtype for nbits-bit words: uint64, or Python ints past 64 bits.
+
+    Both support the same shifts, masks, comparisons and sorting, so array
+    code written once runs on either.
+    """
+    return np.dtype(np.uint64) if nbits <= 64 else np.dtype(object)
 
 
 def site_of_bit(bit: int) -> tuple[int, Eps]:

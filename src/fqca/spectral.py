@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import step
+from .evolution import step, step_all
 from .fermion import DimensionTooLargeError, LadderOp, OpKind, apply_ladder
 from .lattice import Boundary, Eps, FockState, LatticeConfig, vacuum
 
@@ -217,10 +217,10 @@ def sector_unitary(config: LatticeConfig, n: int) -> tuple[np.ndarray, list[int]
         )
     index = {w: i for i, w in enumerate(words)}
     U = np.zeros((dim, dim), dtype=complex)
-    for w in words:
-        out = step(FockState(config, {w: 1.0}))
+    images = step_all(FockState(config, {w: 1.0}) for w in words)
+    for j, out in enumerate(images):
         for w2, a in out.amplitudes.items():
-            U[index[w2], index[w]] = a
+            U[index[w2], j] = a
     return U, words
 
 

@@ -161,7 +161,7 @@ def test_05_heisenberg_images_and_bosonic_control():
         )
         residual = 0.0
     except NotLinearError as e:
-        residual = float(str(e).split("residual ")[1].rstrip(")"))
+        residual = e.residual
     report(
         5,
         "conjugated ladder coefficients (cos, +/-sin) and bosonic control",

@@ -153,3 +153,49 @@ def test_all_shipped_configs_validate():
             continue
         raw = load_config(p)
         assert raw["experiment"] in EXPERIMENTS
+
+
+def test_shipped_configs_match_schema():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((REPO_EXPERIMENTS / "config.schema.json").read_text())
+    for p in sorted(REPO_EXPERIMENTS.glob("*.json")):
+        if p.name != "config.schema.json":
+            jsonschema.validate(json.loads(p.read_text()), schema)
+
+
+@pytest.mark.parametrize("cell", [0, 7])
+def test_scatter_wraps_on_the_ring(tmp_path, cell):
+    p = make_config(tmp_path, lattice={"L": 8, "theta": 0.3}, params={"cell": cell})
+    assert main(["validate", str(p)]) == 0
+    assert main(["run", str(p), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("cell", [0, 7])
+def test_scatter_edge_cell_rejected_on_open_chain(tmp_path, cell):
+    p = make_config(
+        tmp_path, lattice={"L": 8, "theta": 0.3, "boundary": "open"}, params={"cell": cell}
+    )
+    assert main(["validate", str(p)]) == 2
+    assert main(["run", str(p), "--quiet"]) == 2
+
+
+def test_heisenberg_check_on_64_cells(tmp_path):
+    p = make_config(
+        tmp_path,
+        experiment="heisenberg_check",
+        lattice={"L": 64, "theta": 0.3, "boundary": "open"},
+        params={"cell": 32},
+    )
+    assert main(["run", str(p), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("boundary, cell", [("open", 1), ("open", 6), ("periodic", 2)])
+def test_heisenberg_edge_cell_rejected(tmp_path, boundary, cell):
+    p = make_config(
+        tmp_path,
+        experiment="heisenberg_check",
+        lattice={"L": 8, "theta": 0.3, "boundary": boundary},
+        params={"cell": cell},
+    )
+    assert main(["validate", str(p)]) == 2
+    assert main(["run", str(p), "--quiet"]) == 2

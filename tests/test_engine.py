@@ -1,0 +1,142 @@
+"""The array step engine against the dict-per-gate reference in dict_engine.py.
+
+Amplitudes must agree exactly (==, and down to the sign of a zero part),
+on random sparse states that mix particle numbers and carry amplitudes at
+and below the pruning threshold, for L = 2..6 and for L = 32 and 40, where
+words fill and outgrow 64 bits.
+"""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dict_engine
+from fqca import spectral
+from fqca.evolution import BATCH_STATES, apply_coin, apply_shift, evolve, step, step_all
+from fqca.fermion import LadderOp, OpKind, build_state
+from fqca.lattice import PRUNE_THRESHOLD, Boundary, Eps, FockState, LatticeConfig
+
+AMPLITUDES = st.one_of(
+    st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+    st.sampled_from(
+        [
+            0j,
+            complex(-0.0, 0.0),
+            complex(0.5, -0.0),
+            1.0,
+            -1.0,
+            PRUNE_THRESHOLD,
+            -0.9 * PRUNE_THRESHOLD,
+            complex(PRUNE_THRESHOLD, 1e-15),
+        ]
+    ),
+)
+THETAS = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]),
+    st.floats(-math.pi, math.pi, allow_nan=False),
+)
+
+
+@st.composite
+def configs(draw):
+    # 32 cells fill a 64-bit word exactly; 40 need Python-int words
+    L = draw(st.one_of(st.integers(2, 6), st.sampled_from([32, 40])))
+    return LatticeConfig(
+        L=L, theta=draw(THETAS), boundary=draw(st.sampled_from(list(Boundary)))
+    )
+
+
+def words(cfg: LatticeConfig):
+    if cfg.L <= 6:
+        return st.integers(0, (1 << cfg.n_sites) - 1)
+    # a few particles, so the reference stays small on the long ring
+    bits = st.lists(st.integers(0, cfg.n_sites - 1), max_size=4, unique=True)
+    return bits.map(lambda bs: sum(1 << b for b in bs))
+
+
+def states(cfg: LatticeConfig):
+    amps = st.dictionaries(words(cfg), AMPLITUDES, max_size=6)
+    return amps.map(lambda a: FockState(cfg, a))
+
+
+def exact(state: FockState) -> dict:
+    """Amplitudes with the sign of every zero part spelled out."""
+    return {w: repr(complex(a)) for w, a in state.amplitudes.items()}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), configs(), st.booleans())
+def test_layers_equal_reference(data, cfg, bosonic):
+    state = data.draw(states(cfg))
+    for engine, reference in (
+        (step, dict_engine.step),
+        (apply_shift, dict_engine.apply_shift),
+        (apply_coin, dict_engine.apply_coin),
+    ):
+        want = reference(state, bosonic)
+        got = engine(state, bosonic)
+        assert got.amplitudes == want.amplitudes
+        assert exact(got) == exact(want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data(), configs(), st.booleans(), st.integers(0, 3))
+def test_evolve_equals_repeated_reference_steps(data, cfg, bosonic, nsteps):
+    state = data.draw(states(cfg))
+    want = state
+    for _ in range(nsteps):
+        want = dict_engine.step(want, bosonic)
+    assert exact(evolve(state, nsteps, bosonic)) == exact(want)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data(), configs(), st.booleans())
+def test_batched_images_equal_single_steps(data, cfg, bosonic):
+    batch = data.draw(st.lists(states(cfg), max_size=5))
+    got = list(step_all(batch, bosonic))
+    assert [exact(s) for s in got] == [exact(step(s, bosonic)) for s in batch]
+
+
+@pytest.mark.parametrize("L", [6, 28, 40])
+def test_batch_spanning_chunks(L):
+    # more states than one engine batch; at L=28 the batch index pushes keys
+    # past 64 bits although each word alone fits
+    cfg = LatticeConfig(L=L, theta=0.7, boundary=Boundary.OPEN)
+    combos = (itertools.combinations(range(12), n) for n in range(4))
+    batch = [FockState(cfg, {sum(1 << b for b in c): 1.0}) for c in itertools.chain(*combos)]
+    assert len(batch) > BATCH_STATES
+    got = list(step_all(batch))
+    assert [exact(s) for s in got] == [exact(dict_engine.step(s)) for s in batch]
+
+
+def test_sector_unitary_columns_are_steps():
+    cfg = LatticeConfig(L=4, theta=0.4)
+    U, words = spectral.sector_unitary(cfg, 2)
+    for j, w in enumerate(words):
+        image = dict_engine.step(FockState(cfg, {w: 1.0}))
+        column = {w2: U[i, j] for i, w2 in enumerate(words) if U[i, j] != 0}
+        assert column == image.amplitudes
+
+
+def test_two_particles_on_the_long_ring():
+    # L=64 words need 128 bits; two movers far apart and two about to cross
+    cfg = LatticeConfig(L=64, theta=0.3)
+    for sites in ([(10, Eps.PLUS), (50, Eps.MINUS)], [(31, Eps.PLUS), (32, Eps.MINUS)]):
+        state = build_state(cfg, [LadderOp(OpKind.CREATE, c, e) for c, e in sites])
+        want = dict_engine.step(dict_engine.step(state))
+        assert exact(evolve(state, 2)) == exact(want)
+        assert exact(step(state)) == exact(dict_engine.step(state))
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_tiny_amplitude_beside_every_partner(boundary):
+    # the dict engine prunes after every gate, so a sub-threshold amplitude
+    # is gone before any later gate can mix it into a large one
+    cfg = LatticeConfig(L=3, theta=0.4, boundary=boundary)
+    few = [w for w in range(1 << cfg.n_sites) if 1 <= w.bit_count() <= 2]
+    for big, tiny in itertools.permutations(few, 2):
+        state = FockState(cfg, {big: 1.0, tiny: 0.5 * PRUNE_THRESHOLD})
+        for engine, reference in ((step, dict_engine.step), (apply_coin, dict_engine.apply_coin)):
+            assert exact(engine(state)) == exact(reference(state))

@@ -133,6 +133,7 @@ def test_bosonic_phase_breaks_linearity():
     cfg = LatticeConfig(L=8, theta=0.3, boundary=Boundary.OPEN)
     with pytest.raises(NotLinearError) as exc:
         heisenberg_image(cfg, cr(4, Eps.PLUS), bosonic=True, residual_tol=1e-3)
+    assert exc.value.residual > 1e-3
     assert "residual" in str(exc.value)
 
 
