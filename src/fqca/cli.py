@@ -47,16 +47,22 @@ class ResourceError(Exception):
     """Requested instance exceeds a documented size cap."""
 
 
-EXPERIMENTS = (
-    "dispersion_sweep",
-    "wavepacket",
-    "two_particle_scatter",
-    "dirac_limit",
-    "heisenberg_check",
-    "dirac_sea",
-    "nogo_witness",
-    "nogo_csp",
-)
+# the params each experiment reads: key -> its allowed values, or None
+SPECS = ("full", "trivial")
+PARAMS = {
+    "dispersion_sweep": {},
+    "wavepacket": {"cell": None, "eps": ("plus", "minus"), "nsteps": None,
+                   "compare_thetas": None},
+    "two_particle_scatter": {"cell": None},
+    "dirac_limit": {"nsamples": None, "eps": None},
+    "heisenberg_check": {"cell": None},
+    "dirac_sea": {},
+    "nogo_witness": {"lattice_size": None, "min_distance": None, "height": None,
+                     "spec": SPECS, "num_eps": None, "expect_found": None},
+    "nogo_csp": {"dimension": None, "radius": None, "lattice_size": None,
+                 "spec": SPECS, "expect_sat": None},
+}
+EXPERIMENTS = tuple(PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +144,24 @@ def load_config(path: str | Path) -> dict:
     except (ValueError, LatticeError) as e:
         raise ParseError(f"{p}: bad lattice block: {e}") from e
     params = raw["params"]
+    accepted = PARAMS[raw["experiment"]]
+    for key, value in params.items():
+        _require(
+            key in accepted,
+            f"{p}: unknown param {key!r} for {raw['experiment']}; "
+            f"accepted: {sorted(accepted)}",
+        )
+        _require(
+            accepted[key] is None or value in accepted[key],
+            f"{p}: {key} must be one of {accepted[key]}, got {value!r}",
+        )
     nsteps = params.get("nsteps", 0)
     _require(isinstance(nsteps, int) and nsteps >= 0, f"{p}: nsteps must be >= 0")
-    for key in ("cell",):
-        if key in params:
-            _require(
-                0 <= int(params[key]) < raw["_config"].L,
-                f"{p}: {key}={params[key]} outside the lattice",
-            )
+    if "cell" in params:
+        _require(
+            0 <= int(params["cell"]) < raw["_config"].L,
+            f"{p}: cell={params['cell']} outside the lattice",
+        )
     if raw["experiment"] == "heisenberg_check":
         cfg = raw["_config"]
         cells = bulk_cells(cfg)
@@ -162,6 +178,25 @@ def load_config(path: str | Path) -> dict:
             f"{p}: two_particle_scatter uses cells cell-1..cell+1, so on the open "
             f"chain it needs 1 <= cell <= {cfg.L - 2}, got {x}",
         )
+    if raw["experiment"] in ("dispersion_sweep", "dirac_sea"):
+        _require(
+            raw["_config"].boundary is Boundary.PERIODIC,
+            f"{p}: {raw['experiment']} needs the periodic boundary",
+        )
+    if raw["experiment"] == "dirac_sea":
+        # at odd L the sea's grid mirrors its excitations', so gaps miss phi/dt
+        _require(raw["_config"].L % 2 == 0, f"{p}: dirac_sea needs an even L")
+    try:
+        if raw["experiment"] == "nogo_csp":
+            nogo.check_csp_size(
+                int(params.get("dimension", 2)),
+                int(params.get("radius", 1)),
+                int(params.get("lattice_size", 5)),
+            )
+        if raw["experiment"] == "nogo_witness":
+            nogo.full_spec(int(params.get("num_eps", 2)))
+    except (TypeError, ValueError, nogo.LatticeTooLargeError) as e:
+        raise ParseError(f"{p}: {e}") from e
     return raw
 
 

@@ -280,23 +280,15 @@ def _required_sign(src1: Site2D, src2: Site2D, dst1: Site2D, dst2: Site2D) -> in
     return -1 if before != after else 1
 
 
-def _solve_unit_constraints(constraints: dict) -> dict | None:
-    """Backtracking over +/-1 variables; unit constraints make it direct."""
-    assignment: dict = {}
-    order = sorted(constraints)
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        key = order[idx]
-        needed = constraints[key]
-        for val in (1, -1):
-            if val in needed and (key not in assignment or assignment[key] == val):
-                assignment[key] = val
-                if backtrack(idx + 1):
-                    return True
-                del assignment[key]
-        return False
-    return assignment if backtrack(0) else None
+def check_csp_size(dimension: int, radius: int, lattice_size: int) -> None:
+    """Raise unless sign_csp supports this instance."""
+    if radius > 2:
+        raise ValueError("radius <= 2 supported")
+    if dimension not in (1, 2):
+        raise ValueError("dimension must be 1 or 2")
+    cap = 9 if dimension == 1 else 7
+    if lattice_size > cap:
+        raise LatticeTooLargeError(f"{dimension}D instance limited to {cap} per side")
 
 
 def sign_csp(
@@ -312,16 +304,11 @@ def sign_csp(
     phase variable. Every nonlocal pair whose image order flips is a
     violated constraint, and any such pair certifies UNSAT.
     """
-    if radius > 2:
-        raise ValueError("radius <= 2 supported")
+    check_csp_size(dimension, radius, lattice_size)
     if dimension == 1:
-        if lattice_size > 9:
-            raise LatticeTooLargeError("1D instance limited to 9 cells")
         sites = [Site2D(i, 0, e) for i in range(lattice_size) for e in (0, 1)]
         moves_of = lambda s: list(_moves_1d(STANDARD_1D_MOVES, s, lattice_size))
-    elif dimension == 2:
-        if lattice_size > 7:
-            raise LatticeTooLargeError("2D instance limited to 7 per side")
+    else:
         if spec is None:
             spec = full_spec(2)
         bounds = LatticeBounds(lattice_size, lattice_size)
@@ -332,8 +319,6 @@ def sign_csp(
             for e in range(spec.num_eps)
         ]
         moves_of = lambda s: list(_moves_2d(spec, s, bounds))
-    else:
-        raise ValueError("dimension must be 1 or 2")
 
     constraints: dict = {}
     violated = []
@@ -368,8 +353,7 @@ def sign_csp(
     if violated:
         violated.sort(key=lambda v: -v["separation"])
         return CspResult(False, None, violated[:10], total)
-    solvable = {k: v for k, v in constraints.items()}
-    conflict = [k for k, v in solvable.items() if len(v) > 1]
+    conflict = [k for k, v in constraints.items() if len(v) > 1]
     if conflict:
         return CspResult(
             False,
@@ -377,7 +361,6 @@ def sign_csp(
             [{"conflicting_key": list(map(list, k))} for k in conflict[:10]],
             total,
         )
-    assignment = _solve_unit_constraints(solvable)
-    if assignment is None:
-        return CspResult(False, None, [], total)
+    # past the conflict filter every key demands exactly one sign
+    assignment = {k: sign for k, (sign,) in constraints.items()}
     return CspResult(True, assignment, [], total)

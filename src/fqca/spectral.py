@@ -1,6 +1,6 @@
 """Momentum modes, eigenphases, effective Hamiltonian and the Dirac sea.
 
-Mode conventions, fixed once here and asserted by the L=4 calibration tests:
+Mode conventions, fixed once here and asserted by the sector-spectrum tests:
 
 - Plane-wave ladders use one Fourier convention for both internal states:
   creator a^dag_{k,eps} = sum_j exp(-i j k dx) a^dag_{j,eps}, annihilator the
@@ -14,14 +14,14 @@ Mode conventions, fixed once here and asserted by the L=4 calibration tests:
   U b^dag_{k,Plus}|vac> = exp(-i phi) b^dag_{k,Plus}|vac>, i.e. energy
   +phi/dt, and the Minus band gets -phi/dt.
 - On the ring, the n-particle sector behaves like free modes on a momentum
-  grid that may be offset by half a grid step depending on the parity of n
-  (the crossing-sign bookkeeping at the seam). calibrate_parity_sector
-  measures the offset; n=1 is the offset-0 reference.
+  grid offset by half a grid step for even n and not at all for odd n: the
+  Jordan-Wigner string at the seam twists the boundary by (-1)^(n-1)
+  (parity_offset).
 """
 
 from __future__ import annotations
 
-import functools
+import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -47,7 +47,7 @@ class BoundaryModeError(Exception):
     pass
 
 
-class Band(object):
+class Band(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
 
@@ -143,13 +143,13 @@ def momentum_ladder(
     return out
 
 
-def _band_vector(mode: ModeMatrix, band: str) -> np.ndarray:
+def _band_vector(mode: ModeMatrix, band: Band) -> np.ndarray:
     # positive-energy band rides the exp(+i phi) eigenvector of M
-    return mode.vminus if band == Band.PLUS else mode.vplus
+    return mode.vminus if band is Band.PLUS else mode.vplus
 
 
 def b_ladder(
-    state: FockState, k: float, band: str, kind: OpKind, offset: float = 0.0
+    state: FockState, k: float, band: Band, kind: OpKind, offset: float = 0.0
 ) -> FockState:
     """Diagonalized-mode ladder b_{k,band} (annihilator) or its dagger."""
     cfg = state.config
@@ -265,41 +265,15 @@ def circular_multiset_distance(a: np.ndarray, b: np.ndarray) -> float:
     return best
 
 
-@functools.lru_cache(maxsize=None)
-def _calibrated_even_offset(L: int, dx: float, dt: float, theta: float) -> float:
-    config = LatticeConfig(L=L, dx=dx, dt=dt, theta=theta, boundary=Boundary.PERIODIC)
-    actual = n_particle_eigenphases(config, 2)
-    scores = {
-        off: circular_multiset_distance(
-            actual, expected_nparticle_phases(config, 2, off)
-        )
-        for off in (0.0, 0.5)
-    }
-    best = min(scores, key=scores.get)
-    if scores[best] > 1e-8:
-        raise AssertionError(f"no parity grid matches the 2-particle sector: {scores}")
-    return best
-
-
-def calibrate_parity_sector(config: LatticeConfig) -> dict[int, float]:
-    """Per-parity grid offset (keyed by n mod 2), measured at this L.
-
-    The odd sector is the offset-0 reference (it contains n=1, the plain
-    walk). The even sector's offset is read off the 2-particle spectrum.
-    """
-    _require_periodic(config)
-    if config.L > 6:
-        raise DimensionTooLargeError("calibrate_parity_sector needs L <= 6")
-    even = _calibrated_even_offset(config.L, config.dx, config.dt, config.theta)
-    return {1: 0.0, 0: even}
-
-
 def parity_offset(config: LatticeConfig, n: int) -> float:
-    """Grid offset for an n-particle sector; calibrates at L (or L=4 fallback)."""
-    if n % 2 == 1:
-        return 0.0
-    L = config.L if config.L <= 6 else 4
-    return _calibrated_even_offset(L, config.dx, config.dt, config.theta)
+    """Grid offset of the n-particle sector on the ring: 1/2 for even n, 0 for odd.
+
+    Moving a particle across the seam reorders it past the other n-1, so
+    the Jordan-Wigner string twists the ring's boundary condition by
+    (-1)^(n-1): periodic for odd n, antiperiodic for even n. The same holds
+    at every L and theta.
+    """
+    return 0.5 if n % 2 == 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +326,12 @@ def dirac_sea_excitations(config: LatticeConfig) -> tuple[FockState, list[SeaExc
     """The sea plus its 2L single-particle / single-hole excitation gaps.
 
     Excited states are true eigenstates of the step unitary in the (L+1)- and
-    (L-1)-particle sectors, built on those sectors' calibrated grids; gaps are
-    eigenphase differences. The phi sums over both parity grids agree exactly
-    (the grids map onto each other under k -> pi/dx - k), so each gap equals
-    the excited mode's phi_k / dt.
+    (L-1)-particle sectors, built on those sectors' grid (parity_offset);
+    gaps are eigenphase differences. The mirror k -> pi/dx - k sends phi_k
+    to pi - phi_k. At even L it maps each parity grid onto itself, so the phi
+    sums over both grids equal L pi / 2 and each gap equals the excited
+    mode's phi_k / dt. At odd L it maps one grid onto the other, so
+    sum_{1/2} phi = L pi - sum_0 phi and the gaps miss phi_k / dt.
     """
     sea = build_dirac_sea(config)
     _, sea_phase = eigenphase_of(sea)

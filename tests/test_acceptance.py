@@ -215,20 +215,21 @@ def test_07_effective_hamiltonian():
 
 def test_08_two_particle_spectrum_calibrated():
     cfg = LatticeConfig(L=4, theta=0.3)
-    offset = spectral.calibrate_parity_sector(cfg)[0]
+    offset = spectral.parity_offset(cfg, 2)
     dev = spectral.circular_multiset_distance(
         spectral.n_particle_eigenphases(cfg, 2),
         spectral.expected_nparticle_phases(cfg, 2, offset),
     )
     free = LatticeConfig(L=4, theta=0.0)
-    free_offset = spectral.calibrate_parity_sector(free)[0]
+    free_offset = spectral.parity_offset(free, 2)
     free_dev = spectral.circular_multiset_distance(
         spectral.n_particle_eigenphases(free, 2),
         spectral.expected_nparticle_phases(free, 2, free_offset),
     )
     report(
         8,
-        "two-particle eigenphases equal calibrated pair sums (and at theta=0)",
+        "two-particle eigenphases equal pair sums on the seam-twisted grid"
+        " (and at theta=0)",
         dev <= 1e-10 and free_dev <= 1e-10 and offset == free_offset,
         f"deviation = {dev:.3e}, free-translation deviation = {free_dev:.3e},"
         f" offset = {offset}",

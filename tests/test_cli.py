@@ -13,7 +13,6 @@ from fqca.cli import (
     fmt,
     load_config,
     main,
-    run_experiment,
 )
 
 REPO_EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
@@ -64,11 +63,45 @@ def test_validate_ok(tmp_path, capsys):
         {"lattice": {"L": 1}},
         {"lattice": {"L": 6, "boundary": "moebius"}},
         {"params": {"cell": 99}},
+        *(
+            pytest.param(
+                {"experiment": "dirac_sea", "lattice": {"L": L, "theta": 0.2}, "params": {}},
+                id=f"dirac_sea-odd-L{L}",
+            )
+            for L in (3, 5, 7)
+        ),
+        *(
+            pytest.param(
+                {
+                    "experiment": name,
+                    "lattice": {"L": 6, "theta": 0.4, "boundary": "open"},
+                    "params": {},
+                },
+                id=f"{name}-open",
+            )
+            for name in ("dirac_sea", "dispersion_sweep")
+        ),
+        *(
+            pytest.param({"experiment": name, "params": params}, id=f"{name}-{label}")
+            for name, label, params in (
+                ("nogo_csp", "dimension3", {"dimension": 3}),
+                ("nogo_csp", "dimension-str", {"dimension": "two"}),
+                ("nogo_csp", "radius3", {"radius": 3}),
+                ("nogo_csp", "2d-size8", {"dimension": 2, "lattice_size": 8}),
+                ("nogo_csp", "1d-size10", {"dimension": 1, "lattice_size": 10}),
+                ("nogo_witness", "num_eps5", {"num_eps": 5}),
+                ("wavepacket", "unknown-nstep", {"nstep": 3}),
+                ("wavepacket", "eps-PLUS", {"eps": "PLUS"}),
+                ("nogo_witness", "spec-Full", {"spec": "Full"}),
+                ("nogo_csp", "spec-Full", {"spec": "Full"}),
+            )
+        ),
     ],
 )
 def test_validate_rejects_bad_configs(tmp_path, overrides):
     p = make_config(tmp_path, **overrides)
     assert main(["validate", str(p)]) == 2
+    assert main(["run", str(p), "--quiet"]) == 2
 
 
 def test_malformed_json_reports_line(tmp_path):
@@ -123,28 +156,6 @@ def test_resource_cap_reported(tmp_path):
         params={},
     )
     assert main(["run", str(p), "--quiet"]) == 2
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "dispersion_sweep",
-        "two_particle_scatter",
-        "dirac_limit",
-        "nogo_witness",
-        "nogo_csp",
-    ],
-)
-def test_shipped_configs_deterministic(tmp_path, name):
-    raw = load_config(REPO_EXPERIMENTS / f"{name}.json")
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_experiment(raw, str(out1), quiet=True) == 0
-    assert run_experiment(raw, str(out2), quiet=True) == 0
-    files1 = sorted(f.name for f in out1.iterdir())
-    files2 = sorted(f.name for f in out2.iterdir())
-    assert files1 == files2 and files1
-    for fname in files1:
-        assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes()
 
 
 def test_all_shipped_configs_validate():

@@ -1,4 +1,4 @@
-"""Momentum modes, dispersion, parity calibration and the Dirac sea."""
+"""Momentum modes, dispersion, the closed-form parity grid and the Dirac sea."""
 
 import math
 
@@ -16,7 +16,6 @@ from fqca.spectral import (
     SIGMA3,
     b_ladder,
     build_dirac_sea,
-    calibrate_parity_sector,
     circular_multiset_distance,
     dirac_hamiltonian,
     dirac_sea_excitations,
@@ -162,30 +161,22 @@ def test_one_particle_eigenphases_match_dispersion():
     assert dev <= 1e-10
 
 
-def test_two_particle_spectrum_calibrated():
-    cfg = LatticeConfig(L=4, theta=0.3)
-    offsets = calibrate_parity_sector(cfg)
-    assert offsets[1] == 0.0
-    actual = n_particle_eigenphases(cfg, 2)
-    predicted = expected_nparticle_phases(cfg, 2, offsets[0])
-    assert circular_multiset_distance(actual, predicted) <= 1e-10
-
-
-def test_calibration_free_translation_oracle():
-    # at theta=0 every phi equals |k dx| and the spectrum is pure translation
-    cfg = LatticeConfig(L=4, theta=0.0)
-    offsets = calibrate_parity_sector(cfg)
-    actual = n_particle_eigenphases(cfg, 2)
-    predicted = expected_nparticle_phases(cfg, 2, offsets[0])
-    assert circular_multiset_distance(actual, predicted) <= 1e-10
-
-
-def test_calibration_theta_independent():
-    offs = {
-        theta: calibrate_parity_sector(LatticeConfig(L=4, theta=theta))[0]
-        for theta in (0.0, 0.2, 0.5)
-    }
-    assert len(set(offs.values())) == 1
+@pytest.mark.parametrize("theta", [0.0, 0.2, -0.9, 1.1])
+@pytest.mark.parametrize("L", [3, 4, 5, 6])
+def test_closed_form_parity_grid(L, theta):
+    # the seam rule's grid reproduces each sector's spectrum; n <= 4 keeps
+    # every sector within the dense cap (C(12, 4) = 495 at L = 6)
+    cfg = LatticeConfig(L=L, theta=theta)
+    for n in range(1, 5):
+        actual = n_particle_eigenphases(cfg, n)
+        offset = parity_offset(cfg, n)
+        predicted = expected_nparticle_phases(cfg, n, offset)
+        assert circular_multiset_distance(actual, predicted) <= 1e-10
+        # at odd L the two grids are mirror images with equal even-n spectra;
+        # at theta = 0 pure translation gives both grids the L=6, n=4 spectrum
+        if L % 2 == 0 and n % 2 == 0 and (theta != 0.0 or n == 2):
+            other = expected_nparticle_phases(cfg, n, 0.5 - offset)
+            assert circular_multiset_distance(actual, other) > 1e-6
 
 
 def test_parity_offset_odd_is_zero():
