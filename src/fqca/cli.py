@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .fermion import (
     LadderOp,
     NotLinearError,
     OpKind,
+    build_state,
     bulk_cells,
     heisenberg_image,
 )
@@ -36,7 +38,6 @@ from .lattice import (
     bit_index,
     inner_product,
 )
-from .fermion import build_state
 
 
 class ParseError(Exception):
@@ -47,22 +48,51 @@ class ResourceError(Exception):
     """Requested instance exceeds a documented size cap."""
 
 
-# the params each experiment reads: key -> its allowed values, or None
+# Every key a lattice block or an experiment's params may set, as
+# key -> (kind, default). A kind is int, float (any finite number, stored as
+# a float), bool, list (a list of numbers, kept as written), or a tuple of the
+# allowed strings. A default of ... marks a required key; a default of None
+# also admits null; a callable default is worked out from the lattice config
+# and the params resolved above it.
+LATTICE = {
+    "L": (int, ...),
+    "dx": (float, 1.0),
+    "dt": (float, 1.0),
+    "theta": (float, 0.0),
+    "boundary": (tuple(b.value for b in Boundary), "periodic"),
+}
 SPECS = ("full", "trivial")
 PARAMS = {
     "dispersion_sweep": {},
-    "wavepacket": {"cell": None, "eps": ("plus", "minus"), "nsteps": None,
-                   "compare_thetas": None},
-    "two_particle_scatter": {"cell": None},
-    "dirac_limit": {"nsamples": None, "eps": None},
-    "heisenberg_check": {"cell": None},
+    "wavepacket": {
+        "cell": (int, lambda cfg, p: cfg.L // 2),
+        "eps": (("plus", "minus"), "plus"),
+        "nsteps": (int, lambda cfg, p: cfg.L // 2),
+        "compare_thetas": (list, lambda cfg, p: [cfg.theta]),
+    },
+    "two_particle_scatter": {"cell": (int, lambda cfg, p: cfg.L // 2 - 1)},
+    "dirac_limit": {"nsamples": (int, 100), "eps": (float, 0.05)},
+    "heisenberg_check": {"cell": (int, lambda cfg, p: cfg.L // 2)},
     "dirac_sea": {},
-    "nogo_witness": {"lattice_size": None, "min_distance": None, "height": None,
-                     "spec": SPECS, "num_eps": None, "expect_found": None},
-    "nogo_csp": {"dimension": None, "radius": None, "lattice_size": None,
-                 "spec": SPECS, "expect_sat": None},
+    "nogo_witness": {
+        "lattice_size": (int, 15),
+        "min_distance": (int, 3),
+        "height": (int, None),
+        "spec": (SPECS, "full"),
+        "num_eps": (int, 2),
+        "expect_found": (bool, lambda cfg, p: p["height"] is None or p["height"] > 1),
+    },
+    "nogo_csp": {
+        "dimension": (int, 2),
+        "radius": (int, 1),
+        "lattice_size": (int, 5),
+        "spec": (SPECS, "full"),
+        "expect_sat": (bool, lambda cfg, p: p["dimension"] == 1 or p["spec"] == "trivial"),
+    },
 }
 EXPERIMENTS = tuple(PARAMS)
+# lower bounds of params that count something
+MINIMUM = {"nsteps": 0, "nsamples": 1, "radius": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -128,80 +158,91 @@ def load_config(path: str | Path) -> dict:
         raw["experiment"] in EXPERIMENTS,
         f"{p}: unknown experiment {raw['experiment']!r}; see list-experiments",
     )
-    _require(isinstance(raw["seed"], int), f"{p}: seed must be an integer")
+    _require(
+        _is_kind(raw["seed"], int) and raw["seed"] >= 0,
+        f"{p}: seed must be a non-negative integer",
+    )
+    _require(isinstance(raw["output_dir"], str), f"{p}: output_dir must be a string")
     raw.setdefault("params", {})
-    _require(isinstance(raw["params"], dict), f"{p}: params must be an object")
-    lat = raw["lattice"]
-    _require(isinstance(lat, dict) and "L" in lat, f"{p}: lattice needs field 'L'")
+    for block in ("lattice", "params"):
+        _require(isinstance(raw[block], dict), f"{p}: {block} must be an object")
+    lat = _resolve(LATTICE, raw["lattice"], f"{p}: lattice", None)
     try:
-        raw["_config"] = LatticeConfig(
-            L=int(lat["L"]),
-            dx=float(lat.get("dx", 1.0)),
-            dt=float(lat.get("dt", 1.0)),
-            theta=float(lat.get("theta", 0.0)),
-            boundary=Boundary(lat.get("boundary", "periodic")),
-        )
-    except (ValueError, LatticeError) as e:
+        cfg = LatticeConfig(**{**lat, "boundary": Boundary(lat["boundary"])})
+    except LatticeError as e:
         raise ParseError(f"{p}: bad lattice block: {e}") from e
-    params = raw["params"]
-    accepted = PARAMS[raw["experiment"]]
-    for key, value in params.items():
-        _require(
-            key in accepted,
-            f"{p}: unknown param {key!r} for {raw['experiment']}; "
-            f"accepted: {sorted(accepted)}",
-        )
-        _require(
-            accepted[key] is None or value in accepted[key],
-            f"{p}: {key} must be one of {accepted[key]}, got {value!r}",
-        )
-    nsteps = params.get("nsteps", 0)
-    _require(isinstance(nsteps, int) and nsteps >= 0, f"{p}: nsteps must be >= 0")
+    experiment = raw["experiment"]
+    params = _resolve(PARAMS[experiment], raw["params"], f"{p}: {experiment}", cfg)
+    raw["_config"], raw["_params"] = cfg, params
+    for key, low in MINIMUM.items():
+        _require(params.get(key, low) >= low, f"{p}: {key} must be >= {low}")
     if "cell" in params:
-        _require(
-            0 <= int(params["cell"]) < raw["_config"].L,
-            f"{p}: cell={params['cell']} outside the lattice",
-        )
-    if raw["experiment"] == "heisenberg_check":
-        cfg = raw["_config"]
+        _require(0 <= params["cell"] < cfg.L, f"{p}: cell={params['cell']} outside the lattice")
+    if experiment == "heisenberg_check":
         cells = bulk_cells(cfg)
-        cell = int(params.get("cell", cfg.L // 2))
         _require(
-            cell in cells,
+            params["cell"] in cells,
             f"{p}: heisenberg_check needs a bulk cell, "
-            f"{cells.start} <= cell <= {cells.stop - 1}, got {cell}",
+            f"{cells.start} <= cell <= {cells.stop - 1}, got {params['cell']}",
         )
-    if raw["experiment"] == "two_particle_scatter":
-        cfg, x = raw["_config"], _scatter_cell(raw["_config"], params)
+    if experiment == "two_particle_scatter":
         _require(
-            cfg.boundary is Boundary.PERIODIC or 1 <= x <= cfg.L - 2,
+            cfg.boundary is Boundary.PERIODIC or 1 <= params["cell"] <= cfg.L - 2,
             f"{p}: two_particle_scatter uses cells cell-1..cell+1, so on the open "
-            f"chain it needs 1 <= cell <= {cfg.L - 2}, got {x}",
+            f"chain it needs 1 <= cell <= {cfg.L - 2}, got {params['cell']}",
         )
-    if raw["experiment"] in ("dispersion_sweep", "dirac_sea"):
+    if experiment in ("dispersion_sweep", "dirac_sea"):
         _require(
-            raw["_config"].boundary is Boundary.PERIODIC,
-            f"{p}: {raw['experiment']} needs the periodic boundary",
+            cfg.boundary is Boundary.PERIODIC,
+            f"{p}: {experiment} needs the periodic boundary",
         )
-    if raw["experiment"] == "dirac_sea":
+    if experiment == "dirac_sea":
         # at odd L the sea's grid mirrors its excitations', so gaps miss phi/dt
-        _require(raw["_config"].L % 2 == 0, f"{p}: dirac_sea needs an even L")
+        _require(cfg.L % 2 == 0, f"{p}: dirac_sea needs an even L")
     try:
-        if raw["experiment"] == "nogo_csp":
-            nogo.check_csp_size(
-                int(params.get("dimension", 2)),
-                int(params.get("radius", 1)),
-                int(params.get("lattice_size", 5)),
-            )
-        if raw["experiment"] == "nogo_witness":
-            nogo.full_spec(int(params.get("num_eps", 2)))
-    except (TypeError, ValueError, nogo.LatticeTooLargeError) as e:
+        if experiment == "nogo_csp":
+            nogo.check_csp_size(params["dimension"], params["radius"], params["lattice_size"])
+        if experiment == "nogo_witness":
+            nogo.full_spec(params["num_eps"])
+    except (ValueError, nogo.LatticeTooLargeError) as e:
         raise ParseError(f"{p}: {e}") from e
     return raw
 
 
-def _scatter_cell(cfg: LatticeConfig, params: dict) -> int:
-    return int(params.get("cell", cfg.L // 2 - 1))
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               list: "a list of numbers"}
+
+
+def _is_kind(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return isinstance(value, str) and value in kind
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is list:
+        return isinstance(value, list) and all(_is_kind(v, float) for v in value)
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _resolve(table: dict, given: dict, where: str, cfg: LatticeConfig | None) -> dict:
+    """Check each key of `given` against `table` and fill in the defaults."""
+    for key in given:
+        _require(key in table, f"{where}: unknown key {key!r}; accepted: {sorted(table)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        if key not in given:
+            _require(default is not ..., f"{where}: missing field {key!r}")
+            out[key] = default(cfg, out) if callable(default) else default
+            continue
+        value = given[key]
+        _require(
+            _is_kind(value, kind) or (value is None and default is None),
+            f"{where}: {key} must be {_KIND_NAMES.get(kind) or f'one of {kind}'}, "
+            f"got {value!r}",
+        )
+        out[key] = float(value) if kind is float else value
+    return out
 
 
 def config_hash(raw: dict) -> str:
@@ -253,9 +294,8 @@ def run_dispersion_sweep(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 
 
 def run_wavepacket(cfg: LatticeConfig, params: dict, rng, outdir: Path):
-    cell = int(params.get("cell", cfg.L // 2))
-    eps = Eps.PLUS if params.get("eps", "plus") == "plus" else Eps.MINUS
-    nsteps = int(params.get("nsteps", cfg.L // 2))
+    cell, nsteps = params["cell"], params["nsteps"]
+    eps = Eps.PLUS if params["eps"] == "plus" else Eps.MINUS
     rows = walk.wavepacket_trace(cfg, (cell, eps), nsteps)
     write_csv(outdir / "wavepacket.csv", ["step", "cell", "prob"], rows)
     norm_dev = 0.0
@@ -264,10 +304,7 @@ def run_wavepacket(cfg: LatticeConfig, params: dict, rng, outdir: Path):
         probs = [p for (tt, _, p) in rows if tt == t]
         norm_dev = max(norm_dev, abs(sum(probs) - 1.0))
         for c, p in enumerate(probs):
-            d = abs(c - cell)
-            if cfg.boundary is Boundary.PERIODIC:
-                d = min(d, cfg.L - d)
-            if d > t:
+            if cfg.distance(c, cell) > t:
                 leak += p
     checks = [
         _check("norm_conservation", norm_dev, 1e-12),
@@ -275,9 +312,8 @@ def run_wavepacket(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     ]
     # cross-validate the dense walk against the automaton's one-particle
     # sector at each requested coin angle
-    for theta in params.get("compare_thetas", [cfg.theta]):
-        ccfg = LatticeConfig(cfg.L, cfg.dx, cfg.dt, float(theta), cfg.boundary)
-        dev = walk.compare_one_particle(ccfg, (cell, eps), nsteps)
+    for theta in params["compare_thetas"]:
+        dev = walk.compare_one_particle(replace(cfg, theta=theta), (cell, eps), nsteps)
         checks.append(_check(f"walk_vs_automaton_theta_{theta}", dev, 1e-12))
     return {"nsteps": nsteps}, checks
 
@@ -290,7 +326,7 @@ def _pair_state(cfg: LatticeConfig, sites) -> FockState:
 
 
 def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path):
-    x = _scatter_cell(cfg, params)
+    x = params["cell"]
     c, s = math.cos(cfg.theta), math.sin(cfg.theta)
     final = step(_pair_state(cfg, [(x, Eps.PLUS), (x + 1, Eps.MINUS)]))
     probes = [
@@ -319,8 +355,7 @@ def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path
 
 
 def run_dirac_limit(cfg: LatticeConfig, params: dict, rng, outdir: Path):
-    nsamples = int(params.get("nsamples", 100))
-    eps = float(params.get("eps", 0.05))
+    nsamples, eps = params["nsamples"], params["eps"]
     rows = []
     worst = 0.0
     for _ in range(nsamples):
@@ -348,7 +383,7 @@ def run_dirac_limit(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 
 
 def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
-    cell = int(params.get("cell", cfg.L // 2))
+    cell = params["cell"]
     c, s = math.cos(cfg.theta), math.sin(cfg.theta)
     expected = {
         Eps.PLUS: {(cell + 1, Eps.PLUS): c, (cell + 1, Eps.MINUS): s},
@@ -414,16 +449,10 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 
 
 def run_nogo_witness(cfg: LatticeConfig, params: dict, rng, outdir: Path):
-    lattice_size = int(params.get("lattice_size", 15))
-    min_distance = int(params.get("min_distance", 3))
-    height = params.get("height")
-    spec_name = params.get("spec", "full")
-    num_eps = int(params.get("num_eps", 2))
-    spec = nogo.trivial_spec(num_eps) if spec_name == "trivial" else nogo.full_spec(num_eps)
-    triple = nogo.find_witness_triple(
-        spec, lattice_size, min_distance, None if height is None else int(height)
-    )
-    expect_found = bool(params.get("expect_found", height is None or int(height) > 1))
+    lattice_size, min_distance = params["lattice_size"], params["min_distance"]
+    num_eps, expect_found = params["num_eps"], params["expect_found"]
+    spec = nogo.trivial_spec(num_eps) if params["spec"] == "trivial" else nogo.full_spec(num_eps)
+    triple = nogo.find_witness_triple(spec, lattice_size, min_distance, params["height"])
     obj = triple.to_json_obj() if triple else {"type": "witness", "sites": None}
     (outdir / "witness.json").write_text(dump_json(obj))
     checks = [
@@ -443,20 +472,13 @@ def run_nogo_witness(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 
 
 def run_nogo_csp(cfg: LatticeConfig, params: dict, rng, outdir: Path):
-    dimension = int(params.get("dimension", 2))
-    radius = int(params.get("radius", 1))
-    lattice_size = int(params.get("lattice_size", 5))
-    spec_name = params.get("spec", "full")
+    dimension, radius = params["dimension"], params["radius"]
     spec = None
     if dimension == 2:
-        spec = (
-            nogo.trivial_spec(2) if spec_name == "trivial" else nogo.full_spec(2)
-        )
-    result = nogo.sign_csp(dimension, radius, spec, lattice_size)
+        spec = nogo.trivial_spec(2) if params["spec"] == "trivial" else nogo.full_spec(2)
+    result = nogo.sign_csp(dimension, radius, spec, params["lattice_size"])
     (outdir / "csp.json").write_text(dump_json(result.to_json_obj()))
-    expect_sat = bool(
-        params.get("expect_sat", dimension == 1 or spec_name == "trivial")
-    )
+    expect_sat = params["expect_sat"]
     checks = [
         {
             "name": "satisfiability_matches_expectation",
@@ -492,7 +514,7 @@ def run_experiment(raw: dict, output_dir: str | None = None, quiet: bool = False
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(raw["seed"])
     try:
-        extras, checks = RUNNERS[raw["experiment"]](cfg, raw["params"], rng, outdir)
+        extras, checks = RUNNERS[raw["experiment"]](cfg, raw["_params"], rng, outdir)
     except DimensionTooLargeError as e:
         raise ResourceError(str(e)) from e
     ok = all(c["passed"] for c in checks)

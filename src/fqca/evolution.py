@@ -262,38 +262,25 @@ def light_cone_check(
     if nsteps < 1:
         raise ValueError("nsteps must be >= 1")
     from .fermion import LadderOp, OpKind, apply_ladder
-    from .lattice import Eps, vacuum
+    from .lattice import Eps, particles_from_basis, vacuum
 
     if initial is None:
         origin = config.L // 2
         initial = apply_ladder(vacuum(config), LadderOp(OpKind.CREATE, origin, Eps.PLUS))
-    support = set()
-    for w in initial.amplitudes:
-        ww = w
-        while ww:
-            b = (ww & -ww).bit_length() - 1
-            support.add(b // 2)
-            ww &= ww - 1
+    support = {cell for w in initial.amplitudes for cell, _ in particles_from_basis(w)}
     if not support:
         return 0.0
-
-    def dist(j: int, j0: int) -> int:
-        d = abs(j - j0)
-        if config.boundary is Boundary.PERIODIC:
-            d = min(d, config.L - d)
-        return d
-
     allowed = {
-        j for j in range(config.L) if any(dist(j, j0) <= nsteps for j0 in support)
+        j
+        for j in range(config.L)
+        if any(config.distance(j, j0) <= nsteps for j0 in support)
     }
     final = evolve(initial, nsteps)
-    leak = 0.0
-    for w, a in final.amplitudes.items():
-        ww = w
-        while ww:
-            b = (ww & -ww).bit_length() - 1
-            if b // 2 not in allowed:
-                leak += abs(a) ** 2
-                break
-            ww &= ww - 1
-    return leak
+    return sum(
+        (
+            abs(a) ** 2
+            for w, a in final.amplitudes.items()
+            if any(cell not in allowed for cell, _ in particles_from_basis(w))
+        ),
+        0.0,
+    )

@@ -82,6 +82,11 @@ class LatticeConfig:
         """Particle mass theta*dt/dx^2 (hbar = 1)."""
         return self.theta * self.dt / self.dx**2
 
+    def distance(self, a: int, b: int) -> int:
+        """Cells between cells a and b, the short way round on the ring."""
+        d = abs(a - b)
+        return min(d, self.L - d) if self.boundary is Boundary.PERIODIC else d
+
 
 def bit_index(cell: int, eps: Eps) -> int:
     return 2 * cell + int(eps)

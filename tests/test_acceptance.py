@@ -301,11 +301,7 @@ def test_11_nogo_csp():
 
 
 def test_12_shipped_configs_deterministic(tmp_path):
-    configs = sorted(
-        p
-        for p in (REPO_ROOT / "experiments").glob("*.json")
-        if p.name != "config.schema.json"
-    )
+    configs = sorted((REPO_ROOT / "experiments").glob("*.json"))
     assert len(configs) == 8
     all_ok = True
     for cfgfile in configs:
