@@ -92,7 +92,9 @@ PARAMS = {
 }
 EXPERIMENTS = tuple(PARAMS)
 # lower bounds of params that count something
-MINIMUM = {"nsteps": 0, "nsamples": 1, "radius": 0}
+MINIMUM = {"nsteps": 0, "nsamples": 1, "radius": 0, "height": 1, "min_distance": 1}
+# smallest excitation gap dirac_sea accepts, and its gaps_positive tolerance
+MIN_GAP = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def load_config(path: str | Path) -> dict:
     params = _resolve(PARAMS[experiment], raw["params"], f"{p}: {experiment}", cfg)
     raw["_config"], raw["_params"] = cfg, params
     for key, low in MINIMUM.items():
-        _require(params.get(key, low) >= low, f"{p}: {key} must be >= {low}")
+        _require(params.get(key) is None or params[key] >= low, f"{p}: {key} must be >= {low}")
     if "cell" in params:
         _require(0 <= params["cell"] < cfg.L, f"{p}: cell={params['cell']} outside the lattice")
     if experiment == "heisenberg_check":
@@ -199,6 +201,9 @@ def load_config(path: str | Path) -> dict:
     if experiment == "dirac_sea":
         # at odd L the sea's grid mirrors its excitations', so gaps miss phi/dt
         _require(cfg.L % 2 == 0, f"{p}: dirac_sea needs an even L")
+        # phi = arccos|cos theta| is smallest at k = 0 and pi/dx, on the excitation grid
+        gap = min(spectral.step_matrix(cfg, k).phi for k in (0.0, math.pi / cfg.dx)) / cfg.dt
+        _require(gap > MIN_GAP, f"{p}: dirac_sea is massless at theta={cfg.theta}: gap {gap:.3g}")
     try:
         if experiment == "nogo_csp":
             nogo.check_csp_size(params["dimension"], params["radius"], params["lattice_size"])
@@ -301,7 +306,7 @@ def run_wavepacket(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     norm_dev = 0.0
     leak = 0.0
     for t in range(nsteps + 1):
-        probs = [p for (tt, _, p) in rows if tt == t]
+        probs = [p for (_, _, p) in rows[t * cfg.L:(t + 1) * cfg.L]]
         norm_dev = max(norm_dev, abs(sum(probs) - 1.0))
         for c, p in enumerate(probs):
             if cfg.distance(c, cell) > t:
@@ -443,7 +448,7 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
             1e-10,
         ),
         _check("gaps_match_phi", max(r[5] for r in rows), 1e-10),
-        _check("gaps_positive", min(e.gap for e in excitations), 1e-12, lower=True),
+        _check("gaps_positive", min(e.gap for e in excitations), MIN_GAP, lower=True),
     ]
     return {"sea_phase": phase, "n_excitations": len(excitations)}, checks
 

@@ -33,7 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Boundary, FockState, LatticeConfig, PRUNE_THRESHOLD, word_dtype
+from .lattice import (
+    Boundary,
+    Eps,
+    FockState,
+    LatticeConfig,
+    PRUNE_THRESHOLD,
+    basis_state,
+    particles_from_basis,
+    word_dtype,
+)
 
 # states stepped together by step_all; bounds the engine's working arrays
 BATCH_STATES = 256
@@ -261,12 +270,8 @@ def light_cone_check(
     """
     if nsteps < 1:
         raise ValueError("nsteps must be >= 1")
-    from .fermion import LadderOp, OpKind, apply_ladder
-    from .lattice import Eps, particles_from_basis, vacuum
-
     if initial is None:
-        origin = config.L // 2
-        initial = apply_ladder(vacuum(config), LadderOp(OpKind.CREATE, origin, Eps.PLUS))
+        initial = basis_state(config, [(config.L // 2, Eps.PLUS)])
     support = {cell for w in initial.amplitudes for cell, _ in particles_from_basis(w)}
     if not support:
         return 0.0

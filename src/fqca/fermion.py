@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evolution import step_all
 from .lattice import (
     Boundary,
     Eps,
@@ -163,8 +164,6 @@ def heisenberg_image(
     reproduces the evolution (the residual test that makes the -1 gate
     phases necessary).
     """
-    from .evolution import step_all
-
     cells = bulk_cells(config)
     if op.cell not in cells:
         edge = "boundary" if config.boundary is Boundary.OPEN else "seam"

@@ -220,14 +220,10 @@ def basis_state(config: LatticeConfig, particles) -> FockState:
 
 
 def inner_product(a: FockState, b: FockState) -> complex:
-    """<a|b> over shared basis words."""
+    """<a|b> over shared basis words, summed in ascending word order."""
     _check_config(a, b)
-    small, big = (a.amplitudes, b.amplitudes)
-    if len(big) < len(small):
-        return sum(
-            small[w].conjugate() * big[w] for w in big if w in small
-        )
-    return sum(small[w].conjugate() * big[w] for w in small if w in big)
+    shared = sorted(a.amplitudes.keys() & b.amplitudes.keys())
+    return sum(a.amplitudes[w].conjugate() * b.amplitudes[w] for w in shared)
 
 
 def sector_project(state: FockState, n: int) -> FockState:

@@ -282,6 +282,8 @@ def _required_sign(src1: Site2D, src2: Site2D, dst1: Site2D, dst2: Site2D) -> in
 
 def check_csp_size(dimension: int, radius: int, lattice_size: int) -> None:
     """Raise unless sign_csp supports this instance."""
+    if lattice_size < 2:
+        raise ValueError("lattice_size must be >= 2: a smaller lattice has no pair of cells")
     if radius > 2:
         raise ValueError("radius <= 2 supported")
     if dimension not in (1, 2):

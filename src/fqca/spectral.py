@@ -13,6 +13,8 @@ Mode conventions, fixed once here and asserted by the sector-spectrum tests:
 - The positive-energy band ladder b_{k,Plus} is built on vminus: then
   U b^dag_{k,Plus}|vac> = exp(-i phi) b^dag_{k,Plus}|vac>, i.e. energy
   +phi/dt, and the Minus band gets -phi/dt.
+- The modes are free, so the Dirac sea and each of its excitations is one
+  Slater determinant of band orbitals (mode_orbital, slater_state).
 - On the ring, the n-particle sector behaves like free modes on a momentum
   grid offset by half a grid step for even n and not at all for odd n: the
   Jordan-Wigner string at the seam twists the boundary by (-1)^(n-1)
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import step, step_all
-from .fermion import DimensionTooLargeError, LadderOp, OpKind, apply_ladder
-from .lattice import Boundary, Eps, FockState, LatticeConfig, vacuum
+from .fermion import DimensionTooLargeError
+from .lattice import Boundary, FockState, LatticeConfig, inner_product, word_dtype
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -128,41 +130,24 @@ def _check_on_grid(config: LatticeConfig, k: float, offset: float) -> None:
         raise OffGridError(f"k={k} outside the Brillouin zone")
 
 
-def momentum_ladder(
-    state: FockState, k: float, eps: Eps, kind: OpKind, offset: float = 0.0
-) -> FockState:
-    """Plane-wave ladder: sum over cells of phased position ladders."""
-    cfg = state.config
-    _require_periodic(cfg)
-    _check_on_grid(cfg, k, offset)
-    sign = -1j if kind is OpKind.CREATE else 1j
-    out = FockState(cfg, {})
-    for j in range(cfg.L):
-        term = apply_ladder(state, LadderOp(kind, j, eps))
-        out = out.add(term.scaled(np.exp(sign * j * k * cfg.dx)))
-    return out
+def mode_orbital(
+    config: LatticeConfig, k: float, band: Band, offset: float = 0.0
+) -> np.ndarray:
+    """Site coefficients c of b^dag_{k,band} = sum_s c[s] a^dag_s, indexed by bit.
 
-
-def _band_vector(mode: ModeMatrix, band: Band) -> np.ndarray:
-    # positive-energy band rides the exp(+i phi) eigenvector of M
-    return mode.vminus if band is Band.PLUS else mode.vplus
-
-
-def b_ladder(
-    state: FockState, k: float, band: Band, kind: OpKind, offset: float = 0.0
-) -> FockState:
-    """Diagonalized-mode ladder b_{k,band} (annihilator) or its dagger."""
-    cfg = state.config
-    _require_periodic(cfg)
-    _check_on_grid(cfg, k, offset)
-    v = _band_vector(step_matrix(cfg, k), band)
-    coeffs = v if kind is OpKind.ANNIHILATE else v.conj()
-    out = FockState(cfg, {})
-    for eps, coeff in ((Eps.PLUS, coeffs[0]), (Eps.MINUS, coeffs[1])):
-        if abs(coeff) < 1e-15:
-            continue
-        out = out.add(momentum_ladder(state, k, eps, kind, offset).scaled(coeff))
-    return out
+    The plane-wave creator a^dag_{k,eps} puts exp(-i j k dx) on cell j; the
+    band mixes the two eps with the conjugated band vector, whose components
+    are (Plus, Minus). The positive-energy band rides the exp(+i phi)
+    eigenvector of M.
+    """
+    _require_periodic(config)
+    _check_on_grid(config, k, offset)
+    mode = step_matrix(config, k)
+    plus, minus = (mode.vminus if band is Band.PLUS else mode.vplus).conj()
+    phases = np.exp(-1j * np.arange(config.L) * k * config.dx)
+    coeffs = np.array([minus, plus])  # bit 2j is (j, Minus), bit 2j+1 (j, Plus)
+    coeffs[np.abs(coeffs) < 1e-15] = 0
+    return np.outer(phases, coeffs).ravel()
 
 
 @dataclass
@@ -197,15 +182,18 @@ def dirac_hamiltonian(config: LatticeConfig, k: float) -> np.ndarray:
 # dense sector machinery
 
 
+def _sector(n_sites: int, n: int) -> tuple[list[int], np.ndarray]:
+    """Ascending n-particle words, and a (dim, n) array of each word's ascending bits."""
+    t = word_dtype(n_sites).type
+    combos = itertools.combinations(range(n_sites), n)
+    sites = np.array(list(combos), dtype=np.int64).reshape(math.comb(n_sites, n), n)
+    words = (t(1) << sites.astype(t)).sum(axis=1)
+    order = np.argsort(words)
+    return words[order].tolist(), sites[order]
+
+
 def sector_words(L: int, n: int) -> list[int]:
-    words = []
-    for bits in itertools.combinations(range(2 * L), n):
-        w = 0
-        for b in bits:
-            w |= 1 << b
-        words.append(w)
-    words.sort()
-    return words
+    return _sector(2 * L, n)[0]
 
 
 def sector_unitary(config: LatticeConfig, n: int) -> tuple[np.ndarray, list[int]]:
@@ -280,20 +268,33 @@ def parity_offset(config: LatticeConfig, n: int) -> float:
 # Dirac sea
 
 
+def slater_state(config: LatticeConfig, orbitals: list[np.ndarray]) -> FockState:
+    """Normalized b^dag_{m_n} ... b^dag_{m_1}|vac> for orbitals m_1..m_n in creation order.
+
+    Moving the creators into canonical order a^dag_{s_1} ... a^dag_{s_n}|vac>
+    = |word> (s_1 < ... < s_n) gives the word the amplitude
+    det[c_{m_{n+1-j}}(s_i)]: column j holds the j-th orbital from the last
+    created. One batched determinant covers the whole sector.
+    """
+    words, sites = _sector(config.n_sites, len(orbitals))
+    amps = np.linalg.det(np.array(orbitals[::-1]).T[sites])
+    return FockState(config, dict(zip(words, amps.tolist()))).prune().normalized()
+
+
 def _mode_sea(
     config: LatticeConfig,
     offset: float,
     skip_minus: float | None = None,
     extra_plus: float | None = None,
 ) -> FockState:
-    state = vacuum(config)
+    orbitals = []
     for k in sorted(momentum_grid(config, offset)):
         if skip_minus is not None and abs(k - skip_minus) < 1e-12:
             continue
-        state = b_ladder(state, k, Band.MINUS, OpKind.CREATE, offset)
+        orbitals.append(mode_orbital(config, k, Band.MINUS, offset))
     if extra_plus is not None:
-        state = b_ladder(state, extra_plus, Band.PLUS, OpKind.CREATE, offset)
-    return state.normalized()
+        orbitals.append(mode_orbital(config, extra_plus, Band.PLUS, offset))
+    return slater_state(config, orbitals)
 
 
 def build_dirac_sea(config: LatticeConfig) -> FockState:
@@ -306,8 +307,6 @@ def build_dirac_sea(config: LatticeConfig) -> FockState:
 
 def eigenphase_of(state: FockState) -> tuple[float, float]:
     """(|<psi|U|psi>|, arg) for a normalized state; modulus 1 iff eigenstate."""
-    from .lattice import inner_product
-
     out = step(state)
     ov = inner_product(state, out)
     return abs(ov), float(np.angle(ov))

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Boundary, ConfigMismatchError, Eps, LatticeConfig
+from .evolution import step as qca_step
+from .lattice import Boundary, Eps, LatticeConfig, basis_state, particles_from_basis
+from .spectral import SIGMA2, SIGMA3
 
 R, L_ = 0, 1  # spinor component indices
 
@@ -80,16 +82,12 @@ def walk_momentum_step(config: LatticeConfig, k: float) -> np.ndarray:
 
 def dirac_generator(config: LatticeConfig, k: float) -> np.ndarray:
     """Continuum generator i(k c sigma_3 - m c^2 sigma_2), hbar = 1."""
-    from .spectral import SIGMA2, SIGMA3
-
     c, m = config.c, config.mass
     return 1j * (k * c * SIGMA3 - m * c * c * SIGMA2)
 
 
 def _qca_one_particle_spinors(state) -> np.ndarray:
     """Project a one-particle FockState onto the walk's (L, 2) layout."""
-    from .lattice import particles_from_basis
-
     cfg = state.config
     psi = np.zeros((cfg.L, 2), dtype=complex)
     for w, a in state.amplitudes.items():
@@ -104,15 +102,9 @@ def compare_one_particle(
     config: LatticeConfig, init: tuple[int, Eps], nsteps: int
 ) -> float:
     """Max amplitude deviation between walk and automaton over nsteps."""
-    from .evolution import step as qca_step
-    from .fermion import LadderOp, OpKind, apply_ladder
-    from .lattice import vacuum
-
     cell, eps = init
     walk = WalkState.localized(config, cell, Eps(eps))
-    qca = apply_ladder(vacuum(config), LadderOp(OpKind.CREATE, cell, Eps(eps)))
-    if walk.config != qca.config:
-        raise ConfigMismatchError("mismatched configs")
+    qca = basis_state(config, [(cell, Eps(eps))])
     worst = 0.0
     for _ in range(nsteps):
         walk = walk_step(walk)

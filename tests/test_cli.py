@@ -1,6 +1,7 @@
 """Config parsing, experiment runs, manifests and determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from fqca.cli import (
     main,
 )
 
-REPO_EXPERIMENTS = Path(__file__).resolve().parents[1] / "experiments"
+REPO = Path(__file__).resolve().parents[1]
 
 
 def make_config(tmp_path, **overrides):
@@ -94,6 +95,13 @@ def test_validate_ok(tmp_path, capsys):
             for name in ("dirac_sea", "dispersion_sweep")
         ),
         *(
+            pytest.param(
+                {"experiment": "dirac_sea", "lattice": {"L": L, "theta": theta}, "params": {}},
+                id=f"dirac_sea-massless-L{L}-theta{theta:g}",
+            )
+            for L, theta in ((2, 0.0), (6, 0.0), (4, math.pi), (4, 1e-9))
+        ),
+        *(
             pytest.param({"experiment": name, "params": params}, id=f"{name}-{label}")
             for name, label, params in (
                 ("nogo_csp", "dimension3", {"dimension": 3}),
@@ -114,6 +122,13 @@ def test_validate_ok(tmp_path, capsys):
                 ("dirac_limit", "eps-str", {"eps": "small"}),
                 ("nogo_witness", "height-str", {"height": "two"}),
                 ("nogo_witness", "min_distance-str", {"min_distance": "3"}),
+                ("nogo_csp", "1d-size-negative", {"dimension": 1, "lattice_size": -2}),
+                ("nogo_csp", "1d-size1", {"dimension": 1, "lattice_size": 1}),
+                ("nogo_csp", "2d-size1", {"dimension": 2, "lattice_size": 1}),
+                ("nogo_witness", "height-negative", {"height": -2}),
+                ("nogo_witness", "height0", {"height": 0}),
+                ("nogo_witness", "min_distance-negative", {"min_distance": -1}),
+                ("nogo_witness", "min_distance0", {"min_distance": 0}),
             )
         ),
     ],
@@ -188,7 +203,8 @@ def test_resource_cap_reported(tmp_path):
 
 
 def test_all_shipped_configs_validate():
-    for p in sorted(REPO_EXPERIMENTS.glob("*.json")):
+    # the benchmark's inputs too, so a validator change cannot break them
+    for p in sorted(REPO.glob("experiments/*.json")) + sorted(REPO.glob("perfbench/configs/*.json")):
         raw = load_config(p)
         assert raw["experiment"] in EXPERIMENTS
 

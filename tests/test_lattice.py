@@ -102,6 +102,13 @@ def test_inner_product_conjugate_linear():
     b = basis_state(cfg, [(0, Eps.PLUS)]).scaled(2.0)
     assert inner_product(a, b) == pytest.approx(-2j)
     assert inner_product(b, a) == pytest.approx(2j)
+    # summed in word order, so the order amplitudes were inserted in cannot
+    # move the rounding
+    ones = FockState(cfg, {1: 1.0, 2: 1.0, 4: 1.0})
+    x = FockState(cfg, {1: 1e16, 2: 1.0, 4: -1e16})
+    y = FockState(cfg, {4: -1e16, 1: 1e16, 2: 1.0})
+    assert inner_product(x, ones) == inner_product(y, ones) == 0.0
+    assert inner_product(ones, x) == inner_product(ones, y) == 0.0
 
 
 def test_sector_project():

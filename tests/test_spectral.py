@@ -5,16 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from fqca.evolution import step
-from fqca.fermion import OpKind
-from fqca.lattice import Boundary, Eps, LatticeConfig, inner_product, vacuum
+from fqca.fermion import LadderOp, OpCombination, OpKind
+from fqca.lattice import Boundary, LatticeConfig, site_of_bit, vacuum
 from fqca.spectral import (
     Band,
     BoundaryModeError,
     OffGridError,
     SIGMA2,
     SIGMA3,
-    b_ladder,
+    _mode_sea,
     build_dirac_sea,
     circular_multiset_distance,
     dirac_hamiltonian,
@@ -24,11 +23,12 @@ from fqca.spectral import (
     eigenphase_of,
     energy,
     expected_nparticle_phases,
+    mode_orbital,
     momentum_grid,
-    momentum_ladder,
     n_particle_eigenphases,
     parity_offset,
     phi_convergence_slope,
+    slater_state,
     step_matrix,
 )
 
@@ -58,20 +58,20 @@ def test_step_matrix_unitary_and_phase():
             assert np.allclose(M @ mode.vminus, np.exp(1j * mode.phi) * mode.vminus)
 
 
-def test_momentum_ladder_guards():
+def test_mode_orbital_guards():
     cfg = LatticeConfig(L=4, theta=0.2)
     with pytest.raises(OffGridError):
-        momentum_ladder(vacuum(cfg), 0.1, Eps.PLUS, OpKind.CREATE)
+        mode_orbital(cfg, 0.1, Band.PLUS)
     open_cfg = LatticeConfig(L=4, theta=0.2, boundary=Boundary.OPEN)
     with pytest.raises(BoundaryModeError):
-        momentum_ladder(vacuum(open_cfg), 0.0, Eps.PLUS, OpKind.CREATE)
+        mode_orbital(open_cfg, 0.0, Band.PLUS)
 
 
 def test_b_mode_is_one_particle_eigenstate():
     cfg = LatticeConfig(L=6, theta=0.4)
     for k in momentum_grid(cfg):
         for band, sign in ((Band.PLUS, -1.0), (Band.MINUS, 1.0)):
-            st = b_ladder(vacuum(cfg), k, band, OpKind.CREATE).normalized()
+            st = slater_state(cfg, [mode_orbital(cfg, k, band)])
             mod, ph = eigenphase_of(st)
             phi = step_matrix(cfg, k).phi
             assert mod == pytest.approx(1.0, abs=1e-12)
@@ -83,18 +83,16 @@ def test_b_mode_is_one_particle_eigenstate():
 def test_b_mode_discrete_normalization():
     cfg = LatticeConfig(L=5, theta=0.3)
     k = momentum_grid(cfg)[2]
-    st = b_ladder(vacuum(cfg), k, Band.PLUS, OpKind.CREATE)
-    assert inner_product(st, st) == pytest.approx(cfg.L, abs=1e-12)
+    orbital = mode_orbital(cfg, k, Band.PLUS)
+    assert np.vdot(orbital, orbital) == pytest.approx(cfg.L, abs=1e-12)
 
 
 def test_b_modes_coincide_with_momentum_modes_at_theta_zero():
     cfg = LatticeConfig(L=4, theta=0.0)
     k = momentum_grid(cfg)[1]
-    bst = b_ladder(vacuum(cfg), k, Band.PLUS, OpKind.CREATE).normalized()
+    orbital = mode_orbital(cfg, k, Band.PLUS).reshape(cfg.L, 2)
     # sin(theta)=0 leaves M diagonal, so the band mode is a pure eps mode
-    occupied_eps = {
-        Eps(b % 2) for w in bst.amplitudes for b in range(2 * cfg.L) if w >> b & 1
-    }
+    occupied_eps = np.flatnonzero(np.any(orbital != 0, axis=0))
     assert len(occupied_eps) == 1
 
 
@@ -201,6 +199,48 @@ def test_dirac_sea_eigenstate_and_gaps():
         assert abs(e.eigen_modulus - 1.0) <= 1e-10
         assert e.gap > 0.0
         assert abs(e.gap - e.phi / cfg.dt) <= 1e-10
+
+
+def _ladder_chain(cfg, offset, skip_minus=None, extra_plus=None):
+    """_mode_sea's state by the ladder algebra: each b^dag applied to the
+    state as a sum of position creators, starting from the vacuum."""
+    modes = [
+        (k, Band.MINUS)
+        for k in sorted(momentum_grid(cfg, offset))
+        if skip_minus is None or abs(k - skip_minus) >= 1e-12
+    ]
+    if extra_plus is not None:
+        modes.append((extra_plus, Band.PLUS))
+    state = vacuum(cfg)
+    for k, band in modes:
+        c = mode_orbital(cfg, k, band, offset)
+        creators = [(c[s], LadderOp(OpKind.CREATE, *site_of_bit(s))) for s in range(cfg.n_sites)]
+        state = OpCombination(creators).apply(state)
+    return state.normalized()
+
+
+def _assert_same_amplitudes(a, b):
+    words = a.amplitudes.keys() | b.amplitudes.keys()
+    assert max(abs(a.amplitude(w) - b.amplitude(w)) for w in words) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [0.4, -0.9])
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_slater_states_match_ladder_chain(L, theta):
+    # amplitude by amplitude, global phase included: every dirac_sea check
+    # is blind to the sign a wrong creation order would put on the sea
+    cfg = LatticeConfig(L=L, theta=theta)
+    sea_offset = parity_offset(cfg, L)
+    _assert_same_amplitudes(_mode_sea(cfg, sea_offset), _ladder_chain(cfg, sea_offset))
+    other = parity_offset(cfg, L + 1)
+    for k in momentum_grid(cfg, other):
+        for kw in ({"extra_plus": k}, {"skip_minus": k}):
+            _assert_same_amplitudes(_mode_sea(cfg, other, **kw), _ladder_chain(cfg, other, **kw))
+
+
+def test_slater_sea_matches_ladder_chain_at_L8():
+    cfg = LatticeConfig(L=8, theta=0.3)
+    _assert_same_amplitudes(build_dirac_sea(cfg), _ladder_chain(cfg, parity_offset(cfg, 8)))
 
 
 def test_sea_has_L_particles():
