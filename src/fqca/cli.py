@@ -209,6 +209,10 @@ def load_config(path: str | Path) -> dict:
             nogo.check_csp_size(params["dimension"], params["radius"], params["lattice_size"])
         if experiment == "nogo_witness":
             nogo.full_spec(params["num_eps"])
+            nogo.check_witness_size(
+                params["lattice_size"], params["min_distance"], params["height"],
+                params["expect_found"],
+            )
     except (ValueError, nogo.LatticeTooLargeError) as e:
         raise ParseError(f"{p}: {e}") from e
     return raw

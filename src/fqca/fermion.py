@@ -179,23 +179,21 @@ def heisenberg_image(
     pairs = ((apply_ladder(psi, op), psi) for psi in (FockState(config, {w: 1.0}) for w in words))
     images = step_all(itertools.chain.from_iterable(pairs), bosonic=bosonic)
 
-    rows: dict[tuple[int, int], int] = {}
     lhs_entries: dict[tuple[int, int], complex] = {}
     col_entries: list[dict[tuple[int, int], complex]] = [{} for _ in candidates]
     for si, (lhs, evolved) in enumerate(zip(images, images)):  # consecutive pairs
         for w2, a in lhs.amplitudes.items():
             lhs_entries[(si, w2)] = a
-            rows.setdefault((si, w2), len(rows))
         for ci, cand in enumerate(candidates):
             img = apply_ladder(evolved, cand)
             for w2, a in img.amplitudes.items():
                 col_entries[ci][(si, w2)] = a
-                rows.setdefault((si, w2), len(rows))
 
-    nrows = len(rows)
-    A = np.zeros((nrows, len(candidates)), dtype=complex)
-    y = np.zeros(nrows, dtype=complex)
-    for key, ri in rows.items():
+    # rows in (state, word) order, so the fit never depends on dict order
+    rows = sorted(set(lhs_entries).union(*col_entries))
+    A = np.zeros((len(rows), len(candidates)), dtype=complex)
+    y = np.zeros(len(rows), dtype=complex)
+    for ri, key in enumerate(rows):
         y[ri] = lhs_entries.get(key, 0.0)
         for ci in range(len(candidates)):
             A[ri, ci] = col_entries[ci].get(key, 0.0)

@@ -17,9 +17,10 @@ Two independent checks:
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 
 class LatticeTooLargeError(Exception):
@@ -100,6 +101,12 @@ class LatticeBounds:
         return 0 <= s.i < self.width and 0 <= s.j < self.height
 
 
+def _sites(bounds: LatticeBounds, num_eps: int) -> list[Site2D]:
+    """Every site of the lattice, in canonical order."""
+    rows, cols, labels = range(bounds.height), range(bounds.width), range(num_eps)
+    return [Site2D(i, j, e) for j in rows for i in cols for e in labels]
+
+
 def footprint(s: Site2D, spec: FootprintSpec, bounds: LatticeBounds) -> set[Site2D]:
     out = set()
     for c1, c2 in CORNERS:
@@ -167,11 +174,10 @@ class WitnessTriple:
             assert chebyshev(s, self.s2) >= self.min_distance, "path too close to s2"
 
     def to_json_obj(self) -> dict:
-        site = lambda s: {"i": s.i, "j": s.j, "eps": s.eps}
         return {
             "type": "witness",
-            "sites": [site(self.s1), site(self.s2), site(self.s3)],
-            "path": [site(s) for s in self.path],
+            "sites": [asdict(self.s1), asdict(self.s2), asdict(self.s3)],
+            "path": [asdict(s) for s in self.path],
             "min_distance": self.min_distance,
         }
 
@@ -186,15 +192,7 @@ def find_witness_triple(
     """
     bounds = LatticeBounds(lattice_size, lattice_size if height is None else height)
     ci, cj = bounds.width // 2, bounds.height // 2
-    all_sites = sorted(
-        (
-            Site2D(i, j, e)
-            for i in range(bounds.width)
-            for j in range(bounds.height)
-            for e in range(spec.num_eps)
-        ),
-        key=Site2D.order_key,
-    )
+    all_sites = _sites(bounds, spec.num_eps)
     for e2 in range(spec.num_eps):
         s2 = Site2D(ci, cj, e2)
         below = [s for s in all_sites if s < s2 and chebyshev(s, s2) >= min_distance]
@@ -217,33 +215,11 @@ def find_witness_triple(
 # sign constraint problem
 
 
-@dataclass(frozen=True)
-class Move:
-    src: Site2D
-    dst: Site2D
-
-
-def _normalize_pair(m1: Move, m2: Move):
-    """Translation-invariant key for an unordered pair of moves."""
-    di = min(m1.src.i, m2.src.i)
-    dj = min(m1.src.j, m2.src.j)
-    tup = lambda m: (
-        m.src.i - di, m.src.j - dj, m.src.eps,
-        m.dst.i - di, m.dst.j - dj, m.dst.eps,
-    )
-    return tuple(sorted((tup(m1), tup(m2))))
-
-
-def _moves_1d(spec_1d: dict, s: Site2D, width: int):
-    for di, eps2 in spec_1d.get(s.eps, ()):  # pragma: no branch
-        t = Site2D(s.i + di, 0, eps2)
-        if 0 <= t.i < width:
-            yield Move(s, t)
-
-
-def _moves_2d(spec: FootprintSpec, s: Site2D, bounds: LatticeBounds):
-    for t in footprint(s, spec, bounds):
-        yield Move(s, t)
+def _normalize_pair(s1: Site2D, t1: Site2D, s2: Site2D, t2: Site2D):
+    """Translation-invariant key for an unordered pair of moves s -> t."""
+    di, dj = min(s1.i, s2.i), min(s1.j, s2.j)
+    tup = lambda s, t: (s.i - di, s.j - dj, s.eps, t.i - di, t.j - dj, t.eps)
+    return tuple(sorted((tup(s1, t1), tup(s2, t2))))
 
 
 # one-step moves of the 1D automaton: Plus hops right, Minus hops left, and
@@ -263,21 +239,13 @@ class CspResult:
 
     def to_json_obj(self) -> dict:
         if self.sat:
-            rule = sorted(
-                (list(map(list, key)), val) for key, val in self.assignment.items()
-            )
+            rule = sorted((list(map(list, key)), val) for key, val in self.assignment.items())
             return {"type": "sat", "rule": rule, "constraints": self.num_constraints}
         return {
             "type": "unsat",
             "violated_constraints": self.violated,
             "constraints": self.num_constraints,
         }
-
-
-def _required_sign(src1: Site2D, src2: Site2D, dst1: Site2D, dst2: Site2D) -> int:
-    before = canonical_order(src1, src2)
-    after = canonical_order(dst1, dst2)
-    return -1 if before != after else 1
 
 
 def check_csp_size(dimension: int, radius: int, lattice_size: int) -> None:
@@ -293,11 +261,38 @@ def check_csp_size(dimension: int, radius: int, lattice_size: int) -> None:
         raise LatticeTooLargeError(f"{dimension}D instance limited to {cap} per side")
 
 
+def min_witness_size(min_distance: int, height: int | None = None) -> int | None:
+    """Smallest lattice_size that holds a witness triple; None if none does.
+
+    From min_distance 2 on, the path rounds s2 left of it, from the row below
+    to the row above: 2*min_distance + 2 columns. With two rows, s3 sits right
+    of s2 in its row: one column more. At min_distance 1 it may pass next to s2.
+    A square lattice (height None) is as tall as it is wide.
+    """
+    if height == 1:
+        return None
+    if min_distance == 1:
+        return 2 if height is not None and height >= 3 else 3
+    return 2 * min_distance + (3 if height == 2 else 2)
+
+
+def check_witness_size(
+    lattice_size: int, min_distance: int, height: int | None, expect_found: bool = True
+) -> None:
+    """Raise unless lattice_size is >= 1 and, if a witness is expected, can hold one."""
+    if lattice_size < 1:
+        raise ValueError("lattice_size must be >= 1")
+    smallest = min_witness_size(min_distance, height)
+    if expect_found and (smallest is None or lattice_size < smallest):
+        need = "a height above 1" if smallest is None else f"lattice_size >= {smallest}"
+        raise ValueError(
+            f"expect_found: a witness at min_distance {min_distance}, height {height} "
+            f"needs {need}, got lattice_size {lattice_size}"
+        )
+
+
 def sign_csp(
-    dimension: int,
-    radius: int,
-    spec: FootprintSpec | None = None,
-    lattice_size: int = 5,
+    dimension: int, radius: int, spec: FootprintSpec | None = None, lattice_size: int = 5
 ) -> CspResult:
     """Search for a local pairwise phase rule matching all reordering signs.
 
@@ -305,64 +300,67 @@ def sign_csp(
     distance <= radius before or after the step; only local pairs own a
     phase variable. Every nonlocal pair whose image order flips is a
     violated constraint, and any such pair certifies UNSAT.
+
+    Each (site pair, move, move) candidate is one entry of a (pair, m1, m2)
+    array whose C order is the enumeration order (site pairs in combinations
+    order, then each site's moves as listed), kept among equal separations.
     """
     check_csp_size(dimension, radius, lattice_size)
+    bounds = LatticeBounds(lattice_size, 1 if dimension == 1 else lattice_size)
     if dimension == 1:
-        sites = [Site2D(i, 0, e) for i in range(lattice_size) for e in (0, 1)]
-        moves_of = lambda s: list(_moves_1d(STANDARD_1D_MOVES, s, lattice_size))
+        num_eps = 2
+        hops = lambda s: (Site2D(s.i + di, 0, e) for di, e in STANDARD_1D_MOVES[s.eps])
+        moves_of = lambda s: [t for t in hops(s) if bounds.contains(t)]
     else:
-        if spec is None:
-            spec = full_spec(2)
-        bounds = LatticeBounds(lattice_size, lattice_size)
-        sites = [
-            Site2D(i, j, e)
-            for i in range(lattice_size)
-            for j in range(lattice_size)
-            for e in range(spec.num_eps)
+        spec = spec or full_spec(2)
+        num_eps = spec.num_eps
+        moves_of = lambda s: list(footprint(s, spec, bounds))
+    sites = _sites(bounds, num_eps)
+    moves = [moves_of(s) for s in sites]
+
+    # padded (site, move) tables: destination cell, and the destination's
+    # order key (j, i, eps) as one integer, -1 on padding; the size caps keep
+    # cells below 10 and, with up to 4 labels, keys below 200: no int8/int16 wrap
+    dst = np.zeros((len(sites), max(map(len, moves)), 2), np.int8)
+    key = np.full(dst.shape[:2], -1, np.int16)
+    for a, row in enumerate(moves):
+        for b, t in enumerate(row):
+            dst[a, b] = t.i, t.j
+            key[a, b] = (t.j * lattice_size + t.i) * num_eps + t.eps
+    src = np.array([(s.i, s.j) for s in sites], np.int8)
+
+    p1, p2 = np.triu_indices(len(sites), 1)
+    separation = np.abs(src[p1] - src[p2]).max(axis=1)
+    k1, k2 = key[p1][:, :, None], key[p2][:, None, :]
+    unblocked = (k1 >= 0) & (k2 >= 0) & (k1 != k2)  # distinct images: not Pauli-blocked
+    image_gap = np.abs(dst[p1][:, :, None] - dst[p2][:, None, :]).max(axis=-1)
+    local = (separation <= radius)[:, None, None] | (image_gap <= radius)
+    flip = k1 > k2  # s1 < s2, so the required sign is -1 exactly on a flip
+    total = int(np.count_nonzero(unblocked))
+
+    violated = np.flatnonzero(unblocked & ~local & flip)
+    if violated.size:
+        pair = violated // (key.shape[1] ** 2)
+        first = violated[np.argsort(-separation[pair], kind="stable")[:10]]
+        certificate = [
+            {
+                "pair": [asdict(sites[p1[p]]), asdict(sites[p2[p]])],
+                "images": [asdict(moves[p1[p]][b1]), asdict(moves[p2[p]][b2])],
+                "separation": int(separation[p]),
+            }
+            for p, b1, b2 in zip(*np.unravel_index(first, flip.shape))
         ]
-        moves_of = lambda s: list(_moves_2d(spec, s, bounds))
+        return CspResult(False, None, certificate, total)
 
     constraints: dict = {}
-    violated = []
-    total = 0
-    for s1, s2 in itertools.combinations(sorted(sites, key=Site2D.order_key), 2):
-        for m1, m2 in itertools.product(moves_of(s1), moves_of(s2)):
-            if m1.dst == m2.dst:
-                continue  # Pauli-blocked branch
-            total += 1
-            sign = _required_sign(s1, s2, m1.dst, m2.dst)
-            local = (
-                chebyshev(s1, s2) <= radius or chebyshev(m1.dst, m2.dst) <= radius
-            )
-            if not local:
-                if sign == -1:
-                    violated.append(
-                        {
-                            "pair": [
-                                {"i": s.i, "j": s.j, "eps": s.eps} for s in (s1, s2)
-                            ],
-                            "images": [
-                                {"i": m.dst.i, "j": m.dst.j, "eps": m.dst.eps}
-                                for m in (m1, m2)
-                            ],
-                            "separation": chebyshev(s1, s2),
-                        }
-                    )
-                continue
-            key = _normalize_pair(m1, m2)
-            constraints.setdefault(key, set()).add(sign)
-
-    if violated:
-        violated.sort(key=lambda v: -v["separation"])
-        return CspResult(False, None, violated[:10], total)
+    for p, b1, b2 in zip(*np.nonzero(unblocked & local)):
+        a1, a2 = p1[p], p2[p]
+        k = _normalize_pair(sites[a1], moves[a1][b1], sites[a2], moves[a2][b2])
+        constraints.setdefault(k, set()).add(-1 if flip[p, b1, b2] else 1)
     conflict = [k for k, v in constraints.items() if len(v) > 1]
     if conflict:
-        return CspResult(
-            False,
-            None,
-            [{"conflicting_key": list(map(list, k))} for k in conflict[:10]],
-            total,
-        )
+        keys = [{"conflicting_key": list(map(list, k))} for k in conflict[:10]]
+        return CspResult(False, None, keys, total)
     # past the conflict filter every key demands exactly one sign
     assignment = {k: sign for k, (sign,) in constraints.items()}
     return CspResult(True, assignment, [], total)

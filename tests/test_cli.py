@@ -129,6 +129,11 @@ def test_validate_ok(tmp_path, capsys):
                 ("nogo_witness", "height0", {"height": 0}),
                 ("nogo_witness", "min_distance-negative", {"min_distance": -1}),
                 ("nogo_witness", "min_distance0", {"min_distance": 0}),
+                ("nogo_witness", "size-negative", {"lattice_size": -3}),
+                ("nogo_witness", "size0", {"lattice_size": 0}),
+                ("nogo_witness", "size7-below-witness", {"lattice_size": 7}),
+                ("nogo_witness", "size0-height1", {"lattice_size": 0, "height": 1}),
+                ("nogo_witness", "height1-expect_found", {"height": 1, "expect_found": True}),
             )
         ),
     ],
@@ -141,7 +146,7 @@ def test_validate_rejects_bad_configs(tmp_path, overrides):
 
 def test_witness_height_null_is_square(tmp_path):
     p = make_config(
-        tmp_path, experiment="nogo_witness", params={"lattice_size": 7, "height": None}
+        tmp_path, experiment="nogo_witness", params={"lattice_size": 8, "height": None}
     )
     assert main(["validate", str(p)]) == 0
     params = load_config(p)["_params"]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fqca import fermion
 from fqca.evolution import step
 from fqca.fermion import (
     LadderOp,
@@ -18,6 +19,7 @@ from fqca.fermion import (
 from fqca.lattice import (
     Boundary,
     Eps,
+    FockState,
     LatticeConfig,
     OutOfRangeError,
     basis_state,
@@ -127,6 +129,24 @@ def test_heisenberg_rejects_boundary_cells():
     cfg = LatticeConfig(L=8, theta=0.2, boundary=Boundary.OPEN)
     with pytest.raises(OutOfRangeError):
         heisenberg_image(cfg, cr(0, Eps.PLUS))
+
+
+@pytest.mark.parametrize("kind", list(OpKind))
+@pytest.mark.parametrize("eps", list(Eps))
+def test_heisenberg_image_independent_of_dict_order(monkeypatch, kind, eps):
+    # the shipped heisenberg_check lattice; the fit must not see the order in
+    # which the engine lists each image's words
+    cfg = LatticeConfig(L=8, theta=0.3, boundary=Boundary.OPEN)
+    op = LadderOp(kind, 4, eps)
+    forward = heisenberg_image(cfg, op).terms
+    step_all = fermion.step_all
+
+    def reversed_step_all(states, **kwargs):
+        for img in step_all(states, **kwargs):
+            yield FockState(img.config, dict(reversed(img.amplitudes.items())))
+
+    monkeypatch.setattr(fermion, "step_all", reversed_step_all)
+    assert heisenberg_image(cfg, op).terms == forward
 
 
 def test_bosonic_phase_breaks_linearity():

@@ -1,7 +1,12 @@
 """Witness search and sign-rule constraint problem."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+import csp_reference
+from fqca.cli import dump_json, main
 from fqca.nogo import (
     CORNERS,
     FootprintSpec,
@@ -10,13 +15,17 @@ from fqca.nogo import (
     Site2D,
     canonical_order,
     chebyshev,
+    check_witness_size,
     connected_path,
     find_witness_triple,
     footprint,
     full_spec,
+    min_witness_size,
     sign_csp,
     trivial_spec,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_canonical_order_row_major():
@@ -147,3 +156,63 @@ def test_csp_json_shapes():
     unsat = sign_csp(dimension=2, radius=1, lattice_size=5).to_json_obj()
     assert unsat["type"] == "unsat"
     assert unsat["violated_constraints"]
+
+
+def test_min_witness_size_matches_search():
+    # every size up to 4*min_distance + 7 holds a witness exactly from the bound on
+    for min_distance in range(1, 6):
+        for height in (None, 1, 2, 3, 6):
+            smallest = min_witness_size(min_distance, height)
+            sizes = range(1, 4 * min_distance + 8)
+            found = [
+                n for n in sizes
+                if find_witness_triple(full_spec(2), n, min_distance, height) is not None
+            ]
+            assert found == ([] if smallest is None else list(range(smallest, sizes.stop)))
+
+
+def test_check_witness_size():
+    check_witness_size(8, 3, None)
+    check_witness_size(7, 3, None, expect_found=False)
+    check_witness_size(1, 3, 1, expect_found=False)
+    for args in ((7, 3, None), (2, 1, 2), (15, 3, 1)):
+        with pytest.raises(ValueError):
+            check_witness_size(*args)
+    for size in (0, -3):
+        with pytest.raises(ValueError):
+            check_witness_size(size, 3, 1, expect_found=False)
+
+
+def _csp_case(dimension, radius, spec, lattice_size):
+    label = "1d" if spec is None else f"{'full' if spec.is_nontrivial() else 'trivial'}{spec.num_eps}"
+    return pytest.param(dimension, radius, spec, lattice_size, id=f"{label}-r{radius}-n{lattice_size}")
+
+
+@pytest.mark.parametrize(
+    "dimension, radius, spec, lattice_size",
+    [_csp_case(1, r, None, n) for r in (0, 1, 2) for n in range(2, 10)]
+    + [
+        _csp_case(2, r, full_spec(e), n)
+        for r in (0, 1, 2)
+        for e in (1, 2, 3, 4)
+        for n in range(2, 7 if e <= 2 else 4)
+    ]
+    + [_csp_case(2, r, trivial_spec(2), n) for r in (0, 1, 2) for n in range(2, 7)]
+    + [_csp_case(2, 1, full_spec(2), 7)],
+)
+def test_csp_matches_reference_loop(dimension, radius, spec, lattice_size):
+    got = sign_csp(dimension, radius, spec, lattice_size)
+    want = csp_reference.sign_csp(dimension, radius, spec, lattice_size)
+    assert dump_json(got.to_json_obj()) == dump_json(want.to_json_obj())
+
+
+@pytest.mark.parametrize("lattice_size, golden", [(5, "nogo_csp_5x5"), (7, "nogo_csp_2d_7x7")])
+def test_csp_certificate_golden(tmp_path, lattice_size, golden):
+    # csp.json holds only integers, so it must match the stored file byte for byte
+    cfg = json.loads((REPO / "experiments" / "nogo_csp.json").read_text())
+    cfg["params"]["lattice_size"] = lattice_size
+    cfg["output_dir"] = str(tmp_path / "out")
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "config.json"), "--quiet"]) == 0
+    want = (REPO / "tests" / "data" / f"{golden}.csp.json").read_bytes()
+    assert (tmp_path / "out" / "csp.json").read_bytes() == want
