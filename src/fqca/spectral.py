@@ -19,6 +19,12 @@ Mode conventions, fixed once here and asserted by the sector-spectrum tests:
   grid offset by half a grid step for even n and not at all for odd n: the
   Jordan-Wigner string at the seam twists the boundary by (-1)^(n-1)
   (parity_offset).
+- Sector spectra are solved one translation block at a time. R moves cell j
+  to cell j+1: bit s goes to bit (s+2) mod 2L, with no signs, and R commutes
+  with the step unitary. Block m = 0..L-1 is R's eigenvalue exp(2 pi i m / L).
+  Since R b^dag_k R^-1 = exp(i k dx) b^dag_k, modes k_1..k_n on the
+  parity_offset grid sit in the block with sum k_i dx = 2 pi m / L (mod 2 pi)
+  (block_eigenphases).
 """
 
 from __future__ import annotations
@@ -179,7 +185,7 @@ def dirac_hamiltonian(config: LatticeConfig, k: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# dense sector machinery
+# sector spectra, one translation block at a time
 
 
 def _sector(n_sites: int, n: int) -> tuple[list[int], np.ndarray]:
@@ -192,32 +198,81 @@ def _sector(n_sites: int, n: int) -> tuple[list[int], np.ndarray]:
     return words[order].tolist(), sites[order]
 
 
-def sector_words(L: int, n: int) -> list[int]:
-    return _sector(2 * L, n)[0]
+def _translation_orbits(L: int, sites: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Representative index, shift and orbit period of each word under R.
+
+    sites is _sector's array. Ascending words are in colex order, so the
+    word with bits s_0 < ... < s_{n-1} has index sum_i C(s_i, i+1). rep[i]
+    is the index of the smallest word r of word i's orbit, and R^shift[i]
+    maps r to word i.
+    """
+    dim, n = sites.shape
+    n_sites = 2 * L
+    rank = np.array(
+        [[math.comb(s, i + 1) for i in range(n)] for s in range(n_sites)], dtype=np.int64
+    )
+    # image[t, i]: the index of R^t applied to word i
+    image = np.array(
+        [rank[np.sort((sites + 2 * t) % n_sites, axis=1), np.arange(n)].sum(axis=1)
+         for t in range(L)]
+    )
+    to_rep = np.argmin(image, axis=0)
+    rep = image[to_rep, np.arange(dim)]
+    period = L // np.count_nonzero(image == np.arange(dim), axis=0)
+    return rep, -to_rep % L, period
 
 
-def sector_unitary(config: LatticeConfig, n: int) -> tuple[np.ndarray, list[int]]:
-    words = sector_words(config.L, n)
-    dim = len(words)
+def block_eigenphases(config: LatticeConfig, n: int) -> list[np.ndarray]:
+    """Eigenphases of the n-particle sector, one array per translation block m.
+
+    Block m is the R-eigenvalue exp(2 pi i m / L) subspace, spanned by
+    |r, m> = p_r^(-1/2) sum_{j < p_r} exp(-2 pi i m j / L) R^j |r> for each
+    orbit representative r whose period p_r has m p_r = 0 (mod L). Only the
+    representatives are stepped: an image word w = R^s r' adds
+    a_w exp(2 pi i m s / L) sqrt(p_r / p_r') to <r', m|U|r, m>. The
+    sqrt(p_r / p_r') factor is a diagonal similarity, so it leaves the
+    eigenvalues alone; it keeps each block unitary, whose eigenvalues are
+    well conditioned.
+    """
+    _require_periodic(config)
+    L, dim = config.L, math.comb(config.n_sites, n)
     if dim > _DENSE_DIM_CAP:
         raise DimensionTooLargeError(
             f"sector dimension {dim} exceeds the dense cap {_DENSE_DIM_CAP}"
         )
+    words, sites = _sector(config.n_sites, n)
+    rep, shift, period = _translation_orbits(L, sites)
+    reps = np.flatnonzero(rep == np.arange(dim))
     index = {w: i for i, w in enumerate(words)}
-    U = np.zeros((dim, dim), dtype=complex)
-    images = step_all(FockState(config, {w: 1.0}) for w in words)
-    for j, out in enumerate(images):
-        for w2, a in out.amplitudes.items():
-            U[index[w2], j] = a
-    return U, words
+    col, hit, amp = [], [], []
+    for c, out in enumerate(step_all(FockState(config, {words[r]: 1.0}) for r in reps)):
+        col += [c] * len(out.amplitudes)
+        hit += [index[w] for w in out.amplitudes]
+        amp += out.amplitudes.values()
+    col, hit = np.array(col, dtype=np.int64), np.array(hit, dtype=np.int64)
+    row = np.searchsorted(reps, rep[hit])
+    p = period[reps]
+    weight = np.array(amp, dtype=complex) * np.sqrt(p[col] / p[row])
+    roots = np.exp(2j * np.pi * np.arange(L) / L)
+    blocks = []
+    for m in range(L):
+        inside = m * p % L == 0
+        pos = np.cumsum(inside) - 1
+        keep = inside[col] & inside[row]
+        size = int(np.count_nonzero(inside))
+        B = np.zeros((size, size), dtype=complex)
+        np.add.at(
+            B,
+            (pos[row[keep]], pos[col[keep]]),
+            weight[keep] * roots[m * shift[hit[keep]] % L],
+        )
+        blocks.append(np.angle(np.linalg.eigvals(B)))
+    return blocks
 
 
 def n_particle_eigenphases(config: LatticeConfig, n: int) -> np.ndarray:
-    _require_periodic(config)
-    if n == 0:
-        return np.array([0.0])
-    U, _ = sector_unitary(config, n)
-    return np.sort(np.angle(np.linalg.eigvals(U)))
+    """Sorted eigenphases of the step unitary on the n-particle sector."""
+    return np.sort(np.concatenate(block_eigenphases(config, n)))
 
 
 def expected_nparticle_phases(
@@ -229,10 +284,11 @@ def expected_nparticle_phases(
     occupied positive-energy modes rotate the state by exp(-i phi_k).
     """
     grid = momentum_grid(config, offset)
+    phi = {k: step_matrix(config, k).phi for k in grid}
     modes = [(k, s) for k in grid for s in (+1, -1)]
     phases = []
     for combo in itertools.combinations(modes, n):
-        total = -sum(s * step_matrix(config, k).phi for k, s in combo)
+        total = -sum(s * phi[k] for k, s in combo)
         phases.append((total + math.pi) % (2 * math.pi) - math.pi)
     return np.sort(np.array(phases))
 

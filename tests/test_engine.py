@@ -12,8 +12,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_sector
 import dict_engine
-from fqca import spectral
 from fqca.evolution import BATCH_STATES, apply_coin, apply_shift, evolve, step, step_all
 from fqca.fermion import LadderOp, OpKind, build_state
 from fqca.lattice import PRUNE_THRESHOLD, Boundary, Eps, FockState, LatticeConfig
@@ -113,7 +113,7 @@ def test_batch_spanning_chunks(L):
 
 def test_sector_unitary_columns_are_steps():
     cfg = LatticeConfig(L=4, theta=0.4)
-    U, words = spectral.sector_unitary(cfg, 2)
+    U, words = dense_sector.sector_unitary(cfg, 2)
     for j, w in enumerate(words):
         image = dict_engine.step(FockState(cfg, {w: 1.0}))
         column = {w2: U[i, j] for i, w2 in enumerate(words) if U[i, j] != 0}

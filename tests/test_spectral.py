@@ -1,11 +1,14 @@
 """Momentum modes, dispersion, the closed-form parity grid and the Dirac sea."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fqca.fermion import LadderOp, OpCombination, OpKind
+import dense_sector
+from fqca import spectral
+from fqca.fermion import DimensionTooLargeError, LadderOp, OpCombination, OpKind
 from fqca.lattice import Boundary, LatticeConfig, site_of_bit, vacuum
 from fqca.spectral import (
     Band,
@@ -14,6 +17,7 @@ from fqca.spectral import (
     SIGMA2,
     SIGMA3,
     _mode_sea,
+    block_eigenphases,
     build_dirac_sea,
     circular_multiset_distance,
     dirac_hamiltonian,
@@ -162,8 +166,7 @@ def test_one_particle_eigenphases_match_dispersion():
 @pytest.mark.parametrize("theta", [0.0, 0.2, -0.9, 1.1])
 @pytest.mark.parametrize("L", [3, 4, 5, 6])
 def test_closed_form_parity_grid(L, theta):
-    # the seam rule's grid reproduces each sector's spectrum; n <= 4 keeps
-    # every sector within the dense cap (C(12, 4) = 495 at L = 6)
+    # the seam rule's grid reproduces each sector's spectrum
     cfg = LatticeConfig(L=L, theta=theta)
     for n in range(1, 5):
         actual = n_particle_eigenphases(cfg, n)
@@ -175,6 +178,70 @@ def test_closed_form_parity_grid(L, theta):
         if L % 2 == 0 and n % 2 == 0 and (theta != 0.0 or n == 2):
             other = expected_nparticle_phases(cfg, n, 0.5 - offset)
             assert circular_multiset_distance(actual, other) > 1e-6
+
+
+def _mode_sums_by_block(cfg, n):
+    """expected_nparticle_phases split by block m: sum k dx = 2 pi m / L (mod 2 pi)."""
+    modes = [(k, s) for k in momentum_grid(cfg, parity_offset(cfg, n)) for s in (+1, -1)]
+    blocks = [[] for _ in range(cfg.L)]
+    for combo in itertools.combinations(modes, n):
+        m = round(sum(k for k, _ in combo) * cfg.dx * cfg.L / (2 * math.pi)) % cfg.L
+        blocks[m].append(-sum(s * step_matrix(cfg, k).phi for k, s in combo))
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "L, n, theta",
+    [(4, 2, 0.3), (5, 2, 0.4), (6, 2, 0.37), (6, 3, 0.37), (6, 4, 0.2), (8, 3, 0.3)],
+)
+def test_each_block_is_free_fermion_mode_sums(L, n, theta):
+    cfg = LatticeConfig(L=L, theta=theta)
+    blocks = block_eigenphases(cfg, n)
+    for got, want in zip(blocks, _mode_sums_by_block(cfg, n), strict=True):
+        assert circular_multiset_distance(got, np.array(want)) <= 1e-12
+    if (L, n) == (6, 4):
+        assert [len(b) for b in blocks] == [85, 80, 85, 80, 85, 80]
+
+
+def test_mode_is_translation_eigenstate():
+    # R moves cell j to j+1 (bit s to s+2, no signs): R b^dag_k R^-1 = exp(i k dx) b^dag_k
+    cfg = LatticeConfig(L=5, theta=0.4)
+    mask = (1 << cfg.n_sites) - 1
+    for k in momentum_grid(cfg):
+        st = slater_state(cfg, [mode_orbital(cfg, k, Band.PLUS)])
+        moved = {((w << 2) | (w >> (cfg.n_sites - 2))) & mask: a for w, a in st.amplitudes.items()}
+        want = st.scaled(np.exp(1j * k * cfg.dx)).amplitudes
+        assert max(abs(moved[w] - want[w]) for w in want) <= 1e-12
+
+
+# every sector up to L = 6; at L = 40 the 80-bit words are object arrays
+@pytest.mark.parametrize("L, n_max", [(2, 4), (3, 6), (4, 8), (5, 10), (6, 12), (40, 1)])
+def test_blocks_match_dense_sector(L, n_max):
+    cfg = LatticeConfig(L=L, theta=0.37)
+    for n in range(n_max + 1):
+        got = n_particle_eigenphases(cfg, n)
+        assert circular_multiset_distance(got, dense_sector.eigenphases(cfg, n)) <= 1e-12
+
+
+def test_dense_cap_checked_before_enumerating(monkeypatch):
+    def enumerate_sector(*args):
+        raise AssertionError("enumerated a sector above the dense cap")
+
+    monkeypatch.setattr(spectral, "_sector", enumerate_sector)
+    with pytest.raises(DimensionTooLargeError):
+        n_particle_eigenphases(LatticeConfig(L=16, theta=0.3), 16)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_expected_phases_bit_identical_to_per_combination_phi(n):
+    cfg = LatticeConfig(L=8, theta=0.3)
+    offset = parity_offset(cfg, n)
+    modes = [(k, s) for k in momentum_grid(cfg, offset) for s in (+1, -1)]
+    want = []
+    for combo in itertools.combinations(modes, n):
+        total = -sum(s * step_matrix(cfg, k).phi for k, s in combo)
+        want.append((total + math.pi) % (2 * math.pi) - math.pi)
+    assert expected_nparticle_phases(cfg, n, offset).tolist() == sorted(want)
 
 
 def test_parity_offset_odd_is_zero():
