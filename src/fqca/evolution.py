@@ -200,6 +200,17 @@ def _apply_layer(keys, amps, layer: _Layer, clean: bool):
             keys, amps, v, x = _merge(keys, [amps, v, x], partner[new], add_cols)
 
 
+def _run_keys(keys, amps, layers: list[_Layer]):
+    """Apply the layers in order to sorted keys; returns the new sorted (keys, amps).
+
+    A key is a basis word with its state's index in the batch above the
+    word's 2L bits. The amps array is overwritten.
+    """
+    for n, layer in enumerate(layers):
+        keys, amps = _apply_layer(keys, amps, layer, clean=n > 0)
+    return keys, amps
+
+
 def _run(states: list[FockState], layers: list[_Layer]) -> list[FockState]:
     """Apply the layers in order to every state, as one batch."""
     cfg = states[0].config
@@ -217,9 +228,7 @@ def _run(states: list[FockState], layers: list[_Layer]) -> list[FockState]:
         [np.fromiter(s.amplitudes.values(), complex, len(s.amplitudes)) for s in states]
     )
     order = np.argsort(keys)
-    keys, amps = keys[order], amps[order]
-    for n, layer in enumerate(layers):
-        keys, amps = _apply_layer(keys, amps, layer, clean=n > 0)
+    keys, amps = _run_keys(keys[order], amps[order], layers)
     index = (keys >> t(nbits)).astype(np.int64)
     bounds = np.searchsorted(index, np.arange(len(states) + 1))
     words = (keys & t((1 << nbits) - 1)).tolist()

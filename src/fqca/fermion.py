@@ -2,7 +2,9 @@
 
 The sign of a ladder operator acting on a basis word is (-1)^m with m the
 number of occupied sites strictly preceding the target in canonical order,
-i.e. a masked popcount of the lower bits.
+i.e. a masked popcount of the lower bits. Ladders act on whole arrays of
+words at once, and the Heisenberg fit steps all of its states in one pass
+of the array engine.
 """
 
 from __future__ import annotations
@@ -13,15 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import step_all
+from .evolution import _run_keys, _step_layers
 from .lattice import (
     Boundary,
     Eps,
     FockState,
     LatticeConfig,
     OutOfRangeError,
+    PRUNE_THRESHOLD,
     bit_index,
     vacuum,
+    word_dtype,
 )
 
 
@@ -68,23 +72,40 @@ class OpCombination:
         return out
 
 
-def _jw_sign(word: int, bit: int) -> int:
-    return -1 if (word & ((1 << bit) - 1)).bit_count() & 1 else 1
+def _ladder_arrays(config: LatticeConfig, op: LadderOp, words: np.ndarray, amps: np.ndarray):
+    """op applied to each basis word of an array, with its amplitude.
+
+    Returns the image words op keeps, their amplitudes and their positions
+    in words. Bits above the 2L word bits pass through untouched. A sign is
+    the parity of the bits below op's site, xor-folded down to bit 0, so
+    uint64 and Python-int (object) words take the same code.
+    """
+    if not 0 <= op.cell < config.L:
+        raise OutOfRangeError(f"cell {op.cell} outside lattice")
+    b = bit_index(op.cell, op.eps)
+    t = words.dtype.type
+    bit = t(1 << b)
+    # op keeps a word if it creates on an empty site or annihilates a full one
+    pos = np.flatnonzero(((words & bit) != 0) != (op.kind is OpKind.CREATE))
+    w = words[pos]
+    fold = w & t((1 << b) - 1)
+    shift = 1 << max(b - 1, 0).bit_length()  # the least power of two >= b
+    while shift > 1:
+        shift >>= 1
+        fold ^= fold >> t(shift)
+    a = amps[pos]
+    # + 0.0 turns -0.0 into 0.0, as accumulating onto a 0.0 start does
+    a = np.where((fold & t(1)) != 0, -a, a) + 0.0
+    keep = np.abs(a) > PRUNE_THRESHOLD
+    return w[keep] ^ bit, a[keep], pos[keep]
 
 
 def apply_ladder(state: FockState, op: LadderOp) -> FockState:
-    if not 0 <= op.cell < state.config.L:
-        raise OutOfRangeError(f"cell {op.cell} outside lattice")
-    b = bit_index(op.cell, op.eps)
-    out: dict = {}
-    create = op.kind is OpKind.CREATE
-    for w, a in state.amplitudes.items():
-        occupied = bool((w >> b) & 1)
-        if create == occupied:
-            continue  # double occupation / annihilating an empty site
-        w2 = w | (1 << b) if create else w & ~(1 << b)
-        out[w2] = out.get(w2, 0.0) + a * _jw_sign(w, b)
-    return FockState(state.config, out).prune()
+    amps = state.amplitudes
+    words = np.fromiter(amps, word_dtype(state.config.n_sites), len(amps))
+    values = np.fromiter(amps.values(), complex, len(amps))
+    out, a, _ = _ladder_arrays(state.config, op, words, values)
+    return FockState(state.config, dict(zip(out.tolist(), a.tolist())))
 
 
 def build_state(config: LatticeConfig, ops: list[LadderOp]) -> FockState:
@@ -97,13 +118,12 @@ def build_state(config: LatticeConfig, ops: list[LadderOp]) -> FockState:
     return state
 
 
-def _dense_ladder(config: LatticeConfig, op: LadderOp, words: list[int]) -> np.ndarray:
-    index = {w: i for i, w in enumerate(words)}
+def _dense_ladder(config: LatticeConfig, op: LadderOp) -> np.ndarray:
+    """Matrix of op on the full occupation space, indexed by word."""
+    words = np.arange(1 << config.n_sites, dtype=word_dtype(config.n_sites))
+    out, amps, cols = _ladder_arrays(config, op, words, np.ones(len(words), dtype=complex))
     mat = np.zeros((len(words), len(words)), dtype=complex)
-    for w in words:
-        img = apply_ladder(FockState(config, {w: 1.0}), op)
-        for w2, a in img.amplitudes.items():
-            mat[index[w2], index[w]] = a
+    mat[out, cols] = amps
     return mat
 
 
@@ -117,11 +137,10 @@ def anticommutator(
     """
     if 2 * config.L > 12:
         raise DimensionTooLargeError("anticommutator needs L <= 6")
-    words = list(range(1 << (2 * config.L)))
-    m1 = _dense_ladder(config, op1, words)
-    m2 = _dense_ladder(config, op2, words)
+    m1 = _dense_ladder(config, op1)
+    m2 = _dense_ladder(config, op2)
     anti = m1 @ m2 + m2 @ m1
-    keep = [i for i, w in enumerate(words) if w.bit_count() <= sector_max_n]
+    keep = [w for w in range(len(anti)) if w.bit_count() <= sector_max_n]
     return anti[np.ix_(keep, keep)]
 
 
@@ -174,29 +193,32 @@ def heisenberg_image(
         for d in (-1, 1)
         for e in (Eps.MINUS, Eps.PLUS)
     ]
-    # one engine batch: op|w> and |w> for each spanning word w, in turn
-    words = _bulk_span_words(config, op.cell, max_n=3)
-    pairs = ((apply_ladder(psi, op), psi) for psi in (FockState(config, {w: 1.0}) for w in words))
-    images = step_all(itertools.chain.from_iterable(pairs), bosonic=bosonic)
+    # one engine pass: for the i-th spanning word w, op|w> is state 2i and
+    # |w> is state 2i+1, and a key holds its state above the 2L word bits
+    nbits = config.n_sites
+    span = _bulk_span_words(config, op.cell, max_n=3)
+    t = word_dtype(nbits + (2 * len(span) - 1).bit_length()).type
+    odd = t(1 << nbits)
+    words = np.array(span, dtype=t) | (np.arange(len(span), dtype=t) << t(nbits + 1))
+    ones = np.ones(len(span), dtype=complex)
+    op_words, op_amps, _ = _ladder_arrays(config, op, words, ones)
+    keys = np.concatenate([op_words, words | odd])
+    order = np.argsort(keys)
+    amps = np.concatenate([op_amps, ones])[order]
+    keys, amps = _run_keys(keys[order], amps, _step_layers(config, bosonic))
 
-    lhs_entries: dict[tuple[int, int], complex] = {}
-    col_entries: list[dict[tuple[int, int], complex]] = [{} for _ in candidates]
-    for si, (lhs, evolved) in enumerate(zip(images, images)):  # consecutive pairs
-        for w2, a in lhs.amplitudes.items():
-            lhs_entries[(si, w2)] = a
-        for ci, cand in enumerate(candidates):
-            img = apply_ladder(evolved, cand)
-            for w2, a in img.amplitudes.items():
-                col_entries[ci][(si, w2)] = a
-
-    # rows in (state, word) order, so the fit never depends on dict order
-    rows = sorted(set(lhs_entries).union(*col_entries))
+    # a row is a key of state 2i; it stands for (i, word)
+    evolved = (keys & odd) != 0
+    lhs, lhs_amps = keys[~evolved], amps[~evolved]
+    cols = [_ladder_arrays(config, c, keys[evolved] ^ odd, amps[evolved])[:2] for c in candidates]
+    # rows in (state, word) order, so the fit never depends on input order
+    rows = np.sort(np.concatenate([lhs, *(k for k, _ in cols)]))
+    rows = rows[np.append(True, rows[1:] != rows[:-1])]
     A = np.zeros((len(rows), len(candidates)), dtype=complex)
+    for ci, (k, a) in enumerate(cols):
+        A[np.searchsorted(rows, k), ci] = a
     y = np.zeros(len(rows), dtype=complex)
-    for ri, key in enumerate(rows):
-        y[ri] = lhs_entries.get(key, 0.0)
-        for ci in range(len(candidates)):
-            A[ri, ci] = col_entries[ci].get(key, 0.0)
+    y[np.searchsorted(rows, lhs)] = lhs_amps
     coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
     residual = float(np.linalg.norm(A @ coeffs - y))
     if residual > residual_tol:

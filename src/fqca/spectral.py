@@ -161,13 +161,14 @@ class EnergyResult:
     e_plus: float
     e_minus: float
     dirac: float
+    phi: float  # the positive band's step eigenphase
 
 
 def energy(config: LatticeConfig, k: float) -> EnergyResult:
     phi = step_matrix(config, k).phi
     m, c = config.mass, config.c
     dirac = math.sqrt((k * c) ** 2 + (m * c * c) ** 2)
-    return EnergyResult(phi / config.dt, -phi / config.dt, dirac)
+    return EnergyResult(phi / config.dt, -phi / config.dt, dirac, phi)
 
 
 def effective_hamiltonian(config: LatticeConfig, k: float) -> np.ndarray:
@@ -415,7 +416,7 @@ def dispersion_rows(config: LatticeConfig) -> list[tuple[float, ...]]:
     for k in momentum_grid(config):
         e = energy(config, k)
         rows.append(
-            (float(k), float(k * config.dx), step_matrix(config, k).phi,
+            (float(k), float(k * config.dx), e.phi,
              e.e_plus, e.dirac, abs(e.e_plus - e.dirac))
         )
     return rows

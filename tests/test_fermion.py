@@ -1,10 +1,18 @@
-"""Ladder operators: signs, anticommutation, Heisenberg images."""
+"""Ladder operators: signs, anticommutation, Heisenberg images.
+
+The array ladder and the Heisenberg fit are checked against the dict-based
+loops they replaced, kept in heisenberg_reference.py, exactly (==, and down
+to the sign of a zero part).
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import heisenberg_reference
+from test_engine import AMPLITUDES, exact
 from fqca import fermion
 from fqca.evolution import step
 from fqca.fermion import (
@@ -131,22 +139,81 @@ def test_heisenberg_rejects_boundary_cells():
         heisenberg_image(cfg, cr(0, Eps.PLUS))
 
 
-@pytest.mark.parametrize("kind", list(OpKind))
-@pytest.mark.parametrize("eps", list(Eps))
-def test_heisenberg_image_independent_of_dict_order(monkeypatch, kind, eps):
-    # the shipped heisenberg_check lattice; the fit must not see the order in
-    # which the engine lists each image's words
-    cfg = LatticeConfig(L=8, theta=0.3, boundary=Boundary.OPEN)
-    op = LadderOp(kind, 4, eps)
-    forward = heisenberg_image(cfg, op).terms
-    step_all = fermion.step_all
+def _fit(image, cfg, op, bosonic):
+    """The fitted terms, or the residual of a fit that is not linear."""
+    try:
+        return image(cfg, op, bosonic=bosonic, residual_tol=1e-3 if bosonic else 1e-10).terms
+    except NotLinearError as e:
+        return e.residual
 
-    def reversed_step_all(states, **kwargs):
-        for img in step_all(states, **kwargs):
-            yield FockState(img.config, dict(reversed(img.amplitudes.items())))
 
-    monkeypatch.setattr(fermion, "step_all", reversed_step_all)
-    assert heisenberg_image(cfg, op).terms == forward
+def _case(L, theta, boundary, op):
+    cfg = LatticeConfig(L=L, theta=theta, boundary=boundary)
+    name = f"L{L}-{boundary.value}-theta{theta}-{op.kind.value}-{op.cell}-{op.eps.name.lower()}"
+    return pytest.param(cfg, op, id=name)
+
+
+@pytest.mark.parametrize(
+    "cfg, op",
+    # the shipped heisenberg_check lattice, every kind and eps
+    [_case(8, 0.3, Boundary.OPEN, LadderOp(k, 4, e)) for k in OpKind for e in Eps]
+    + [
+        _case(8, 0.1, Boundary.OPEN, cr(4, Eps.MINUS)),
+        _case(8, -0.9, Boundary.OPEN, an(4, Eps.PLUS)),
+        _case(8, 0.3, Boundary.PERIODIC, cr(4, Eps.PLUS)),
+        # 128-bit words: the fit runs on object arrays
+        _case(64, 0.3, Boundary.OPEN, cr(40, Eps.MINUS)),
+    ],
+)
+def test_heisenberg_image_matches_dict_reference(cfg, op):
+    # a sign error that negates every ladder alike leaves a fit unchanged;
+    # test_apply_ladder_equals_reference_loop catches that one
+    terms = _fit(heisenberg_image, cfg, op, bosonic=False)
+    assert isinstance(terms, list)
+    assert terms == _fit(heisenberg_reference.heisenberg_image, cfg, op, bosonic=False)
+    residual = _fit(heisenberg_image, cfg, op, bosonic=True)
+    assert isinstance(residual, float)
+    assert residual == _fit(heisenberg_reference.heisenberg_image, cfg, op, bosonic=True)
+
+
+@st.composite
+def ladder_cases(draw):
+    # 32 cells fill a 64-bit word exactly; 40 and 64 need Python-int words
+    L = draw(st.one_of(st.integers(2, 6), st.sampled_from([32, 40, 64])))
+    cfg = LatticeConfig(L=L)
+    op = LadderOp(
+        draw(st.sampled_from(list(OpKind))),
+        draw(st.integers(0, L - 1)),
+        draw(st.sampled_from(list(Eps))),
+    )
+    # dense random words and few-particle words, so particle numbers mix
+    bits = st.lists(st.integers(0, cfg.n_sites - 1), max_size=4, unique=True)
+    words = st.one_of(
+        st.integers(0, (1 << cfg.n_sites) - 1), bits.map(lambda bs: sum(1 << b for b in bs))
+    )
+    return FockState(cfg, draw(st.dictionaries(words, AMPLITUDES, max_size=8))), op
+
+
+@settings(deadline=None, max_examples=300)
+@given(ladder_cases())
+def test_apply_ladder_equals_reference_loop(case):
+    state, op = case
+    got = apply_ladder(state, op)
+    want = heisenberg_reference.apply_ladder(state, op)
+    assert got.amplitudes == want.amplitudes
+    assert exact(got) == exact(want)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_dense_ladder_equals_loop_built_matrix(L):
+    cfg = LatticeConfig(L=L)
+    words = list(range(1 << cfg.n_sites))
+    for kind in OpKind:
+        for cell in range(L):
+            for eps in Eps:
+                op = LadderOp(kind, cell, eps)
+                want = heisenberg_reference.dense_ladder(cfg, op, words)
+                assert np.array_equal(fermion._dense_ladder(cfg, op), want)
 
 
 def test_bosonic_phase_breaks_linearity():

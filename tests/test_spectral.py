@@ -113,6 +113,16 @@ def test_energy_and_dispersion(theta):
     assert err == pytest.approx(abs(e_lat - e_dir))
 
 
+def test_dispersion_builds_each_mode_matrix_once(monkeypatch):
+    cfg = LatticeConfig(L=32, theta=0.3)
+    build = spectral.step_matrix
+    calls = []
+    monkeypatch.setattr(spectral, "step_matrix", lambda c, k: calls.append(k) or build(c, k))
+    phis = [row[2] for row in dispersion_rows(cfg)]
+    assert len(calls) == cfg.L
+    assert phis == [build(cfg, k).phi for k in momentum_grid(cfg)]
+
+
 def test_phi_example_value():
     # phi at theta=0.1, k dx=0.2 equals arccos(cos 0.1 cos 0.2), and the
     # relativistic approximation is good to cubic order
