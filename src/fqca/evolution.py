@@ -16,13 +16,17 @@ relations.
 
 The engine holds a batch of states as one sorted array of keys and a
 complex amplitude array. A key is a basis word with the state's index in
-the batch above its 2L bits, so states never mix. The gates of one layer
-sit on disjoint pairs and a gate leaves an unoccupied pair alone, so a key
-changes only at the pairs it occupies, and the set of occupied pairs is the
-same for a key and every key it mixes with. A layer therefore runs in
-rounds: round r applies, to every key at once, the r-th gate among those
-it occupies. That is one gather per round, at most one round per particle,
-and amplitudes equal to applying every gate in order.
+the batch above its 2L bits, so states never mix. The shift (and the coin
+at theta = 0) is a signed swap: it maps every word to exactly one word, so
+its layer is one relabelling of the whole key array, which swaps the bits
+of every pair, signs each doubly occupied pair and ends with one sort.
+
+The coin mixes words, and runs in rounds. Its gates sit on disjoint pairs
+and a gate leaves an unoccupied pair alone, so a key changes only at the
+pairs it occupies, and the set of occupied pairs is the same for a key and
+every key it mixes with. Round r applies, to every key at once, the r-th
+gate among those it occupies. That is one gather per round, at most one
+round per particle, and amplitudes equal to applying every gate in order.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .lattice import (
     FockState,
     LatticeConfig,
     PRUNE_THRESHOLD,
+    _bit_parity,
     basis_state,
     particles_from_basis,
     word_dtype,
@@ -93,7 +98,8 @@ class _Layer:
     Words are read in a pair frame where pair j holds bits 2j (its p1) and
     2j+1 (its p2). Coin pairs already do. Shift pairs (2j+1, 2j+2) do once
     the word is rotated right by one bit, which also turns the ring's seam
-    pair (2L-1, 0) into pair L-1.
+    pair (2L-1, 0) into pair L-1. Only the relabelling reads rotated: the
+    shift's gate is always a signed swap.
     """
 
     diag: np.ndarray  # gate[c, c] for the local state c = 2*b1 + b2
@@ -107,6 +113,16 @@ class _Layer:
         c = np.arange(4)
         pair_bits = ((1 << (2 * npairs)) - 1) // 3  # 0b0101...01, npairs ones
         return cls(gate[c, c], gate[c, 3 - c], nbits, rotated, pair_bits)
+
+    @property
+    def relabels(self) -> bool:
+        """Whether the gate is a signed swap: |01> <-> |10>, |11> -> +-|11>.
+
+        Then every word has exactly one image, as under the shift and the
+        theta = 0 coin.
+        """
+        d, o = self.diag, self.off
+        return d[1] == d[2] == 0 and o[1] == o[2] == 1 and d[3] ** 2 == 1
 
 
 def _shift_layer(cfg: LatticeConfig, bosonic: bool) -> _Layer:
@@ -142,18 +158,43 @@ def _merge(keys, cols: list, add, add_cols: list) -> list:
     return out
 
 
+def _relabel(keys, amps, layer: _Layer):
+    """Apply a signed-swap layer to keys; returns the new sorted (keys, amps).
+
+    Each word swaps the two bits of every pair of the layer and picks up
+    diag[3] once per doubly occupied pair, which is diag[3] to the parity
+    of their number. Bits outside the pairs, such as the open chain's seam,
+    stay put. Every amplitude is pruned.
+    """
+    t = keys.dtype.type
+    one, top = t(1), t(layer.nbits - 1)
+    full = t((1 << layer.nbits) - 1)
+    pairs = t(layer.pair_bits)
+    w = keys & full
+    v = (w >> one) | ((w & one) << top) if layer.rotated else w
+    lo, hi = v & pairs, (v >> one) & pairs
+    v = v ^ ((lo ^ hi) * t(3))  # a pair with one site occupied flips both bits
+    if layer.rotated:
+        v = ((v << one) & full) | (v >> top)
+    odd = _bit_parity(lo & hi, layer.nbits)
+    amps = _pruned(np.where(odd, layer.diag[3] * amps, amps))
+    live = amps != 0
+    keys, amps = (keys ^ w ^ v)[live], amps[live]
+    order = np.argsort(keys)
+    return keys[order], amps[order]
+
+
 def _apply_layer(keys, amps, layer: _Layer, clean: bool):
     """Apply one layer to sorted keys; returns the new sorted (keys, amps).
 
     clean says that every amplitude is already pruned, as after any gate.
     Otherwise the layer's first gate prunes the keys it does not touch.
     """
+    if layer.relabels:
+        return _relabel(keys, amps, layer)
     t = keys.dtype.type
-    one, three, top = t(1), t(3), t(layer.nbits - 1)
-    full = t((1 << layer.nbits) - 1)
-    v = keys & full  # the word, read in the pair frame
-    if layer.rotated:
-        v = (v >> one) | ((v & one) << top)
+    one, three = t(1), t(3)
+    v = keys & t((1 << layer.nbits) - 1)  # the word, read in the pair frame
     # bit 2j of x: the key occupies pair j, whose gate has yet to act on it
     x = (v | (v >> one)) & t(layer.pair_bits)
     if not clean:
@@ -170,8 +211,7 @@ def _apply_layer(keys, amps, layer: _Layer, clean: bool):
         pair = low * three
         occ = v[act] & pair
         mixed = occ != pair  # exactly one site of the pair occupied
-        mask = ((pair << one) & full) | (pair >> top) if layer.rotated else pair
-        partner = keys[act] ^ mask
+        partner = keys[act] ^ pair
         pos = np.searchsorted(keys, partner)
         found = mixed & (keys[np.minimum(pos, len(keys) - 1)] == partner)
         before = np.append(amps, 0)  # the last entry stands in for absent partners

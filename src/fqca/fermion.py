@@ -23,6 +23,7 @@ from .lattice import (
     LatticeConfig,
     OutOfRangeError,
     PRUNE_THRESHOLD,
+    _bit_parity,
     bit_index,
     vacuum,
     word_dtype,
@@ -77,8 +78,7 @@ def _ladder_arrays(config: LatticeConfig, op: LadderOp, words: np.ndarray, amps:
 
     Returns the image words op keeps, their amplitudes and their positions
     in words. Bits above the 2L word bits pass through untouched. A sign is
-    the parity of the bits below op's site, xor-folded down to bit 0, so
-    uint64 and Python-int (object) words take the same code.
+    the parity of the bits below op's site.
     """
     if not 0 <= op.cell < config.L:
         raise OutOfRangeError(f"cell {op.cell} outside lattice")
@@ -88,14 +88,9 @@ def _ladder_arrays(config: LatticeConfig, op: LadderOp, words: np.ndarray, amps:
     # op keeps a word if it creates on an empty site or annihilates a full one
     pos = np.flatnonzero(((words & bit) != 0) != (op.kind is OpKind.CREATE))
     w = words[pos]
-    fold = w & t((1 << b) - 1)
-    shift = 1 << max(b - 1, 0).bit_length()  # the least power of two >= b
-    while shift > 1:
-        shift >>= 1
-        fold ^= fold >> t(shift)
     a = amps[pos]
     # + 0.0 turns -0.0 into 0.0, as accumulating onto a 0.0 start does
-    a = np.where((fold & t(1)) != 0, -a, a) + 0.0
+    a = np.where(_bit_parity(w & t((1 << b) - 1), b), -a, a) + 0.0
     keep = np.abs(a) > PRUNE_THRESHOLD
     return w[keep] ^ bit, a[keep], pos[keep]
 

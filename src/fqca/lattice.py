@@ -101,6 +101,21 @@ def word_dtype(nbits: int) -> np.dtype:
     return np.dtype(np.uint64) if nbits <= 64 else np.dtype(object)
 
 
+def _bit_parity(words: np.ndarray, nbits: int) -> np.ndarray:
+    """Whether each word has an odd number of set bits below bit nbits.
+
+    Higher bits must be clear. The bits are xor-folded down to bit 0, so
+    uint64 and Python-int (object) words take the same code.
+    """
+    t = words.dtype.type
+    fold = words
+    shift = 1 << max(nbits - 1, 0).bit_length()  # the least power of two >= nbits
+    while shift > 1:
+        shift >>= 1
+        fold = fold ^ (fold >> t(shift))
+    return (fold & t(1)) != 0
+
+
 def site_of_bit(bit: int) -> tuple[int, Eps]:
     return bit // 2, Eps(bit % 2)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import step as qca_step
-from .lattice import Boundary, Eps, LatticeConfig, basis_state, particles_from_basis
+from .lattice import Boundary, Eps, LatticeConfig, basis_state
 from .spectral import SIGMA2, SIGMA3
 
 R, L_ = 0, 1  # spinor component indices
@@ -88,13 +88,13 @@ def dirac_generator(config: LatticeConfig, k: float) -> np.ndarray:
 
 def _qca_one_particle_spinors(state) -> np.ndarray:
     """Project a one-particle FockState onto the walk's (L, 2) layout."""
-    cfg = state.config
-    psi = np.zeros((cfg.L, 2), dtype=complex)
-    for w, a in state.amplitudes.items():
-        if w.bit_count() != 1:
-            raise ValueError("state is not in the one-particle sector")
-        (cell, eps), = particles_from_basis(w)
-        psi[cell, R if eps is Eps.PLUS else L_] = a
+    amps = state.amplitudes
+    if any(w.bit_count() != 1 for w in amps):
+        raise ValueError("state is not in the one-particle sector")
+    bits = np.fromiter((w.bit_length() - 1 for w in amps), np.intp, len(amps))
+    psi = np.zeros((state.config.L, 2), dtype=complex)
+    # bit 2j + 1 is (cell j, Plus) and bit 2j is (cell j, Minus)
+    psi[bits >> 1, np.where(bits & 1, R, L_)] = np.fromiter(amps.values(), complex, len(amps))
     return psi
 
 

@@ -3,7 +3,9 @@
 Amplitudes must agree exactly (==, and down to the sign of a zero part),
 on random sparse states that mix particle numbers and carry amplitudes at
 and below the pruning threshold, for L = 2..6 and for L = 32 and 40, where
-words fill and outgrow 64 bits.
+words fill and outgrow 64 bits; on words that doubly occupy up to five
+shift pairs, the ring's seam among them; and on every word at L = 2 and 3
+under the layers that only relabel words.
 """
 
 import itertools
@@ -14,7 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 import dense_sector
 import dict_engine
-from fqca.evolution import BATCH_STATES, apply_coin, apply_shift, evolve, step, step_all
+from fqca.evolution import (
+    BATCH_STATES,
+    _coin_layer,
+    _shift_layer,
+    apply_coin,
+    apply_shift,
+    evolve,
+    step,
+    step_all,
+)
 from fqca.fermion import LadderOp, OpKind, build_state
 from fqca.lattice import PRUNE_THRESHOLD, Boundary, Eps, FockState, LatticeConfig
 
@@ -140,3 +151,62 @@ def test_tiny_amplitude_beside_every_partner(boundary):
         state = FockState(cfg, {big: 1.0, tiny: 0.5 * PRUNE_THRESHOLD})
         for engine, reference in ((step, dict_engine.step), (apply_coin, dict_engine.apply_coin)):
             assert exact(engine(state)) == exact(reference(state))
+
+
+def shift_pair_words(cfg: LatticeConfig) -> list[int]:
+    """Words with 0-5 doubly occupied shift pairs, beside a lone mover.
+
+    Shift pair j holds bits 2j+1 and 2j+2 (mod 2L), so pair L-1 is the
+    ring's seam (2L-1, 0); on the open chain those two bits are unpaired.
+    """
+    pair = [(1 << (2 * j + 1)) | (1 << ((2 * j + 2) % cfg.n_sites)) for j in range(cfg.L)]
+    out = []
+    for k in range(min(5, cfg.L) + 1):
+        spread = [round(i * (cfg.L - 1) / max(k - 1, 1)) for i in range(k)]
+        for chosen in (range(k), range(cfg.L - k, cfg.L), spread):
+            word = sum(pair[j] for j in chosen)
+            out.append(word)
+            free = [j for j in range(cfg.L) if not word & pair[j]]
+            if free:
+                # a lone particle on either site of the last free pair, which
+                # is the seam when the first k pairs are doubly occupied
+                p1 = 1 << (2 * free[-1] + 1)
+                out += [word | p1, word | (pair[free[-1]] ^ p1)]
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("L", [2, 3, 32, 33, 64])
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("bosonic", [False, True])
+def test_shift_signs_every_doubly_occupied_pair(L, boundary, bosonic):
+    cfg = LatticeConfig(L=L, theta=0.3, boundary=boundary)
+    batch = [
+        FockState(cfg, {w: complex(1 + i, -0.5)}) for i, w in enumerate(shift_pair_words(cfg))
+    ]
+    for state in batch:
+        assert exact(apply_shift(state, bosonic)) == exact(dict_engine.apply_shift(state, bosonic))
+        assert exact(step(state, bosonic)) == exact(dict_engine.step(state, bosonic))
+    # at L=32 the batch index pushes the keys past 64 bits
+    got = list(step_all(batch, bosonic))
+    assert [exact(s) for s in got] == [exact(dict_engine.step(s, bosonic)) for s in batch]
+
+
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("bosonic", [False, True])
+def test_permutation_layers_exhaustive(L, boundary, bosonic):
+    # the shift and the theta = 0 coin map each word to one signed word
+    cfg = LatticeConfig(L=L, theta=0.0, boundary=boundary)
+    assert _shift_layer(cfg, bosonic).relabels and _coin_layer(cfg, bosonic).relabels
+    everything = range(1 << cfg.n_sites)
+    batch = [FockState(cfg, {w: complex(1, w)}) for w in everything]
+    whole = FockState(cfg, {w: complex(1, w) for w in everything})
+    for engine, reference in (
+        (apply_shift, dict_engine.apply_shift),
+        (apply_coin, dict_engine.apply_coin),
+        (step, dict_engine.step),
+    ):
+        for state in [*batch, whole]:
+            assert exact(engine(state, bosonic)) == exact(reference(state, bosonic))
+    got = list(step_all(batch, bosonic))
+    assert [exact(s) for s in got] == [exact(dict_engine.step(s, bosonic)) for s in batch]
