@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -266,14 +267,17 @@ def config_hash(raw: dict) -> str:
 # name / passed / measured / tolerance
 
 
-def _check(name: str, measured: float, tol: float, *, lower: bool = False) -> dict:
-    passed = measured >= tol if lower else measured <= tol
+# a check passes when its measurement is at most, at least or equal to its tolerance
+_PASSES = {"max": operator.le, "min": operator.ge, "eq": operator.eq}
+
+
+def _check(name: str, measured: float, tol: float, direction: str = "max") -> dict:
     return {
         "name": name,
-        "passed": bool(passed),
+        "passed": bool(_PASSES[direction](measured, tol)),
         "measured": float(measured),
         "tolerance": float(tol),
-        "direction": "min" if lower else "max",
+        "direction": direction,
     }
 
 
@@ -294,7 +298,7 @@ def run_dispersion_sweep(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     dev = spectral.circular_multiset_distance(phases, expected)
     checks.append(_check("one_particle_eigenphases", dev, 1e-10))
     slope = spectral.phi_convergence_slope()
-    checks.append(_check("dispersion_convergence_slope", slope, 2.9, lower=True))
+    checks.append(_check("dispersion_convergence_slope", slope, 2.9, "min"))
     extras = {
         "max_abs_err": max(r[5] for r in rows),
         "convergence_slope": slope,
@@ -427,7 +431,7 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
         residual = 0.0
     except NotLinearError as e:
         residual = e.residual
-    checks.append(_check("bosonic_control_residual", residual, 1e-3, lower=True))
+    checks.append(_check("bosonic_control_residual", residual, 1e-3, "min"))
     return {"cell": cell, "theta": cfg.theta}, checks
 
 
@@ -452,7 +456,7 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
             1e-10,
         ),
         _check("gaps_match_phi", max(r[5] for r in rows), 1e-10),
-        _check("gaps_positive", min(e.gap for e in excitations), MIN_GAP, lower=True),
+        _check("gaps_positive", min(e.gap for e in excitations), MIN_GAP, "min"),
     ]
     return {"sea_phase": phase, "n_excitations": len(excitations)}, checks
 
@@ -465,13 +469,7 @@ def run_nogo_witness(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     obj = triple.to_json_obj() if triple else {"type": "witness", "sites": None}
     (outdir / "witness.json").write_text(dump_json(obj))
     checks = [
-        {
-            "name": "witness_found_matches_expectation",
-            "passed": (triple is not None) == expect_found,
-            "measured": float(triple is not None),
-            "tolerance": float(expect_found),
-            "direction": "eq",
-        }
+        _check("witness_found_matches_expectation", triple is not None, expect_found, "eq")
     ]
     return {
         "lattice_size": lattice_size,
@@ -488,15 +486,7 @@ def run_nogo_csp(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     result = nogo.sign_csp(dimension, radius, spec, params["lattice_size"])
     (outdir / "csp.json").write_text(dump_json(result.to_json_obj()))
     expect_sat = params["expect_sat"]
-    checks = [
-        {
-            "name": "satisfiability_matches_expectation",
-            "passed": result.sat == expect_sat,
-            "measured": float(result.sat),
-            "tolerance": float(expect_sat),
-            "direction": "eq",
-        }
-    ]
+    checks = [_check("satisfiability_matches_expectation", result.sat, expect_sat, "eq")]
     return {
         "dimension": dimension,
         "radius": radius,

@@ -14,12 +14,13 @@ and creation operators conjugate to cos/sin combinations with a +sin on the
 + branch. The alternative sign choice (theta -> -theta) breaks those
 relations.
 
-The engine holds a batch of states as one sorted array of keys and a
-complex amplitude array. A key is a basis word with the state's index in
-the batch above its 2L bits, so states never mix. The shift (and the coin
-at theta = 0) is a signed swap: it maps every word to exactly one word, so
-its layer is one relabelling of the whole key array, which swaps the bits
-of every pair, signs each doubly occupied pair and ends with one sort.
+The engine holds a state as one sorted array of keys and a complex
+amplitude array; a key is a basis word. step_keys steps many states in one
+pass, each key carrying its state's index above the 2L word bits, so states
+never mix. The shift (and the coin at theta = 0) is a signed swap: it maps
+every word to exactly one word, so its layer is one relabelling of the
+whole key array, which swaps the bits of every pair, signs each doubly
+occupied pair and ends with one sort.
 
 The coin mixes words, and runs in rounds. Its gates sit on disjoint pairs
 and a gate leaves an unoccupied pair alone, so a key changes only at the
@@ -31,8 +32,6 @@ round per particle, and amplitudes equal to applying every gate in order.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +47,6 @@ from .lattice import (
     particles_from_basis,
     word_dtype,
 )
-
-# states stepped together by step_all; bounds the engine's working arrays
-BATCH_STATES = 256
 
 
 def coin_matrix(theta: float, bosonic: bool = False) -> np.ndarray:
@@ -243,48 +239,29 @@ def _apply_layer(keys, amps, layer: _Layer, clean: bool):
 def _run_keys(keys, amps, layers: list[_Layer]):
     """Apply the layers in order to sorted keys; returns the new sorted (keys, amps).
 
-    A key is a basis word with its state's index in the batch above the
-    word's 2L bits. The amps array is overwritten.
+    The amps array is overwritten.
     """
     for n, layer in enumerate(layers):
         keys, amps = _apply_layer(keys, amps, layer, clean=n > 0)
     return keys, amps
 
 
-def _run(states: list[FockState], layers: list[_Layer]) -> list[FockState]:
-    """Apply the layers in order to every state, as one batch."""
-    cfg = states[0].config
-    if any(s.config != cfg for s in states):
-        raise ValueError("states in one batch must share a lattice config")
-    nbits = cfg.n_sites
-    t = word_dtype(nbits + (len(states) - 1).bit_length()).type
-    keys = np.concatenate(
-        [
-            np.fromiter(s.amplitudes, t, len(s.amplitudes)) | t(i << nbits)
-            for i, s in enumerate(states)
-        ]
-    )
-    amps = np.concatenate(
-        [np.fromiter(s.amplitudes.values(), complex, len(s.amplitudes)) for s in states]
-    )
+def _run(state: FockState, layers: list[_Layer]) -> FockState:
+    """Apply the layers in order to one state."""
+    t = word_dtype(state.config.n_sites).type
+    keys = np.fromiter(state.amplitudes, t, len(state.amplitudes))
+    amps = np.fromiter(state.amplitudes.values(), complex, len(state.amplitudes))
     order = np.argsort(keys)
     keys, amps = _run_keys(keys[order], amps[order], layers)
-    index = (keys >> t(nbits)).astype(np.int64)
-    bounds = np.searchsorted(index, np.arange(len(states) + 1))
-    words = (keys & t((1 << nbits) - 1)).tolist()
-    values = amps.tolist()
-    return [
-        FockState(cfg, dict(zip(words[lo:hi], values[lo:hi])))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-    ]
+    return FockState(state.config, dict(zip(keys.tolist(), amps.tolist())))
 
 
 def apply_coin(state: FockState, bosonic: bool = False) -> FockState:
-    return _run([state], [_coin_layer(state.config, bosonic)])[0]
+    return _run(state, [_coin_layer(state.config, bosonic)])
 
 
 def apply_shift(state: FockState, bosonic: bool = False) -> FockState:
-    return _run([state], [_shift_layer(state.config, bosonic)])[0]
+    return _run(state, [_shift_layer(state.config, bosonic)])
 
 
 def step(state: FockState, bosonic: bool = False) -> FockState:
@@ -292,11 +269,15 @@ def step(state: FockState, bosonic: bool = False) -> FockState:
     return evolve(state, 1, bosonic)
 
 
-def step_all(states: Iterable[FockState], bosonic: bool = False) -> Iterator[FockState]:
-    """step() of each state in turn, computed BATCH_STATES states at a time."""
-    states = iter(states)
-    while batch := list(itertools.islice(states, BATCH_STATES)):
-        yield from _run(batch, _step_layers(batch[0].config, bosonic))
+def step_keys(config: LatticeConfig, keys: np.ndarray, amps: np.ndarray, bosonic: bool = False):
+    """One step of many states in one engine pass; returns the new sorted (keys, amps).
+
+    A key is a basis word of config with its state's index above the
+    word's 2L bits, so states never mix. keys must be sorted and unique and
+    have the word_dtype of the 2L bits plus the index bits. amps holds each
+    key's amplitude and is overwritten.
+    """
+    return _run_keys(keys, amps, _step_layers(config, bosonic))
 
 
 def evolve(state: FockState, nsteps: int, bosonic: bool = False) -> FockState:
@@ -304,7 +285,7 @@ def evolve(state: FockState, nsteps: int, bosonic: bool = False) -> FockState:
         raise ValueError("nsteps must be >= 0")
     if nsteps == 0:
         return state
-    return _run([state], _step_layers(state.config, bosonic) * nsteps)[0]
+    return _run(state, _step_layers(state.config, bosonic) * nsteps)
 
 
 def light_cone_check(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _run_keys, _step_layers
+from .evolution import step_keys
 from .lattice import (
     Boundary,
     Eps,
@@ -200,7 +200,7 @@ def heisenberg_image(
     keys = np.concatenate([op_words, words | odd])
     order = np.argsort(keys)
     amps = np.concatenate([op_amps, ones])[order]
-    keys, amps = _run_keys(keys[order], amps, _step_layers(config, bosonic))
+    keys, amps = step_keys(config, keys[order], amps, bosonic)
 
     # a row is a key of state 2i; it stands for (i, word)
     evolved = (keys & odd) != 0

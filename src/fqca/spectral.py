@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import step, step_all
+from .evolution import step, step_keys
 from .fermion import DimensionTooLargeError
 from .lattice import Boundary, FockState, LatticeConfig, inner_product, word_dtype
 
@@ -180,11 +180,6 @@ def effective_hamiltonian(config: LatticeConfig, k: float) -> np.ndarray:
     return (mode.phi / config.dt) * (n1 * SIGMA1 + n2 * SIGMA2 + n3 * SIGMA3)
 
 
-def dirac_hamiltonian(config: LatticeConfig, k: float) -> np.ndarray:
-    c, m = config.c, config.mass
-    return k * c * SIGMA3 + m * c * c * SIGMA2
-
-
 # ---------------------------------------------------------------------------
 # sector spectra, one translation block at a time
 
@@ -244,16 +239,17 @@ def block_eigenphases(config: LatticeConfig, n: int) -> list[np.ndarray]:
     words, sites = _sector(config.n_sites, n)
     rep, shift, period = _translation_orbits(L, sites)
     reps = np.flatnonzero(rep == np.arange(dim))
-    index = {w: i for i, w in enumerate(words)}
-    col, hit, amp = [], [], []
-    for c, out in enumerate(step_all(FockState(config, {words[r]: 1.0}) for r in reps)):
-        col += [c] * len(out.amplitudes)
-        hit += [index[w] for w in out.amplitudes]
-        amp += out.amplitudes.values()
-    col, hit = np.array(col, dtype=np.int64), np.array(hit, dtype=np.int64)
+    # one engine pass: representative c is state c, above the 2L word bits
+    nbits = config.n_sites
+    t = word_dtype(nbits + (len(reps) - 1).bit_length()).type
+    sector = np.array(words, dtype=t)
+    keys = sector[reps] | (np.arange(len(reps), dtype=t) << t(nbits))
+    keys, amp = step_keys(config, keys, np.ones(len(reps), dtype=complex))
+    col = (keys >> t(nbits)).astype(np.int64)
+    hit = np.searchsorted(sector, keys & t((1 << nbits) - 1))
     row = np.searchsorted(reps, rep[hit])
     p = period[reps]
-    weight = np.array(amp, dtype=complex) * np.sqrt(p[col] / p[row])
+    weight = amp * np.sqrt(p[col] / p[row])
     roots = np.exp(2j * np.pi * np.arange(L) / L)
     blocks = []
     for m in range(L):

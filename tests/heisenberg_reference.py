@@ -3,15 +3,16 @@
 This is how fqca applied ladder operators and fitted Heisenberg images
 before both ran on word arrays, kept only as a test oracle. A ladder loops
 over the words of a state, with one popcount per word for its sign. The fit
-steps op|w> and |w> for each spanning word with `step_all` and fills its
-least-squares matrix row by row from dicts keyed by (state, word).
+steps op|w> and |w> for each spanning word with `step`, one state at a
+time, and fills its least-squares matrix row by row from dicts keyed by
+(state, word).
 """
 
 import itertools
 
 import numpy as np
 
-from fqca.evolution import step_all
+from fqca.evolution import step
 from fqca.fermion import (
     LadderOp,
     NotLinearError,
@@ -75,10 +76,10 @@ def heisenberg_image(
         for d in (-1, 1)
         for e in (Eps.MINUS, Eps.PLUS)
     ]
-    # one engine batch: op|w> and |w> for each spanning word w, in turn
+    # op|w> and |w> for each spanning word w, in turn
     words = _bulk_span_words(config, op.cell, max_n=3)
     pairs = ((apply_ladder(psi, op), psi) for psi in (FockState(config, {w: 1.0}) for w in words))
-    images = step_all(itertools.chain.from_iterable(pairs), bosonic=bosonic)
+    images = (step(psi, bosonic) for psi in itertools.chain.from_iterable(pairs))
 
     lhs_entries: dict[tuple[int, int], complex] = {}
     col_entries: list[dict[tuple[int, int], complex]] = [{} for _ in candidates]

@@ -5,29 +5,30 @@ on random sparse states that mix particle numbers and carry amplitudes at
 and below the pruning threshold, for L = 2..6 and for L = 32 and 40, where
 words fill and outgrow 64 bits; on words that doubly occupy up to five
 shift pairs, the ring's seam among them; and on every word at L = 2 and 3
-under the layers that only relabel words.
+under the layers that only relabel words. Batches of states run through
+one step_keys pass and must equal stepping each state alone.
 """
 
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dense_sector
 import dict_engine
 from fqca.evolution import (
-    BATCH_STATES,
     _coin_layer,
     _shift_layer,
     apply_coin,
     apply_shift,
     evolve,
     step,
-    step_all,
+    step_keys,
 )
 from fqca.fermion import LadderOp, OpKind, build_state
-from fqca.lattice import PRUNE_THRESHOLD, Boundary, Eps, FockState, LatticeConfig
+from fqca.lattice import PRUNE_THRESHOLD, Boundary, Eps, FockState, LatticeConfig, word_dtype
 
 AMPLITUDES = st.one_of(
     st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
@@ -77,6 +78,22 @@ def exact(state: FockState) -> dict:
     return {w: repr(complex(a)) for w, a in state.amplitudes.items()}
 
 
+def step_batch(cfg: LatticeConfig, batch: list[FockState], bosonic: bool = False):
+    """step() of every state in batch, as one step_keys pass; state i's index is i."""
+    nbits = cfg.n_sites
+    t = word_dtype(nbits + max(len(batch) - 1, 0).bit_length()).type
+    items = sorted(
+        ((i << nbits) | w, a) for i, s in enumerate(batch) for w, a in s.amplitudes.items()
+    )
+    keys = np.array([k for k, _ in items], dtype=t)
+    amps = np.array([a for _, a in items], dtype=complex)
+    keys, amps = step_keys(cfg, keys, amps, bosonic)
+    out = [{} for _ in batch]
+    for k, a in zip(keys.tolist(), amps.tolist()):
+        out[k >> nbits][k & ((1 << nbits) - 1)] = a
+    return [FockState(cfg, o) for o in out]
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.data(), configs(), st.booleans())
 def test_layers_equal_reference(data, cfg, bosonic):
@@ -106,19 +123,19 @@ def test_evolve_equals_repeated_reference_steps(data, cfg, bosonic, nsteps):
 @given(st.data(), configs(), st.booleans())
 def test_batched_images_equal_single_steps(data, cfg, bosonic):
     batch = data.draw(st.lists(states(cfg), max_size=5))
-    got = list(step_all(batch, bosonic))
+    got = step_batch(cfg, batch, bosonic)
     assert [exact(s) for s in got] == [exact(step(s, bosonic)) for s in batch]
 
 
 @pytest.mark.parametrize("L", [6, 28, 40])
 def test_batch_spanning_chunks(L):
-    # more states than one engine batch; at L=28 the batch index pushes keys
-    # past 64 bits although each word alone fits
+    # over 256 states, so at L=28 the state index pushes keys past 64 bits
+    # although each word alone fits
     cfg = LatticeConfig(L=L, theta=0.7, boundary=Boundary.OPEN)
     combos = (itertools.combinations(range(12), n) for n in range(4))
     batch = [FockState(cfg, {sum(1 << b for b in c): 1.0}) for c in itertools.chain(*combos)]
-    assert len(batch) > BATCH_STATES
-    got = list(step_all(batch))
+    assert len(batch) > 256
+    got = step_batch(cfg, batch)
     assert [exact(s) for s in got] == [exact(dict_engine.step(s)) for s in batch]
 
 
@@ -186,8 +203,8 @@ def test_shift_signs_every_doubly_occupied_pair(L, boundary, bosonic):
     for state in batch:
         assert exact(apply_shift(state, bosonic)) == exact(dict_engine.apply_shift(state, bosonic))
         assert exact(step(state, bosonic)) == exact(dict_engine.step(state, bosonic))
-    # at L=32 the batch index pushes the keys past 64 bits
-    got = list(step_all(batch, bosonic))
+    # at L=32 the state index pushes the keys past 64 bits
+    got = step_batch(cfg, batch, bosonic)
     assert [exact(s) for s in got] == [exact(dict_engine.step(s, bosonic)) for s in batch]
 
 
@@ -208,5 +225,5 @@ def test_permutation_layers_exhaustive(L, boundary, bosonic):
     ):
         for state in [*batch, whole]:
             assert exact(engine(state, bosonic)) == exact(reference(state, bosonic))
-    got = list(step_all(batch, bosonic))
+    got = step_batch(cfg, batch, bosonic)
     assert [exact(s) for s in got] == [exact(dict_engine.step(s, bosonic)) for s in batch]

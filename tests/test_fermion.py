@@ -79,23 +79,6 @@ def test_ladder_out_of_range():
         apply_ladder(vacuum(cfg), cr(3, Eps.PLUS))
 
 
-def test_anticommutators_exhaustive_small():
-    """{a_i, a_j^dag} = delta_ij, {a_i, a_j} = 0, exact on the full space."""
-    cfg = LatticeConfig(L=3, theta=0.3)
-    sites = [(c, e) for c in range(3) for e in (Eps.MINUS, Eps.PLUS)]
-    dim = 1 << 6
-    eye = np.eye(dim)
-    worst = 0.0
-    for c1, e1 in sites:
-        for c2, e2 in sites:
-            mixed = anticommutator(cfg, an(c1, e1), cr(c2, e2), sector_max_n=6)
-            target = eye if (c1, e1) == (c2, e2) else 0.0
-            worst = max(worst, float(np.max(np.abs(mixed - target))))
-            same = anticommutator(cfg, cr(c1, e1), cr(c2, e2), sector_max_n=6)
-            worst = max(worst, float(np.max(np.abs(same))))
-    assert worst <= 1e-13
-
-
 def test_anticommutator_sector_truncation_shape():
     cfg = LatticeConfig(L=2)
     m = anticommutator(cfg, an(0, Eps.PLUS), cr(0, Eps.PLUS), sector_max_n=1)

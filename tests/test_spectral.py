@@ -20,7 +20,6 @@ from fqca.spectral import (
     block_eigenphases,
     build_dirac_sea,
     circular_multiset_distance,
-    dirac_hamiltonian,
     dirac_sea_excitations,
     dispersion_rows,
     effective_hamiltonian,
@@ -159,7 +158,6 @@ def test_effective_hamiltonian_special_points():
     cfg0 = LatticeConfig(L=4, theta=0.0)
     k = 0.3
     assert np.allclose(effective_hamiltonian(cfg0, k), k * SIGMA3, atol=1e-12)
-    assert np.allclose(dirac_hamiltonian(cfg0, k), k * SIGMA3)
 
 
 def test_one_particle_eigenphases_match_dispersion():
