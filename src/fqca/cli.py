@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import nogo, spectral, walk
-from .evolution import step
+from .evolution import coin_matrix, shift_matrix, step
 from .fermion import (
-    DimensionTooLargeError,
     LadderOp,
     NotLinearError,
     OpKind,
@@ -338,10 +337,19 @@ def _pair_state(cfg: LatticeConfig, sites) -> FockState:
     return build_state(cfg, sorted(ops, key=lambda op: bit_index(op.cell, op.eps)))
 
 
+def _light_cone_leak(cfg: LatticeConfig, sites, final: FockState) -> float:
+    """Probability of final on words that occupy a cell more than one cell
+    from every cell of sites, where one step started: outside its light cone."""
+    start = {c % cfg.L for c, _ in sites}
+    cone = sum(3 << 2 * j for j in range(cfg.L) if min(cfg.distance(j, c) for c in start) <= 1)
+    return sum(abs(a) ** 2 for w, a in final.amplitudes.items() if w & ~cone)
+
+
 def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     x = params["cell"]
     c, s = math.cos(cfg.theta), math.sin(cfg.theta)
-    final = step(_pair_state(cfg, [(x, Eps.PLUS), (x + 1, Eps.MINUS)]))
+    pair = [(x, Eps.PLUS), (x + 1, Eps.MINUS)]
+    final = step(_pair_state(cfg, pair))
     probes = [
         ("counter_swapped", [(x, Eps.MINUS), (x + 1, Eps.PLUS)], -c * c),
         ("both_left", [(x, Eps.MINUS), (x + 1, Eps.MINUS)], -c * s),
@@ -356,11 +364,17 @@ def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path
         checks.append(_check(f"coefficient_{name}", abs(amp - expected), 1e-14))
     # two counter-movers meeting head-on at cell x from distance one: the
     # crossed pair picks up a bare -1, independent of theta
-    meet_initial = _pair_state(cfg, [(x - 1, Eps.PLUS), (x + 1, Eps.MINUS)])
+    meet = [(x - 1, Eps.PLUS), (x + 1, Eps.MINUS)]
+    meeting = step(_pair_state(cfg, meet))
     meet_probe = _pair_state(cfg, [(x, Eps.MINUS), (x, Eps.PLUS)])
-    amp = inner_product(meet_probe, step(meet_initial))
+    amp = inner_product(meet_probe, meeting)
     rows.append(("head_on_meeting", float(amp.real), float(amp.imag), -1.0))
     checks.append(_check("crossing_phase_minus_one", abs(amp - (-1.0)), 1e-14))
+    gates = (coin_matrix(cfg.theta), shift_matrix())
+    unitarity = max(np.max(np.abs(g.conj().T @ g - np.eye(4))) for g in gates)
+    checks.append(_check("gates_unitary", unitarity, 1e-14))
+    leak = _light_cone_leak(cfg, pair, final) + _light_cone_leak(cfg, meet, meeting)
+    checks.append(_check("light_cone_leak", leak, 0.0))
     write_csv(
         outdir / "scatter.csv", ["branch", "re", "im", "expected"], rows
     )
@@ -514,7 +528,7 @@ def run_experiment(raw: dict, output_dir: str | None = None, quiet: bool = False
     rng = np.random.default_rng(raw["seed"])
     try:
         extras, checks = RUNNERS[raw["experiment"]](cfg, raw["_params"], rng, outdir)
-    except DimensionTooLargeError as e:
+    except spectral.DimensionTooLargeError as e:
         raise ResourceError(str(e)) from e
     ok = all(c["passed"] for c in checks)
     manifest = {

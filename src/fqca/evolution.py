@@ -38,13 +38,10 @@ import numpy as np
 
 from .lattice import (
     Boundary,
-    Eps,
     FockState,
     LatticeConfig,
     PRUNE_THRESHOLD,
     _bit_parity,
-    basis_state,
-    particles_from_basis,
     word_dtype,
 )
 
@@ -81,10 +78,6 @@ def shift_matrix(bosonic: bool = False) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-14) -> bool:
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < tol)
 
 
 @dataclass(frozen=True)
@@ -256,14 +249,6 @@ def _run(state: FockState, layers: list[_Layer]) -> FockState:
     return FockState(state.config, dict(zip(keys.tolist(), amps.tolist())))
 
 
-def apply_coin(state: FockState, bosonic: bool = False) -> FockState:
-    return _run(state, [_coin_layer(state.config, bosonic)])
-
-
-def apply_shift(state: FockState, bosonic: bool = False) -> FockState:
-    return _run(state, [_shift_layer(state.config, bosonic)])
-
-
 def step(state: FockState, bosonic: bool = False) -> FockState:
     """One automaton step: shift, then coin."""
     return evolve(state, 1, bosonic)
@@ -287,35 +272,3 @@ def evolve(state: FockState, nsteps: int, bosonic: bool = False) -> FockState:
         return state
     return _run(state, _step_layers(state.config, bosonic) * nsteps)
 
-
-def light_cone_check(
-    config: LatticeConfig, nsteps: int, initial: FockState | None = None
-) -> float:
-    """Total probability found outside the radius-nsteps light cone.
-
-    Evolves a single excitation at the central cell (or the given initial
-    state) nsteps steps and sums the probability on basis words that occupy
-    any cell farther than nsteps from the initial support. Strict locality
-    means the return value is exactly zero.
-    """
-    if nsteps < 1:
-        raise ValueError("nsteps must be >= 1")
-    if initial is None:
-        initial = basis_state(config, [(config.L // 2, Eps.PLUS)])
-    support = {cell for w in initial.amplitudes for cell, _ in particles_from_basis(w)}
-    if not support:
-        return 0.0
-    allowed = {
-        j
-        for j in range(config.L)
-        if any(config.distance(j, j0) <= nsteps for j0 in support)
-    }
-    final = evolve(initial, nsteps)
-    return sum(
-        (
-            abs(a) ** 2
-            for w, a in final.amplitudes.items()
-            if any(cell not in allowed for cell, _ in particles_from_basis(w))
-        ),
-        0.0,
-    )

@@ -35,10 +35,6 @@ class OpKind(enum.Enum):
     ANNIHILATE = "annihilate"
 
 
-class DimensionTooLargeError(Exception):
-    pass
-
-
 class NotLinearError(Exception):
     """Heisenberg image is not a linear combination of ladder operators."""
 
@@ -55,22 +51,12 @@ class LadderOp:
     cell: int
     eps: Eps
 
-    def dagger(self) -> "LadderOp":
-        other = OpKind.ANNIHILATE if self.kind is OpKind.CREATE else OpKind.CREATE
-        return LadderOp(other, self.cell, self.eps)
-
 
 @dataclass
 class OpCombination:
     """Linear combination sum_i coeff_i * op_i, all ops of the same kind."""
 
     terms: list[tuple[complex, LadderOp]]
-
-    def apply(self, state: FockState) -> FockState:
-        out = FockState(state.config, {})
-        for coeff, op in self.terms:
-            out = out.add(apply_ladder(state, op).scaled(coeff))
-        return out
 
 
 def _ladder_arrays(config: LatticeConfig, op: LadderOp, words: np.ndarray, amps: np.ndarray):
@@ -111,32 +97,6 @@ def build_state(config: LatticeConfig, ops: list[LadderOp]) -> FockState:
     for op in reversed(ops):
         state = apply_ladder(state, op)
     return state
-
-
-def _dense_ladder(config: LatticeConfig, op: LadderOp) -> np.ndarray:
-    """Matrix of op on the full occupation space, indexed by word."""
-    words = np.arange(1 << config.n_sites, dtype=word_dtype(config.n_sites))
-    out, amps, cols = _ladder_arrays(config, op, words, np.ones(len(words), dtype=complex))
-    mat = np.zeros((len(words), len(words)), dtype=complex)
-    mat[out, cols] = amps
-    return mat
-
-
-def anticommutator(
-    config: LatticeConfig, op1: LadderOp, op2: LadderOp, sector_max_n: int
-) -> np.ndarray:
-    """Matrix of {op1, op2} on the Fock space truncated at n <= sector_max_n.
-
-    Built on the full occupation space (so no truncation artifacts leak in)
-    and then restricted.
-    """
-    if 2 * config.L > 12:
-        raise DimensionTooLargeError("anticommutator needs L <= 6")
-    m1 = _dense_ladder(config, op1)
-    m2 = _dense_ladder(config, op2)
-    anti = m1 @ m2 + m2 @ m1
-    keep = [w for w in range(len(anti)) if w.bit_count() <= sector_max_n]
-    return anti[np.ix_(keep, keep)]
 
 
 def _bulk_span_words(config: LatticeConfig, center: int, max_n: int) -> list[int]:

@@ -10,7 +10,6 @@ fermionic signs.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -116,14 +115,6 @@ def _bit_parity(words: np.ndarray, nbits: int) -> np.ndarray:
     return (fold & t(1)) != 0
 
 
-def site_of_bit(bit: int) -> tuple[int, Eps]:
-    return bit // 2, Eps(bit % 2)
-
-
-def particle_count(bits: int) -> int:
-    return bits.bit_count()
-
-
 def basis_from_particles(config: LatticeConfig, particles) -> int:
     """Pack an unordered list of (cell, eps) sites into a basis word.
 
@@ -141,16 +132,6 @@ def basis_from_particles(config: LatticeConfig, particles) -> int:
     return word
 
 
-def particles_from_basis(word: int) -> list[tuple[int, Eps]]:
-    """Unpack a basis word into its canonically ordered particle list."""
-    out = []
-    while word:
-        b = (word & -word).bit_length() - 1
-        out.append(site_of_bit(b))
-        word &= word - 1
-    return out
-
-
 @dataclass
 class FockState:
     """Sparse map from basis word to complex amplitude.
@@ -163,10 +144,11 @@ class FockState:
     amplitudes: dict[int, complex] = field(default_factory=dict)
 
     def prune(self) -> "FockState":
-        self.amplitudes = {
-            w: a for w, a in self.amplitudes.items() if abs(a) > PRUNE_THRESHOLD
-        }
-        return self
+        """The state without its amplitudes of modulus <= PRUNE_THRESHOLD."""
+        return FockState(
+            self.config,
+            {w: a for w, a in self.amplitudes.items() if abs(a) > PRUNE_THRESHOLD},
+        )
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
@@ -176,24 +158,6 @@ class FockState:
         if n == 0.0:
             raise LatticeError("cannot normalize the zero state")
         return FockState(self.config, {w: a / n for w, a in self.amplitudes.items()})
-
-    def scaled(self, factor: complex) -> "FockState":
-        return FockState(
-            self.config, {w: factor * a for w, a in self.amplitudes.items()}
-        ).prune()
-
-    def add(self, other: "FockState") -> "FockState":
-        _check_config(self, other)
-        out = dict(self.amplitudes)
-        for w, a in other.amplitudes.items():
-            out[w] = out.get(w, 0.0) + a
-        return FockState(self.config, out).prune()
-
-    def amplitude(self, word: int) -> complex:
-        return self.amplitudes.get(word, 0.0 + 0.0j)
-
-    def is_zero(self) -> bool:
-        return not self.amplitudes
 
     def to_json_obj(self) -> dict:
         n = self.config.n_sites
@@ -206,19 +170,6 @@ class FockState:
             for w, a in sorted(self.amplitudes.items())
         ]
         return {"L": self.config.L, "amplitudes": entries}
-
-    def dump(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict, config: LatticeConfig) -> "FockState":
-        if obj["L"] != config.L:
-            raise ConfigMismatchError(f"dump L={obj['L']} but config L={config.L}")
-        amps = {}
-        for e in obj["amplitudes"]:
-            word = int(e["bits"][::-1], 2)
-            amps[word] = complex(e["re"], e["im"])
-        return cls(config, amps).prune()
 
 
 def _check_config(a: FockState, b: FockState) -> None:
@@ -240,11 +191,3 @@ def inner_product(a: FockState, b: FockState) -> complex:
     shared = sorted(a.amplitudes.keys() & b.amplitudes.keys())
     return sum(a.amplitudes[w].conjugate() * b.amplitudes[w] for w in shared)
 
-
-def sector_project(state: FockState, n: int) -> FockState:
-    if n < 0:
-        raise OutOfRangeError("particle number must be >= 0")
-    return FockState(
-        state.config,
-        {w: a for w, a in state.amplitudes.items() if w.bit_count() == n},
-    )

@@ -41,12 +41,6 @@ class Site2D:
         return self.order_key() < other.order_key()
 
 
-def canonical_order(a: Site2D, b: Site2D) -> int:
-    """-1, 0 or +1 comparing a to b in the row/column/label order."""
-    ka, kb = a.order_key(), b.order_key()
-    return (ka > kb) - (ka < kb)
-
-
 def chebyshev(a: Site2D, b: Site2D) -> int:
     return max(abs(a.i - b.i), abs(a.j - b.j))
 
@@ -69,11 +63,6 @@ class FootprintSpec:
 
     def corner_targets(self, eps: int, corner) -> frozenset:
         return self.targets[eps].get(corner, frozenset())
-
-    def is_nontrivial(self) -> bool:
-        return all(
-            self.corner_targets(e, c) for e in range(self.num_eps) for c in CORNERS
-        )
 
 
 def full_spec(num_eps: int = 2) -> FootprintSpec:

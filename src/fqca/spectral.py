@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import step, step_keys
-from .fermion import DimensionTooLargeError
 from .lattice import Boundary, FockState, LatticeConfig, inner_product, word_dtype
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,6 +44,10 @@ SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _DENSE_DIM_CAP = 2000
+
+
+class DimensionTooLargeError(Exception):
+    pass
 
 
 class OffGridError(Exception):
@@ -72,8 +75,6 @@ def momentum_grid(config: LatticeConfig, offset: float = 0.0) -> np.ndarray:
 
 @dataclass
 class ModeMatrix:
-    k: float
-    kdx: float
     matrix: np.ndarray
     phi: float
     vplus: np.ndarray   # M-eigenvalue exp(-i phi)
@@ -99,7 +100,7 @@ def step_matrix(config: LatticeConfig, k: float) -> ModeMatrix:
     sinphi = math.sqrt(max(0.0, 1.0 - cosphi * cosphi))
     if sinphi < 1e-12:
         return ModeMatrix(
-            k, kdx, M, phi,
+            M, phi,
             vplus=np.array([1.0, 0.0], dtype=complex),
             vminus=np.array([0.0, 1.0], dtype=complex),
             nhat=np.array([0.0, 0.0, 1.0]),
@@ -120,7 +121,7 @@ def step_matrix(config: LatticeConfig, k: float) -> ModeMatrix:
         vminus = np.array([1.0, 0.0], dtype=complex)
     vplus = _fix_phase(vplus / np.linalg.norm(vplus))
     vminus = _fix_phase(vminus / np.linalg.norm(vminus))
-    return ModeMatrix(k, kdx, M, phi, vplus, vminus, nhat, degenerate=False)
+    return ModeMatrix(M, phi, vplus, vminus, nhat, degenerate=False)
 
 
 def _require_periodic(config: LatticeConfig) -> None:
@@ -159,7 +160,6 @@ def mode_orbital(
 @dataclass
 class EnergyResult:
     e_plus: float
-    e_minus: float
     dirac: float
     phi: float  # the positive band's step eigenphase
 
@@ -168,7 +168,7 @@ def energy(config: LatticeConfig, k: float) -> EnergyResult:
     phi = step_matrix(config, k).phi
     m, c = config.mass, config.c
     dirac = math.sqrt((k * c) ** 2 + (m * c * c) ** 2)
-    return EnergyResult(phi / config.dt, -phi / config.dt, dirac, phi)
+    return EnergyResult(phi / config.dt, dirac, phi)
 
 
 def effective_hamiltonian(config: LatticeConfig, k: float) -> np.ndarray:

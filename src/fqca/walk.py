@@ -14,7 +14,6 @@ import numpy as np
 
 from .evolution import step as qca_step
 from .lattice import Boundary, Eps, LatticeConfig, basis_state
-from .spectral import SIGMA2, SIGMA3
 
 R, L_ = 0, 1  # spinor component indices
 
@@ -29,9 +28,6 @@ class WalkState:
         psi = np.zeros((config.L, 2), dtype=complex)
         psi[cell, R if eps is Eps.PLUS else L_] = 1.0
         return cls(config, psi)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.spinors))
 
     def probabilities(self) -> np.ndarray:
         return np.sum(np.abs(self.spinors) ** 2, axis=1)
@@ -64,26 +60,6 @@ def walk_step(state: WalkState) -> WalkState:
     out[:, R] = c * chi_minus - s * chi_plus
     out[:, L_] = s * chi_minus + c * chi_plus
     return WalkState(cfg, out)
-
-
-def walk_evolve(state: WalkState, nsteps: int) -> WalkState:
-    for _ in range(nsteps):
-        state = walk_step(state)
-    return state
-
-
-def walk_momentum_step(config: LatticeConfig, k: float) -> np.ndarray:
-    """exp(-i theta sigma_2) diag(exp(+i k dx), exp(-i k dx)) in the R/L basis."""
-    theta, kdx = config.theta, k * config.dx
-    c, s = np.cos(theta), np.sin(theta)
-    coin = np.array([[c, -s], [s, c]], dtype=complex)
-    return coin @ np.diag([np.exp(1j * kdx), np.exp(-1j * kdx)])
-
-
-def dirac_generator(config: LatticeConfig, k: float) -> np.ndarray:
-    """Continuum generator i(k c sigma_3 - m c^2 sigma_2), hbar = 1."""
-    c, m = config.c, config.mass
-    return 1j * (k * c * SIGMA3 - m * c * c * SIGMA2)
 
 
 def _qca_one_particle_spinors(state) -> np.ndarray:

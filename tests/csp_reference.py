@@ -16,7 +16,6 @@ from fqca.nogo import (
     FootprintSpec,
     LatticeBounds,
     Site2D,
-    canonical_order,
     chebyshev,
     check_csp_size,
     footprint,
@@ -51,6 +50,12 @@ def _moves_1d(spec_1d: dict, s: Site2D, width: int):
 def _moves_2d(spec: FootprintSpec, s: Site2D, bounds: LatticeBounds):
     for t in footprint(s, spec, bounds):
         yield Move(s, t)
+
+
+def canonical_order(a: Site2D, b: Site2D) -> int:
+    """-1, 0 or +1 comparing a to b in the row/column/label order."""
+    ka, kb = a.order_key(), b.order_key()
+    return (ka > kb) - (ka < kb)
 
 
 def _required_sign(src1: Site2D, src2: Site2D, dst1: Site2D, dst2: Site2D) -> int:

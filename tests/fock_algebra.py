@@ -1,0 +1,55 @@
+"""Fock-space algebra that only the tests use: sums of states and dense ladders.
+
+No experiment adds states or builds a ladder on the whole 2^(2L)-word
+occupation space, so these live here. The dense ladders take their entries
+from `fermion._ladder_arrays` applied to every word at once, so the
+anticommutation checks exercise the ladder the package runs.
+"""
+
+import numpy as np
+
+from fqca.fermion import LadderOp, OpCombination, _ladder_arrays, apply_ladder
+from fqca.lattice import FockState, LatticeConfig, word_dtype
+
+
+def combination(config: LatticeConfig, terms) -> FockState:
+    """sum_i coeff_i |state_i> over (coeff, state) terms, pruned."""
+    out: dict = {}
+    for coeff, state in terms:
+        for w, a in state.amplitudes.items():
+            out[w] = out.get(w, 0.0) + coeff * a
+    return FockState(config, out).prune()
+
+
+def apply_combination(combo: OpCombination, state: FockState) -> FockState:
+    """sum_i coeff_i op_i|state> for a fitted ladder combination."""
+    return combination(state.config, [(c, apply_ladder(state, op)) for c, op in combo.terms])
+
+
+def distance(a: FockState, b: FockState) -> float:
+    """The norm of |a> - |b>."""
+    return combination(a.config, [(1.0, a), (-1.0, b)]).norm()
+
+
+def dense_ladder(config: LatticeConfig, op: LadderOp) -> np.ndarray:
+    """Matrix of op on the full occupation space, indexed by word."""
+    words = np.arange(1 << config.n_sites, dtype=word_dtype(config.n_sites))
+    out, amps, cols = _ladder_arrays(config, op, words, np.ones(len(words), dtype=complex))
+    mat = np.zeros((len(words), len(words)), dtype=complex)
+    mat[out, cols] = amps
+    return mat
+
+
+def anticommutator(
+    config: LatticeConfig, op1: LadderOp, op2: LadderOp, sector_max_n: int
+) -> np.ndarray:
+    """Matrix of {op1, op2} on the Fock space truncated at n <= sector_max_n.
+
+    Built on the full occupation space (so no truncation artifacts leak in)
+    and then restricted.
+    """
+    m1 = dense_ladder(config, op1)
+    m2 = dense_ladder(config, op2)
+    anti = m1 @ m2 + m2 @ m1
+    keep = [w for w in range(len(anti)) if w.bit_count() <= sector_max_n]
+    return anti[np.ix_(keep, keep)]

@@ -9,12 +9,14 @@ import pytest
 from fqca.cli import (
     EXPERIMENTS,
     ParseError,
+    _light_cone_leak,
     config_hash,
     dump_json,
     fmt,
     load_config,
     main,
 )
+from fqca.lattice import Eps, FockState, LatticeConfig, bit_index
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -176,6 +178,7 @@ def test_run_writes_manifest_and_exits_zero(tmp_path):
     assert manifest["ok"] is True
     assert manifest["experiment"] == "two_particle_scatter"
     assert all(c["passed"] for c in manifest["checks"])
+    assert {"gates_unitary", "light_cone_leak"} <= {c["name"] for c in manifest["checks"]}
     assert manifest["config_sha256"] == config_hash(load_config(p))
     assert (tmp_path / "out" / "scatter.csv").exists()
 
@@ -219,6 +222,17 @@ def test_scatter_wraps_on_the_ring(tmp_path, cell):
     p = make_config(tmp_path, lattice={"L": 8, "theta": 0.3}, params={"cell": cell})
     assert main(["validate", str(p)]) == 0
     assert main(["run", str(p), "--quiet"]) == 0
+
+
+def test_light_cone_leak_counts_words_past_one_cell():
+    # a pair started at cells 7 and 0 of the ring: its cone is cells 6, 7, 0, 1
+    cfg = LatticeConfig(L=8)
+    inside = (1 << bit_index(6, Eps.MINUS)) | (1 << bit_index(1, Eps.PLUS))
+    outside = (1 << bit_index(6, Eps.MINUS)) | (1 << bit_index(2, Eps.MINUS))
+    final = FockState(cfg, {inside: 0.6, outside: 0.8j})
+    sites = [(7, Eps.PLUS), (8, Eps.MINUS)]
+    assert _light_cone_leak(cfg, sites, final) == pytest.approx(0.64, abs=1e-15)
+    assert _light_cone_leak(cfg, sites, FockState(cfg, {inside: 1.0})) == 0
 
 
 @pytest.mark.parametrize("cell", [0, 7])

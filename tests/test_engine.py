@@ -18,15 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_sector
 import dict_engine
-from fqca.evolution import (
-    _coin_layer,
-    _shift_layer,
-    apply_coin,
-    apply_shift,
-    evolve,
-    step,
-    step_keys,
-)
+from fqca.evolution import _coin_layer, _run, _shift_layer, evolve, step, step_keys
 from fqca.fermion import LadderOp, OpKind, build_state
 from fqca.lattice import PRUNE_THRESHOLD, Boundary, Eps, FockState, LatticeConfig, word_dtype
 
@@ -76,6 +68,14 @@ def states(cfg: LatticeConfig):
 def exact(state: FockState) -> dict:
     """Amplitudes with the sign of every zero part spelled out."""
     return {w: repr(complex(a)) for w, a in state.amplitudes.items()}
+
+
+def apply_shift(state: FockState, bosonic: bool = False) -> FockState:
+    return _run(state, [_shift_layer(state.config, bosonic)])
+
+
+def apply_coin(state: FockState, bosonic: bool = False) -> FockState:
+    return _run(state, [_coin_layer(state.config, bosonic)])
 
 
 def step_batch(cfg: LatticeConfig, batch: list[FockState], bosonic: bool = False):
