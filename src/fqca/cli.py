@@ -106,7 +106,7 @@ def fmt(x: float) -> str:
 
 
 def _jsonable(obj):
-    """Render floats as 17-significant-digit strings-free JSON fragments."""
+    """obj as JSON text with sorted keys and floats at 17 significant digits."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return json.dumps(obj)
     if isinstance(obj, float):
@@ -330,7 +330,7 @@ def run_wavepacket(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     return {"nsteps": nsteps}, checks
 
 
-def _pair_state(cfg: LatticeConfig, sites) -> FockState:
+def _sites_state(cfg: LatticeConfig, sites) -> FockState:
     """Creators applied in canonical site order, so a pair that wraps the
     ring's seam carries the same sign convention as one in the bulk."""
     ops = [LadderOp(OpKind.CREATE, c % cfg.L, e) for c, e in sites]
@@ -349,7 +349,7 @@ def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path
     x = params["cell"]
     c, s = math.cos(cfg.theta), math.sin(cfg.theta)
     pair = [(x, Eps.PLUS), (x + 1, Eps.MINUS)]
-    final = step(_pair_state(cfg, pair))
+    final = step(_sites_state(cfg, pair))
     probes = [
         ("counter_swapped", [(x, Eps.MINUS), (x + 1, Eps.PLUS)], -c * c),
         ("both_left", [(x, Eps.MINUS), (x + 1, Eps.MINUS)], -c * s),
@@ -359,21 +359,27 @@ def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path
     rows = []
     checks = []
     for name, sites, expected in probes:
-        amp = inner_product(_pair_state(cfg, sites), final)
+        amp = inner_product(_sites_state(cfg, sites), final)
         rows.append((name, float(amp.real), float(amp.imag), float(expected)))
         checks.append(_check(f"coefficient_{name}", abs(amp - expected), 1e-14))
     # two counter-movers meeting head-on at cell x from distance one: the
     # crossed pair picks up a bare -1, independent of theta
     meet = [(x - 1, Eps.PLUS), (x + 1, Eps.MINUS)]
-    meeting = step(_pair_state(cfg, meet))
-    meet_probe = _pair_state(cfg, [(x, Eps.MINUS), (x, Eps.PLUS)])
+    meeting = step(_sites_state(cfg, meet))
+    meet_probe = _sites_state(cfg, [(x, Eps.MINUS), (x, Eps.PLUS)])
     amp = inner_product(meet_probe, meeting)
     rows.append(("head_on_meeting", float(amp.real), float(amp.imag), -1.0))
     checks.append(_check("crossing_phase_minus_one", abs(amp - (-1.0)), 1e-14))
     gates = (coin_matrix(cfg.theta), shift_matrix())
     unitarity = max(np.max(np.abs(g.conj().T @ g - np.eye(4))) for g in gates)
     checks.append(_check("gates_unitary", unitarity, 1e-14))
-    leak = _light_cone_leak(cfg, pair, final) + _light_cone_leak(cfg, meet, meeting)
+    # the pairs' cones hold every two-cell move, a lone particle's do not
+    lone = [(x, Eps.PLUS)]
+    leak = (
+        _light_cone_leak(cfg, pair, final)
+        + _light_cone_leak(cfg, meet, meeting)
+        + _light_cone_leak(cfg, lone, step(_sites_state(cfg, lone)))
+    )
     checks.append(_check("light_cone_leak", leak, 0.0))
     write_csv(
         outdir / "scatter.csv", ["branch", "re", "im", "expected"], rows
@@ -418,9 +424,11 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     }
     rows = []
     checks = []
+    images = []
     for eps in (Eps.PLUS, Eps.MINUS):
         combo = heisenberg_image(cfg, LadderOp(OpKind.CREATE, cell, eps))
         fitted = {(op.cell, op.eps): coeff for coeff, op in combo.terms}
+        images.append(fitted)
         dev = 0.0
         want = expected[eps]
         for key in set(fitted) | set(want):
@@ -430,6 +438,11 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
                 (eps.name.lower(), c2, e2.name.lower(), coeff.real, coeff.imag)
             )
         checks.append(_check(f"image_coefficients_{eps.name.lower()}", dev, 1e-12))
+    # the images c^p keep the anticommutators: G_pq = sum_s conj(c^p_s) c^q_s is I
+    sites = sorted(set().union(*images))
+    coeffs = np.array([[img.get(site, 0.0) for site in sites] for img in images])
+    gram = coeffs.conj() @ coeffs.T
+    checks.append(_check("image_anticommutators", np.max(np.abs(gram - np.eye(2))), 1e-12))
     write_csv(
         outdir / "heisenberg.csv",
         ["source_eps", "target_cell", "target_eps", "re", "im"],
@@ -449,9 +462,23 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     return {"cell": cell, "theta": cfg.theta}, checks
 
 
+def _state_json(cfg: LatticeConfig, words: np.ndarray, amps: np.ndarray) -> str:
+    """dump_json of a state's {"L", "amplitudes"} object, one format pass per amplitude.
+
+    Each entry gives the word's "bits" with site (0,-) printed first and
+    its amplitude's "re" and "im", in ascending word order.
+    """
+    bits = f"0{cfg.n_sites}b"
+    entries = ", ".join(
+        '{"bits": "%s", "im": %s, "re": %s}' % (format(w, bits)[::-1], fmt(a.imag), fmt(a.real))
+        for w, a in zip(words.tolist(), amps.tolist())
+    )
+    return '{"L": %d, "amplitudes": [%s]}\n' % (cfg.L, entries)
+
+
 def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
-    sea, excitations = spectral.dirac_sea_excitations(cfg)
-    modulus, phase = spectral.eigenphase_of(sea)
+    sea = spectral.dirac_sea_excitations(cfg)
+    excitations = sea.excitations
     rows = [
         (e.kind, e.k, e.phi, e.gap, e.eigen_modulus, abs(e.gap - e.phi / cfg.dt))
         for e in excitations
@@ -461,9 +488,9 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
         ["kind", "k", "phi", "gap", "eigen_modulus", "abs_err"],
         rows,
     )
-    (outdir / "sea_state.json").write_text(dump_json(sea.to_json_obj()))
+    (outdir / "sea_state.json").write_text(_state_json(cfg, sea.words, sea.amps))
     checks = [
-        _check("sea_is_eigenstate", abs(modulus - 1.0), 1e-10),
+        _check("sea_is_eigenstate", abs(sea.modulus - 1.0), 1e-10),
         _check(
             "excitations_are_eigenstates",
             max(abs(e.eigen_modulus - 1.0) for e in excitations),
@@ -472,7 +499,7 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
         _check("gaps_match_phi", max(r[5] for r in rows), 1e-10),
         _check("gaps_positive", min(e.gap for e in excitations), MIN_GAP, "min"),
     ]
-    return {"sea_phase": phase, "n_excitations": len(excitations)}, checks
+    return {"sea_phase": sea.phase, "n_excitations": len(excitations)}, checks
 
 
 def run_nogo_witness(cfg: LatticeConfig, params: dict, rng, outdir: Path):

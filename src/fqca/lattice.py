@@ -136,40 +136,15 @@ def basis_from_particles(config: LatticeConfig, particles) -> int:
 class FockState:
     """Sparse map from basis word to complex amplitude.
 
-    Operations return new states; instances are not mutated once built, so
-    states may be shared freely across threads.
+    Functions that act on a state return a new one; instances are not
+    mutated once built, so states may be shared freely across threads.
     """
 
     config: LatticeConfig
     amplitudes: dict[int, complex] = field(default_factory=dict)
 
-    def prune(self) -> "FockState":
-        """The state without its amplitudes of modulus <= PRUNE_THRESHOLD."""
-        return FockState(
-            self.config,
-            {w: a for w, a in self.amplitudes.items() if abs(a) > PRUNE_THRESHOLD},
-        )
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def normalized(self) -> "FockState":
-        n = self.norm()
-        if n == 0.0:
-            raise LatticeError("cannot normalize the zero state")
-        return FockState(self.config, {w: a / n for w, a in self.amplitudes.items()})
-
-    def to_json_obj(self) -> dict:
-        n = self.config.n_sites
-        entries = [
-            {
-                "bits": format(w, f"0{n}b")[::-1],  # site (0,-) printed first
-                "re": a.real,
-                "im": a.imag,
-            }
-            for w, a in sorted(self.amplitudes.items())
-        ]
-        return {"L": self.config.L, "amplitudes": entries}
 
 
 def _check_config(a: FockState, b: FockState) -> None:

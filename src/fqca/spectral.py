@@ -14,7 +14,10 @@ Mode conventions, fixed once here and asserted by the sector-spectrum tests:
   U b^dag_{k,Plus}|vac> = exp(-i phi) b^dag_{k,Plus}|vac>, i.e. energy
   +phi/dt, and the Minus band gets -phi/dt.
 - The modes are free, so the Dirac sea and each of its excitations is one
-  Slater determinant of band orbitals (mode_orbital, slater_state).
+  Slater determinant of band orbitals (mode_orbital, slater_state). The sea
+  runs on sorted word and amplitude arrays from the determinant to the
+  overlap: dirac_sea_excitations enumerates each sector and builds each
+  orbital once per call, and steps each state, the sea included, once.
 - On the ring, the n-particle sector behaves like free modes on a momentum
   grid offset by half a grid step for even n and not at all for odd n: the
   Jordan-Wigner string at the seam twists the boundary by (-1)^(n-1)
@@ -36,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import step, step_keys
-from .lattice import Boundary, FockState, LatticeConfig, inner_product, word_dtype
+from .evolution import step_keys
+from .lattice import PRUNE_THRESHOLD, Boundary, LatticeConfig, LatticeError, word_dtype
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -184,14 +187,17 @@ def effective_hamiltonian(config: LatticeConfig, k: float) -> np.ndarray:
 # sector spectra, one translation block at a time
 
 
-def _sector(n_sites: int, n: int) -> tuple[list[int], np.ndarray]:
-    """Ascending n-particle words, and a (dim, n) array of each word's ascending bits."""
+def _sector(n_sites: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending n-particle words, and a (dim, n) array of each word's ascending bits.
+
+    The words have the word_dtype of n_sites bits.
+    """
     t = word_dtype(n_sites).type
     combos = itertools.combinations(range(n_sites), n)
     sites = np.array(list(combos), dtype=np.int64).reshape(math.comb(n_sites, n), n)
     words = (t(1) << sites.astype(t)).sum(axis=1)
     order = np.argsort(words)
-    return words[order].tolist(), sites[order]
+    return words[order], sites[order]
 
 
 def _translation_orbits(L: int, sites: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -242,7 +248,7 @@ def block_eigenphases(config: LatticeConfig, n: int) -> list[np.ndarray]:
     # one engine pass: representative c is state c, above the 2L word bits
     nbits = config.n_sites
     t = word_dtype(nbits + (len(reps) - 1).bit_length()).type
-    sector = np.array(words, dtype=t)
+    sector = words.astype(t)
     keys = sector[reps] | (np.arange(len(reps), dtype=t) << t(nbits))
     keys, amp = step_keys(config, keys, np.ones(len(reps), dtype=complex))
     col = (keys >> t(nbits)).astype(np.int64)
@@ -321,47 +327,71 @@ def parity_offset(config: LatticeConfig, n: int) -> float:
 # Dirac sea
 
 
-def slater_state(config: LatticeConfig, orbitals: list[np.ndarray]) -> FockState:
+def slater_state(
+    config: LatticeConfig,
+    orbitals: list[np.ndarray],
+    sector: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Normalized b^dag_{m_n} ... b^dag_{m_1}|vac> for orbitals m_1..m_n in creation order.
 
     Moving the creators into canonical order a^dag_{s_1} ... a^dag_{s_n}|vac>
     = |word> (s_1 < ... < s_n) gives the word the amplitude
     det[c_{m_{n+1-j}}(s_i)]: column j holds the j-th orbital from the last
-    created. One batched determinant covers the whole sector.
+    created. One batched determinant covers the whole sector, which is
+    _sector(config.n_sites, n) or the sector passed in. Returns the sorted
+    (words, amps) without the amplitudes of modulus <= PRUNE_THRESHOLD.
+
+    Moduli, the norm's sum and the quotients are taken as Python's abs, sum
+    and complex-by-float division take them, so every amplitude is bit for
+    bit the one a pruned, normalized FockState holds.
     """
-    words, sites = _sector(config.n_sites, len(orbitals))
+    words, sites = _sector(config.n_sites, len(orbitals)) if sector is None else sector
     amps = np.linalg.det(np.array(orbitals[::-1]).T[sites])
-    return FockState(config, dict(zip(words, amps.tolist()))).prune().normalized()
+    modulus = np.hypot(amps.real, amps.imag)
+    keep = modulus > PRUNE_THRESHOLD
+    words, re, im = words[keep], amps.real[keep], amps.imag[keep]
+    norm = math.sqrt(sum(m ** 2 for m in modulus[keep].tolist()))
+    if norm == 0.0:
+        raise LatticeError("cannot normalize the zero state")
+    amps = np.empty(len(words), dtype=complex)
+    amps.real = (re + im * 0.0) / norm
+    amps.imag = (im - re * 0.0) / norm
+    return words, amps
 
 
-def _mode_sea(
-    config: LatticeConfig,
-    offset: float,
-    skip_minus: float | None = None,
-    extra_plus: float | None = None,
-) -> FockState:
-    orbitals = []
-    for k in sorted(momentum_grid(config, offset)):
-        if skip_minus is not None and abs(k - skip_minus) < 1e-12:
-            continue
-        orbitals.append(mode_orbital(config, k, Band.MINUS, offset))
-    if extra_plus is not None:
-        orbitals.append(mode_orbital(config, extra_plus, Band.PLUS, offset))
-    return slater_state(config, orbitals)
+def _minus_orbitals(config: LatticeConfig, offset: float) -> list[np.ndarray]:
+    """The negative-energy orbital of each grid momentum, in ascending k."""
+    return [
+        mode_orbital(config, k, Band.MINUS, offset)
+        for k in sorted(momentum_grid(config, offset))
+    ]
 
 
-def build_dirac_sea(config: LatticeConfig) -> FockState:
-    """Fill every negative-energy mode of the L-particle sector's grid."""
+def build_dirac_sea(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Fill every negative-energy mode of the L-particle sector's grid; sorted (words, amps)."""
     _require_periodic(config)
     if config.L > 8:
         raise DimensionTooLargeError("build_dirac_sea needs L <= 8")
-    return _mode_sea(config, parity_offset(config, config.L))
+    return slater_state(config, _minus_orbitals(config, parity_offset(config, config.L)))
 
 
-def eigenphase_of(state: FockState) -> tuple[float, float]:
-    """(|<psi|U|psi>|, arg) for a normalized state; modulus 1 iff eigenstate."""
-    out = step(state)
-    ov = inner_product(state, out)
+def eigenphase_of(
+    config: LatticeConfig, words: np.ndarray, amps: np.ndarray
+) -> tuple[float, float]:
+    """(|<psi|U|psi>|, arg) for a normalized state's sorted (words, amps); modulus 1 iff eigenstate.
+
+    The overlap takes each conj(a) b as Python's complex product does and
+    sums them in ascending word order, as lattice.inner_product does.
+    """
+    out_words, out = step_keys(config, words, amps.copy())
+    pos = np.minimum(np.searchsorted(out_words, words), len(out_words) - 1)
+    shared = out_words[pos] == words
+    a, b = amps[shared], out[pos[shared]]
+    ar, ai = a.real, -a.imag
+    terms = np.empty(len(a), dtype=complex)
+    terms.real = ar * b.real - ai * b.imag
+    terms.imag = ar * b.imag + ai * b.real
+    ov = sum(terms.tolist())
     return abs(ov), float(np.angle(ov))
 
 
@@ -374,7 +404,16 @@ class SeaExcitation:
     eigen_modulus: float
 
 
-def dirac_sea_excitations(config: LatticeConfig) -> tuple[FockState, list[SeaExcitation]]:
+@dataclass
+class DiracSea:
+    words: np.ndarray  # the sea's sorted words and their amplitudes
+    amps: np.ndarray
+    modulus: float     # |<sea|U|sea>|
+    phase: float       # arg <sea|U|sea>
+    excitations: list[SeaExcitation]
+
+
+def dirac_sea_excitations(config: LatticeConfig) -> DiracSea:
     """The sea plus its 2L single-particle / single-hole excitation gaps.
 
     Excited states are true eigenstates of the step unitary in the (L+1)- and
@@ -384,22 +423,26 @@ def dirac_sea_excitations(config: LatticeConfig) -> tuple[FockState, list[SeaExc
     sums over both grids equal L pi / 2 and each gap equals the excited
     mode's phi_k / dt. At odd L it maps one grid onto the other, so
     sum_{1/2} phi = L pi - sum_0 phi and the gaps miss phi_k / dt.
+
+    Each of the three sectors is enumerated and each orbital built once, and
+    each of the 2L + 1 states is stepped once.
     """
-    sea = build_dirac_sea(config)
-    _, sea_phase = eigenphase_of(sea)
+    words, amps = build_dirac_sea(config)
+    modulus, sea_phase = eigenphase_of(config, words, amps)
     other = parity_offset(config, config.L + 1)
+    minus = _minus_orbitals(config, other)
+    sectors = {n: _sector(config.n_sites, n) for n in (config.L + 1, config.L - 1)}
     excitations = []
-    for k in sorted(momentum_grid(config, other)):
+    for i, k in enumerate(sorted(momentum_grid(config, other))):
         phi = step_matrix(config, k).phi
-        st = _mode_sea(config, other, extra_plus=k)
-        mod, ph = eigenphase_of(st)
-        gap = ((sea_phase - ph) % (2 * math.pi)) / config.dt
-        excitations.append(SeaExcitation("add_plus", float(k), gap, phi, mod))
-        st = _mode_sea(config, other, skip_minus=k)
-        mod, ph = eigenphase_of(st)
-        gap = ((sea_phase - ph) % (2 * math.pi)) / config.dt
-        excitations.append(SeaExcitation("remove_minus", float(k), gap, phi, mod))
-    return sea, excitations
+        add_plus = minus + [mode_orbital(config, k, Band.PLUS, other)]
+        remove_minus = minus[:i] + minus[i + 1:]
+        for kind, orbitals in (("add_plus", add_plus), ("remove_minus", remove_minus)):
+            state = slater_state(config, orbitals, sectors[len(orbitals)])
+            mod, ph = eigenphase_of(config, *state)
+            gap = ((sea_phase - ph) % (2 * math.pi)) / config.dt
+            excitations.append(SeaExcitation(kind, float(k), gap, phi, mod))
+    return DiracSea(words, amps, modulus, sea_phase, excitations)
 
 
 # ---------------------------------------------------------------------------

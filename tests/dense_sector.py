@@ -15,7 +15,7 @@ from fqca.spectral import _sector
 
 
 def sector_unitary(config, n: int) -> tuple[np.ndarray, list[int]]:
-    words = _sector(config.n_sites, n)[0]
+    words = _sector(config.n_sites, n)[0].tolist()
     nbits, dim = config.n_sites, len(words)
     t = word_dtype(nbits + (dim - 1).bit_length()).type
     sector = np.array(words, dtype=t)

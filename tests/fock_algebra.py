@@ -1,15 +1,45 @@
-"""Fock-space algebra that only the tests use: sums of states and dense ladders.
+"""Fock-space algebra that only the tests use: dict-state pruning,
+normalization and JSON, sums of states and dense ladders.
 
-No experiment adds states or builds a ladder on the whole 2^(2L)-word
-occupation space, so these live here. The dense ladders take their entries
-from `fermion._ladder_arrays` applied to every word at once, so the
-anticommutation checks exercise the ladder the package runs.
+No experiment prunes, normalizes, adds or writes dict states, or builds a
+ladder on the whole 2^(2L)-word occupation space, so these live here. The
+dense ladders take their entries from `fermion._ladder_arrays` applied to
+every word at once, so the anticommutation checks exercise the ladder the
+package runs.
 """
 
 import numpy as np
 
 from fqca.fermion import LadderOp, OpCombination, _ladder_arrays, apply_ladder
-from fqca.lattice import FockState, LatticeConfig, word_dtype
+from fqca.lattice import PRUNE_THRESHOLD, FockState, LatticeConfig, LatticeError, word_dtype
+
+
+def prune(state: FockState) -> FockState:
+    """The state without its amplitudes of modulus <= PRUNE_THRESHOLD."""
+    return FockState(
+        state.config,
+        {w: a for w, a in state.amplitudes.items() if abs(a) > PRUNE_THRESHOLD},
+    )
+
+
+def normalized(state: FockState) -> FockState:
+    n = state.norm()
+    if n == 0.0:
+        raise LatticeError("cannot normalize the zero state")
+    return FockState(state.config, {w: a / n for w, a in state.amplitudes.items()})
+
+
+def to_json_obj(state: FockState) -> dict:
+    n = state.config.n_sites
+    entries = [
+        {
+            "bits": format(w, f"0{n}b")[::-1],  # site (0,-) printed first
+            "re": a.real,
+            "im": a.imag,
+        }
+        for w, a in sorted(state.amplitudes.items())
+    ]
+    return {"L": state.config.L, "amplitudes": entries}
 
 
 def combination(config: LatticeConfig, terms) -> FockState:
@@ -18,7 +48,7 @@ def combination(config: LatticeConfig, terms) -> FockState:
     for coeff, state in terms:
         for w, a in state.amplitudes.items():
             out[w] = out.get(w, 0.0) + coeff * a
-    return FockState(config, out).prune()
+    return prune(FockState(config, out))
 
 
 def apply_combination(combo: OpCombination, state: FockState) -> FockState:

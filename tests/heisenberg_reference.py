@@ -12,6 +12,7 @@ import itertools
 
 import numpy as np
 
+from fock_algebra import prune
 from fqca.evolution import step
 from fqca.fermion import (
     LadderOp,
@@ -47,7 +48,7 @@ def apply_ladder(state: FockState, op: LadderOp) -> FockState:
             continue  # double occupation / annihilating an empty site
         w2 = w | (1 << b) if create else w & ~(1 << b)
         out[w2] = out.get(w2, 0.0) + a * _jw_sign(w, b)
-    return FockState(state.config, out).prune()
+    return prune(FockState(state.config, out))
 
 
 def dense_ladder(config: LatticeConfig, op: LadderOp, words: list[int]) -> np.ndarray:

@@ -239,8 +239,8 @@ def test_08_two_particle_spectrum_calibrated():
 
 def test_09_dirac_sea():
     cfg = LatticeConfig(L=6, theta=0.4)
-    sea, excitations = spectral.dirac_sea_excitations(cfg)
-    modulus, _ = spectral.eigenphase_of(sea)
+    sea = spectral.dirac_sea_excitations(cfg)
+    modulus, excitations = sea.modulus, sea.excitations
     gap_dev = max(abs(e.gap - e.phi / cfg.dt) for e in excitations)
     min_gap = min(e.gap for e in excitations)
     report(

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fqca import cli
 from fqca.cli import (
     EXPERIMENTS,
     ParseError,
@@ -16,6 +17,8 @@ from fqca.cli import (
     load_config,
     main,
 )
+from fqca.evolution import evolve
+from fqca.fermion import LadderOp, OpKind
 from fqca.lattice import Eps, FockState, LatticeConfig, bit_index
 
 REPO = Path(__file__).resolve().parents[1]
@@ -235,6 +238,20 @@ def test_light_cone_leak_counts_words_past_one_cell():
     assert _light_cone_leak(cfg, sites, FockState(cfg, {inside: 1.0})) == 0
 
 
+def _checks(outdir) -> dict:
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    return {c["name"]: c for c in manifest["checks"]}
+
+
+def test_light_cone_leak_sees_a_two_cell_step(tmp_path, monkeypatch):
+    # the pairs' cones hold every two-cell move; the lone particle's does not
+    p = make_config(tmp_path, lattice={"L": 8, "theta": 0.3}, params={"cell": 3})
+    monkeypatch.setattr(cli, "step", lambda state: evolve(state, 2))
+    assert main(["run", str(p), "--quiet"]) == 1
+    leak = _checks(tmp_path / "out")["light_cone_leak"]
+    assert not leak["passed"] and leak["measured"] > 0.5
+
+
 @pytest.mark.parametrize("cell", [0, 7])
 def test_scatter_edge_cell_rejected_on_open_chain(tmp_path, cell):
     p = make_config(
@@ -252,6 +269,20 @@ def test_heisenberg_check_on_64_cells(tmp_path):
         params={"cell": 32},
     )
     assert main(["run", str(p), "--quiet"]) == 0
+    assert _checks(tmp_path / "out")["image_anticommutators"]["passed"]
+
+
+def test_image_anticommutators_check_fails_on_equal_images(tmp_path, monkeypatch):
+    # two equal images give G = [[1, 1], [1, 1]]
+    p = make_config(
+        tmp_path, experiment="heisenberg_check", lattice={"L": 8, "theta": 0.3}, params={"cell": 4}
+    )
+    fit = cli.heisenberg_image
+    plus = LadderOp(OpKind.CREATE, 4, Eps.PLUS)
+    monkeypatch.setattr(cli, "heisenberg_image", lambda cfg, op, **kw: fit(cfg, plus, **kw))
+    assert main(["run", str(p), "--quiet"]) == 1
+    anti = _checks(tmp_path / "out")["image_anticommutators"]
+    assert not anti["passed"] and anti["measured"] == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("boundary, cell", [("open", 1), ("open", 6), ("periodic", 2)])

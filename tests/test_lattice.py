@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from fock_algebra import normalized, prune, to_json_obj
 from fqca.lattice import (
     Boundary,
     DuplicateSiteError,
@@ -78,11 +79,11 @@ def test_prune_returns_new_state():
     cfg = LatticeConfig(L=3)
     amps = {1: 1.0, 2: 1e-20, 4: -PRUNE_THRESHOLD, 8: 2 * PRUNE_THRESHOLD}
     state = FockState(cfg, dict(amps))
-    pruned = state.prune()
+    pruned = prune(state)
     assert pruned.amplitudes == {1: 1.0, 8: 2 * PRUNE_THRESHOLD}
     # states are never mutated, so the original keeps every amplitude
     assert state.amplitudes == amps
-    assert FockState(cfg, {1: 1e-20}).prune().amplitudes == {}
+    assert prune(FockState(cfg, {1: 1e-20})).amplitudes == {}
 
 
 def test_inner_product_conjugate_linear():
@@ -103,7 +104,7 @@ def test_inner_product_conjugate_linear():
 def test_json_roundtrip_and_layout():
     cfg = LatticeConfig(L=3)
     word = basis_from_particles(cfg, [(0, Eps.MINUS), (2, Eps.PLUS)])
-    obj = FockState(cfg, {word: 0.5 + 0.25j}).to_json_obj()
+    obj = to_json_obj(FockState(cfg, {word: 0.5 + 0.25j}))
     assert obj["L"] == 3
     # first character is the occupation of (cell 0, Minus)
     assert obj["amplitudes"] == [{"bits": "100001", "re": 0.5, "im": 0.25}]
@@ -112,5 +113,5 @@ def test_json_roundtrip_and_layout():
 def test_normalized():
     cfg = LatticeConfig(L=2)
     s = FockState(cfg, {1 << 1: 3.0})
-    assert s.normalized().norm() == pytest.approx(1.0)
+    assert normalized(s).norm() == pytest.approx(1.0)
     assert math.isclose(s.norm(), 3.0)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import dense_sector
-from fock_algebra import apply_combination
-from fqca import spectral
+import sea_reference
+from fock_algebra import apply_combination, normalized
+from fqca import cli, spectral
 from fqca.fermion import LadderOp, OpCombination, OpKind
 from fqca.lattice import Boundary, Eps, LatticeConfig, vacuum
 from fqca.spectral import (
@@ -18,7 +19,6 @@ from fqca.spectral import (
     OffGridError,
     SIGMA2,
     SIGMA3,
-    _mode_sea,
     block_eigenphases,
     build_dirac_sea,
     circular_multiset_distance,
@@ -76,8 +76,7 @@ def test_b_mode_is_one_particle_eigenstate():
     cfg = LatticeConfig(L=6, theta=0.4)
     for k in momentum_grid(cfg):
         for band, sign in ((Band.PLUS, -1.0), (Band.MINUS, 1.0)):
-            st = slater_state(cfg, [mode_orbital(cfg, k, band)])
-            mod, ph = eigenphase_of(st)
+            mod, ph = eigenphase_of(cfg, *slater_state(cfg, [mode_orbital(cfg, k, band)]))
             phi = step_matrix(cfg, k).phi
             assert mod == pytest.approx(1.0, abs=1e-12)
             want = (sign * phi + math.pi) % (2 * math.pi) - math.pi
@@ -217,9 +216,10 @@ def test_mode_is_translation_eigenstate():
     cfg = LatticeConfig(L=5, theta=0.4)
     mask = (1 << cfg.n_sites) - 1
     for k in momentum_grid(cfg):
-        st = slater_state(cfg, [mode_orbital(cfg, k, Band.PLUS)])
-        moved = {((w << 2) | (w >> (cfg.n_sites - 2))) & mask: a for w, a in st.amplitudes.items()}
-        want = {w: np.exp(1j * k * cfg.dx) * a for w, a in st.amplitudes.items()}
+        words, amps = slater_state(cfg, [mode_orbital(cfg, k, Band.PLUS)])
+        st = dict(zip(words.tolist(), amps.tolist()))
+        moved = {((w << 2) | (w >> (cfg.n_sites - 2))) & mask: a for w, a in st.items()}
+        want = {w: np.exp(1j * k * cfg.dx) * a for w, a in st.items()}
         assert max(abs(moved[w] - want[w]) for w in want) <= 1e-12
 
 
@@ -267,19 +267,41 @@ def test_vacuum_sector_trivial():
 
 def test_dirac_sea_eigenstate_and_gaps():
     cfg = LatticeConfig(L=6, theta=0.4)
-    sea, excitations = dirac_sea_excitations(cfg)
-    mod, _ = eigenphase_of(sea)
-    assert abs(mod - 1.0) <= 1e-10
-    assert len(excitations) == 2 * cfg.L
-    for e in excitations:
+    sea = dirac_sea_excitations(cfg)
+    assert eigenphase_of(cfg, sea.words, sea.amps) == (sea.modulus, sea.phase)
+    assert abs(sea.modulus - 1.0) <= 1e-10
+    assert len(sea.excitations) == 2 * cfg.L
+    for e in sea.excitations:
         assert abs(e.eigen_modulus - 1.0) <= 1e-10
         assert e.gap > 0.0
         assert abs(e.gap - e.phi / cfg.dt) <= 1e-10
 
 
-def _ladder_chain(cfg, offset, skip_minus=None, extra_plus=None):
-    """_mode_sea's state by the ladder algebra: each b^dag applied to the
-    state as a sum of position creators, starting from the vacuum."""
+def test_dirac_sea_builds_each_sector_and_orbital_once(monkeypatch):
+    cfg = LatticeConfig(L=6, theta=0.4)
+    calls = {"_sector": 0, "mode_orbital": 0, "step_keys": 0}
+
+    def counted(name):
+        real = getattr(spectral, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(spectral, name, counted(name))
+    dirac_sea_excitations(cfg)
+    # three sectors (L - 1, L, L + 1 particles), the sea's L orbitals and the
+    # excitation grid's L Minus and L Plus ones, and each of 2L + 1 states stepped once
+    assert calls == {"_sector": 3, "mode_orbital": 3 * cfg.L, "step_keys": 2 * cfg.L + 1}
+    # nothing is kept between calls
+    dirac_sea_excitations(cfg)
+    assert calls == {"_sector": 6, "mode_orbital": 6 * cfg.L, "step_keys": 4 * cfg.L + 2}
+
+
+def _sea_modes(cfg, offset, skip_minus=None, extra_plus=None):
+    """(k, band) of each orbital of a sea state, in creation order."""
     modes = [
         (k, Band.MINUS)
         for k in sorted(momentum_grid(cfg, offset))
@@ -287,17 +309,24 @@ def _ladder_chain(cfg, offset, skip_minus=None, extra_plus=None):
     ]
     if extra_plus is not None:
         modes.append((extra_plus, Band.PLUS))
+    return modes
+
+
+def _ladder_chain(cfg, offset, modes):
+    """The Slater state of modes by the ladder algebra: each b^dag applied to
+    the state as a sum of position creators, starting from the vacuum."""
     state = vacuum(cfg)
     for k, band in modes:
         c = mode_orbital(cfg, k, band, offset)
         creators = [(c[s], LadderOp(OpKind.CREATE, s // 2, Eps(s % 2))) for s in range(cfg.n_sites)]
         state = apply_combination(OpCombination(creators), state)
-    return state.normalized()
+    return normalized(state)
 
 
-def _assert_same_amplitudes(a, b):
-    words = a.amplitudes.keys() | b.amplitudes.keys()
-    assert max(abs(a.amplitudes.get(w, 0.0) - b.amplitudes.get(w, 0.0)) for w in words) <= 1e-12
+def _assert_same_amplitudes(words, amps, b):
+    a = dict(zip(words.tolist(), amps.tolist()))
+    shared = a.keys() | b.amplitudes.keys()
+    assert max(abs(a.get(w, 0.0) - b.amplitudes.get(w, 0.0)) for w in shared) <= 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.4, -0.9])
@@ -306,24 +335,57 @@ def test_slater_states_match_ladder_chain(L, theta):
     # amplitude by amplitude, global phase included: every dirac_sea check
     # is blind to the sign a wrong creation order would put on the sea
     cfg = LatticeConfig(L=L, theta=theta)
-    sea_offset = parity_offset(cfg, L)
-    _assert_same_amplitudes(_mode_sea(cfg, sea_offset), _ladder_chain(cfg, sea_offset))
+    cases = [(parity_offset(cfg, L), {})]
     other = parity_offset(cfg, L + 1)
     for k in momentum_grid(cfg, other):
-        for kw in ({"extra_plus": k}, {"skip_minus": k}):
-            _assert_same_amplitudes(_mode_sea(cfg, other, **kw), _ladder_chain(cfg, other, **kw))
+        cases += [(other, {"extra_plus": k}), (other, {"skip_minus": k})]
+    for offset, kw in cases:
+        modes = _sea_modes(cfg, offset, **kw)
+        orbitals = [mode_orbital(cfg, k, band, offset) for k, band in modes]
+        _assert_same_amplitudes(*slater_state(cfg, orbitals), _ladder_chain(cfg, offset, modes))
 
 
 def test_slater_sea_matches_ladder_chain_at_L8():
     cfg = LatticeConfig(L=8, theta=0.3)
-    _assert_same_amplitudes(build_dirac_sea(cfg), _ladder_chain(cfg, parity_offset(cfg, 8)))
+    offset = parity_offset(cfg, 8)
+    chain = _ladder_chain(cfg, offset, _sea_modes(cfg, offset))
+    _assert_same_amplitudes(*build_dirac_sea(cfg), chain)
 
 
 def test_sea_has_L_particles():
     cfg = LatticeConfig(L=4, theta=0.3)
-    sea = build_dirac_sea(cfg)
-    assert all(w.bit_count() == cfg.L for w in sea.amplitudes)
-    assert sea.norm() == pytest.approx(1.0, abs=1e-12)
+    words, amps = build_dirac_sea(cfg)
+    assert all(w.bit_count() == cfg.L for w in words.tolist())
+    assert words.tolist() == sorted(words.tolist())
+    assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
+
+
+def _bits(values) -> list[int]:
+    """Each complex value's two float64 bit patterns, so signed zeros count."""
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.4, -0.9, 1.1])
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+def test_sea_equals_dict_reference(monkeypatch, L, theta):
+    # the array path makes the dict path's states, phases and file bit for bit
+    cfg = LatticeConfig(L=L, theta=theta)
+    stepped = []
+    real = spectral.eigenphase_of
+    monkeypatch.setattr(
+        spectral, "eigenphase_of", lambda c, w, a: stepped.append((w, a)) or real(c, w, a)
+    )
+    sea = dirac_sea_excitations(cfg)
+    ref_sea, ref_eigen, ref_excitations, ref_states = sea_reference.dirac_sea_excitations(cfg)
+    assert (sea.modulus, sea.phase) == ref_eigen
+    assert sea.excitations == ref_excitations
+    assert _bits([e.gap for e in sea.excitations]) == _bits([e.gap for e in ref_excitations])
+    assert len(stepped) == 1 + len(ref_states)
+    assert stepped[0][0] is sea.words
+    for (words, amps), ref in zip(stepped, [ref_sea, *ref_states], strict=True):
+        assert words.tolist() == list(ref.amplitudes)
+        assert _bits(amps) == _bits(list(ref.amplitudes.values()))
+    assert cli._state_json(cfg, sea.words, sea.amps) == sea_reference.sea_json(ref_sea)
 
 
 def test_circular_multiset_distance():
