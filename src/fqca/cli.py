@@ -21,22 +21,15 @@ import numpy as np
 
 from . import nogo, spectral, walk
 from .evolution import coin_matrix, shift_matrix, step
-from .fermion import (
-    LadderOp,
-    NotLinearError,
-    OpKind,
-    build_state,
-    bulk_cells,
-    heisenberg_image,
-)
+from .fermion import LadderOp, NotLinearError, OpKind, bulk_cells, heisenberg_image
 from .lattice import (
     Boundary,
     Eps,
     FockState,
     LatticeConfig,
     LatticeError,
-    bit_index,
-    inner_product,
+    basis_from_particles,
+    basis_state,
 )
 
 
@@ -330,13 +323,6 @@ def run_wavepacket(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     return {"nsteps": nsteps}, checks
 
 
-def _sites_state(cfg: LatticeConfig, sites) -> FockState:
-    """Creators applied in canonical site order, so a pair that wraps the
-    ring's seam carries the same sign convention as one in the bulk."""
-    ops = [LadderOp(OpKind.CREATE, c % cfg.L, e) for c, e in sites]
-    return build_state(cfg, sorted(ops, key=lambda op: bit_index(op.cell, op.eps)))
-
-
 def _light_cone_leak(cfg: LatticeConfig, sites, final: FockState) -> float:
     """Probability of final on words that occupy a cell more than one cell
     from every cell of sites, where one step started: outside its light cone."""
@@ -348,26 +334,28 @@ def _light_cone_leak(cfg: LatticeConfig, sites, final: FockState) -> float:
 def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     x = params["cell"]
     c, s = math.cos(cfg.theta), math.sin(cfg.theta)
-    pair = [(x, Eps.PLUS), (x + 1, Eps.MINUS)]
-    final = step(_sites_state(cfg, pair))
+    # a basis word is its creators applied in canonical site order, which
+    # carry no sign, so a pair across the ring's seam keeps the bulk's convention
+    left, right = (x - 1) % cfg.L, (x + 1) % cfg.L
+    pair = [(x, Eps.PLUS), (right, Eps.MINUS)]
+    final = step(basis_state(cfg, pair))
     probes = [
-        ("counter_swapped", [(x, Eps.MINUS), (x + 1, Eps.PLUS)], -c * c),
-        ("both_left", [(x, Eps.MINUS), (x + 1, Eps.MINUS)], -c * s),
-        ("both_right", [(x, Eps.PLUS), (x + 1, Eps.PLUS)], c * s),
-        ("counter_restored", [(x, Eps.PLUS), (x + 1, Eps.MINUS)], s * s),
+        ("counter_swapped", [(x, Eps.MINUS), (right, Eps.PLUS)], -c * c),
+        ("both_left", [(x, Eps.MINUS), (right, Eps.MINUS)], -c * s),
+        ("both_right", [(x, Eps.PLUS), (right, Eps.PLUS)], c * s),
+        ("counter_restored", [(x, Eps.PLUS), (right, Eps.MINUS)], s * s),
     ]
     rows = []
     checks = []
     for name, sites, expected in probes:
-        amp = inner_product(_sites_state(cfg, sites), final)
+        amp = final.amplitudes.get(basis_from_particles(cfg, sites), 0.0)
         rows.append((name, float(amp.real), float(amp.imag), float(expected)))
         checks.append(_check(f"coefficient_{name}", abs(amp - expected), 1e-14))
     # two counter-movers meeting head-on at cell x from distance one: the
     # crossed pair picks up a bare -1, independent of theta
-    meet = [(x - 1, Eps.PLUS), (x + 1, Eps.MINUS)]
-    meeting = step(_sites_state(cfg, meet))
-    meet_probe = _sites_state(cfg, [(x, Eps.MINUS), (x, Eps.PLUS)])
-    amp = inner_product(meet_probe, meeting)
+    meet = [(left, Eps.PLUS), (right, Eps.MINUS)]
+    meeting = step(basis_state(cfg, meet))
+    amp = meeting.amplitudes.get(basis_from_particles(cfg, [(x, Eps.MINUS), (x, Eps.PLUS)]), 0.0)
     rows.append(("head_on_meeting", float(amp.real), float(amp.imag), -1.0))
     checks.append(_check("crossing_phase_minus_one", abs(amp - (-1.0)), 1e-14))
     gates = (coin_matrix(cfg.theta), shift_matrix())
@@ -378,7 +366,7 @@ def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path
     leak = (
         _light_cone_leak(cfg, pair, final)
         + _light_cone_leak(cfg, meet, meeting)
-        + _light_cone_leak(cfg, lone, step(_sites_state(cfg, lone)))
+        + _light_cone_leak(cfg, lone, step(basis_state(cfg, lone)))
     )
     checks.append(_check("light_cone_leak", leak, 0.0))
     write_csv(
@@ -426,8 +414,8 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     checks = []
     images = []
     for eps in (Eps.PLUS, Eps.MINUS):
-        combo = heisenberg_image(cfg, LadderOp(OpKind.CREATE, cell, eps))
-        fitted = {(op.cell, op.eps): coeff for coeff, op in combo.terms}
+        terms = heisenberg_image(cfg, LadderOp(OpKind.CREATE, cell, eps))
+        fitted = {(op.cell, op.eps): coeff for coeff, op in terms}
         images.append(fitted)
         dev = 0.0
         want = expected[eps]
@@ -616,6 +604,10 @@ def main(argv: list[str] | None = None) -> int:
         return run_experiment(raw, args.output_dir, args.quiet)
     except ResourceError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        outdir = args.output_dir or raw["output_dir"]
+        print(f"error: cannot write {outdir}: {e.strerror or e}", file=sys.stderr)
         return 2
 
 

@@ -19,13 +19,11 @@ from .evolution import step_keys
 from .lattice import (
     Boundary,
     Eps,
-    FockState,
     LatticeConfig,
     OutOfRangeError,
     PRUNE_THRESHOLD,
     _bit_parity,
     bit_index,
-    vacuum,
     word_dtype,
 )
 
@@ -52,13 +50,6 @@ class LadderOp:
     eps: Eps
 
 
-@dataclass
-class OpCombination:
-    """Linear combination sum_i coeff_i * op_i, all ops of the same kind."""
-
-    terms: list[tuple[complex, LadderOp]]
-
-
 def _ladder_arrays(config: LatticeConfig, op: LadderOp, words: np.ndarray, amps: np.ndarray):
     """op applied to each basis word of an array, with its amplitude.
 
@@ -79,24 +70,6 @@ def _ladder_arrays(config: LatticeConfig, op: LadderOp, words: np.ndarray, amps:
     a = np.where(_bit_parity(w & t((1 << b) - 1), b), -a, a) + 0.0
     keep = np.abs(a) > PRUNE_THRESHOLD
     return w[keep] ^ bit, a[keep], pos[keep]
-
-
-def apply_ladder(state: FockState, op: LadderOp) -> FockState:
-    amps = state.amplitudes
-    words = np.fromiter(amps, word_dtype(state.config.n_sites), len(amps))
-    values = np.fromiter(amps.values(), complex, len(amps))
-    out, a, _ = _ladder_arrays(state.config, op, words, values)
-    return FockState(state.config, dict(zip(out.tolist(), a.tolist())))
-
-
-def build_state(config: LatticeConfig, ops: list[LadderOp]) -> FockState:
-    """Apply creation operators right-to-left to the vacuum."""
-    if any(op.kind is not OpKind.CREATE for op in ops):
-        raise ValueError("build_state takes creation operators only")
-    state = vacuum(config)
-    for op in reversed(ops):
-        state = apply_ladder(state, op)
-    return state
 
 
 def _bulk_span_words(config: LatticeConfig, center: int, max_n: int) -> list[int]:
@@ -129,8 +102,9 @@ def heisenberg_image(
     op: LadderOp,
     bosonic: bool = False,
     residual_tol: float = 1e-10,
-) -> OpCombination:
-    """Numerically fit U op U^dag as a combination of nearest-cell ladders.
+) -> list[tuple[complex, LadderOp]]:
+    """Numerically fit U op U^dag as a combination of nearest-cell ladders,
+    returned as its (coeff, ladder) terms.
 
     Applies both sides of the conjugation identity to a spanning set of
     few-particle basis states near the target cell and solves the resulting
@@ -178,9 +152,4 @@ def heisenberg_image(
     residual = float(np.linalg.norm(A @ coeffs - y))
     if residual > residual_tol:
         raise NotLinearError(residual)
-    terms = [
-        (complex(c), cand)
-        for c, cand in zip(coeffs, candidates)
-        if abs(c) > 1e-12
-    ]
-    return OpCombination(terms)
+    return [(complex(c), cand) for c, cand in zip(coeffs, candidates) if abs(c) > 1e-12]

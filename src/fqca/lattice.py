@@ -45,10 +45,6 @@ class OutOfRangeError(LatticeError):
     pass
 
 
-class ConfigMismatchError(LatticeError):
-    pass
-
-
 @dataclass(frozen=True)
 class LatticeConfig:
     """Lattice size and physical discretization parameters."""
@@ -147,22 +143,5 @@ class FockState:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
 
-def _check_config(a: FockState, b: FockState) -> None:
-    if a.config != b.config:
-        raise ConfigMismatchError("states built over different lattice configs")
-
-
-def vacuum(config: LatticeConfig) -> FockState:
-    return FockState(config, {0: 1.0 + 0.0j})
-
-
 def basis_state(config: LatticeConfig, particles) -> FockState:
     return FockState(config, {basis_from_particles(config, particles): 1.0 + 0.0j})
-
-
-def inner_product(a: FockState, b: FockState) -> complex:
-    """<a|b> over shared basis words, summed in ascending word order."""
-    _check_config(a, b)
-    shared = sorted(a.amplitudes.keys() & b.amplitudes.keys())
-    return sum(a.amplitudes[w].conjugate() * b.amplitudes[w] for w in shared)
-

@@ -381,7 +381,7 @@ def eigenphase_of(
     """(|<psi|U|psi>|, arg) for a normalized state's sorted (words, amps); modulus 1 iff eigenstate.
 
     The overlap takes each conj(a) b as Python's complex product does and
-    sums them in ascending word order, as lattice.inner_product does.
+    sums them sequentially in ascending word order.
     """
     out_words, out = step_keys(config, words, amps.copy())
     pos = np.minimum(np.searchsorted(out_words, words), len(out_words) - 1)

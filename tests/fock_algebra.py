@@ -1,17 +1,47 @@
-"""Fock-space algebra that only the tests use: dict-state pruning,
-normalization and JSON, sums of states and dense ladders.
+"""Fock-space algebra that only the tests use: ladders on dict states,
+ladder chains from the vacuum, overlaps, pruning, normalization and JSON,
+sums of states and dense ladders.
 
-No experiment prunes, normalizes, adds or writes dict states, or builds a
-ladder on the whole 2^(2L)-word occupation space, so these live here. The
-dense ladders take their entries from `fermion._ladder_arrays` applied to
-every word at once, so the anticommutation checks exercise the ladder the
-package runs.
+No experiment applies a ladder to a dict state, chains creators from the
+vacuum, takes an overlap, prunes, normalizes, adds or writes dict states, or
+builds a ladder on the whole 2^(2L)-word occupation space, so these live
+here. The ladders take their entries from `fermion._ladder_arrays`, so the
+sign checks and the anticommutation checks exercise the ladder the package
+runs.
 """
 
 import numpy as np
 
-from fqca.fermion import LadderOp, OpCombination, _ladder_arrays, apply_ladder
+from fqca.fermion import LadderOp, OpKind, _ladder_arrays
 from fqca.lattice import PRUNE_THRESHOLD, FockState, LatticeConfig, LatticeError, word_dtype
+
+
+def vacuum(config: LatticeConfig) -> FockState:
+    return FockState(config, {0: 1.0 + 0.0j})
+
+
+def apply_ladder(state: FockState, op: LadderOp) -> FockState:
+    amps = state.amplitudes
+    words = np.fromiter(amps, word_dtype(state.config.n_sites), len(amps))
+    values = np.fromiter(amps.values(), complex, len(amps))
+    out, a, _ = _ladder_arrays(state.config, op, words, values)
+    return FockState(state.config, dict(zip(out.tolist(), a.tolist())))
+
+
+def build_state(config: LatticeConfig, ops: list[LadderOp]) -> FockState:
+    """Apply creation operators right-to-left to the vacuum."""
+    if any(op.kind is not OpKind.CREATE for op in ops):
+        raise ValueError("build_state takes creation operators only")
+    state = vacuum(config)
+    for op in reversed(ops):
+        state = apply_ladder(state, op)
+    return state
+
+
+def inner_product(a: FockState, b: FockState) -> complex:
+    """<a|b> over shared basis words, summed in ascending word order."""
+    shared = sorted(a.amplitudes.keys() & b.amplitudes.keys())
+    return sum(a.amplitudes[w].conjugate() * b.amplitudes[w] for w in shared)
 
 
 def prune(state: FockState) -> FockState:
@@ -51,9 +81,9 @@ def combination(config: LatticeConfig, terms) -> FockState:
     return prune(FockState(config, out))
 
 
-def apply_combination(combo: OpCombination, state: FockState) -> FockState:
-    """sum_i coeff_i op_i|state> for a fitted ladder combination."""
-    return combination(state.config, [(c, apply_ladder(state, op)) for c, op in combo.terms])
+def apply_combination(terms, state: FockState) -> FockState:
+    """sum_i coeff_i op_i|state> over (coeff, ladder) terms, such as a fitted image."""
+    return combination(state.config, [(c, apply_ladder(state, op)) for c, op in terms])
 
 
 def distance(a: FockState, b: FockState) -> float:

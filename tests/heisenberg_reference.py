@@ -17,7 +17,6 @@ from fqca.evolution import step
 from fqca.fermion import (
     LadderOp,
     NotLinearError,
-    OpCombination,
     OpKind,
     _bulk_span_words,
     bulk_cells,
@@ -66,7 +65,7 @@ def heisenberg_image(
     op: LadderOp,
     bosonic: bool = False,
     residual_tol: float = 1e-10,
-) -> OpCombination:
+) -> list[tuple[complex, LadderOp]]:
     cells = bulk_cells(config)
     if op.cell not in cells:
         edge = "boundary" if config.boundary is Boundary.OPEN else "seam"
@@ -104,9 +103,4 @@ def heisenberg_image(
     residual = float(np.linalg.norm(A @ coeffs - y))
     if residual > residual_tol:
         raise NotLinearError(residual)
-    terms = [
-        (complex(c), cand)
-        for c, cand in zip(coeffs, candidates)
-        if abs(c) > 1e-12
-    ]
-    return OpCombination(terms)
+    return [(complex(c), cand) for c, cand in zip(coeffs, candidates) if abs(c) > 1e-12]

@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 
-from fock_algebra import normalized, prune, to_json_obj
+from fock_algebra import inner_product, normalized, prune, to_json_obj
 from fqca.cli import dump_json
 from fqca.evolution import step
-from fqca.lattice import FockState, LatticeConfig, inner_product
+from fqca.lattice import FockState, LatticeConfig
 from fqca.spectral import (
     Band,
     DimensionTooLargeError,

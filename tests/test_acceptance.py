@@ -10,23 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fock_algebra import anticommutator
+from fock_algebra import anticommutator, build_state, inner_product, vacuum
 from fqca.evolution import step
-from fqca.fermion import (
-    LadderOp,
-    NotLinearError,
-    OpKind,
-    build_state,
-    heisenberg_image,
-)
-from fqca.lattice import (
-    Boundary,
-    Eps,
-    FockState,
-    LatticeConfig,
-    inner_product,
-    vacuum,
-)
+from fqca.fermion import LadderOp, NotLinearError, OpKind, heisenberg_image
+from fqca.lattice import Boundary, Eps, FockState, LatticeConfig
 from fqca import nogo, spectral, walk
 from fqca.cli import load_config, run_experiment
 
@@ -151,8 +138,8 @@ def test_05_heisenberg_images_and_bosonic_control():
             Eps.MINUS: {(3, Eps.MINUS): c, (3, Eps.PLUS): -s},
         }
         for eps, targets in want.items():
-            combo = heisenberg_image(cfg, LadderOp(OpKind.CREATE, 4, eps))
-            fitted = {(op.cell, op.eps): coeff for coeff, op in combo.terms}
+            terms = heisenberg_image(cfg, LadderOp(OpKind.CREATE, 4, eps))
+            fitted = {(op.cell, op.eps): coeff for coeff, op in terms}
             for key in set(fitted) | set(targets):
                 worst = max(worst, abs(fitted.get(key, 0.0) - targets.get(key, 0.0)))
     cfg = LatticeConfig(L=8, theta=0.3, boundary=Boundary.OPEN)

@@ -193,6 +193,23 @@ def test_output_dir_override(tmp_path):
     assert (alt / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("where", ["under_file", "is_file"])
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+def test_unwritable_output_dir_exits_two(tmp_path, capsys, where, flag):
+    # exit 1 means a failed check, so a directory that cannot be made is an error
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file")
+    outdir = blocker / "out" if where == "under_file" else blocker
+    if flag:
+        argv = ["run", str(make_config(tmp_path)), "--quiet", "--output-dir", str(outdir)]
+    else:
+        argv = ["run", str(make_config(tmp_path, output_dir=str(outdir))), "--quiet"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {outdir}: ") and "Traceback" not in err
+    assert blocker.read_text() == "a regular file"
+
+
 def test_failing_check_exits_nonzero(tmp_path):
     # an impossible expectation: the 2D full-spec CSP cannot be satisfiable
     p = make_config(

@@ -19,8 +19,15 @@ from hypothesis import given, settings, strategies as st
 import dense_sector
 import dict_engine
 from fqca.evolution import _coin_layer, _run, _shift_layer, evolve, step, step_keys
-from fqca.fermion import LadderOp, OpKind, build_state
-from fqca.lattice import PRUNE_THRESHOLD, Boundary, Eps, FockState, LatticeConfig, word_dtype
+from fqca.lattice import (
+    PRUNE_THRESHOLD,
+    Boundary,
+    Eps,
+    FockState,
+    LatticeConfig,
+    basis_state,
+    word_dtype,
+)
 
 AMPLITUDES = st.one_of(
     st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
@@ -152,7 +159,7 @@ def test_two_particles_on_the_long_ring():
     # L=64 words need 128 bits; two movers far apart and two about to cross
     cfg = LatticeConfig(L=64, theta=0.3)
     for sites in ([(10, Eps.PLUS), (50, Eps.MINUS)], [(31, Eps.PLUS), (32, Eps.MINUS)]):
-        state = build_state(cfg, [LadderOp(OpKind.CREATE, c, e) for c, e in sites])
+        state = basis_state(cfg, sites)
         want = dict_engine.step(dict_engine.step(state))
         assert exact(evolve(state, 2)) == exact(want)
         assert exact(step(state)) == exact(dict_engine.step(state))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fock_algebra import combination, distance
+from fock_algebra import combination, distance, vacuum
 from fqca.evolution import _coin_layer, _run, _shift_layer, coin_matrix, evolve, shift_matrix, step
 from fqca.lattice import (
     Boundary,
@@ -15,7 +15,6 @@ from fqca.lattice import (
     LatticeConfig,
     basis_state,
     bit_index,
-    vacuum,
 )
 
 

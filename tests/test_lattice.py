@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fock_algebra import normalized, prune, to_json_obj
+from fock_algebra import inner_product, normalized, prune, to_json_obj, vacuum
 from fqca.lattice import (
     Boundary,
     DuplicateSiteError,
@@ -16,8 +16,6 @@ from fqca.lattice import (
     PRUNE_THRESHOLD,
     basis_from_particles,
     bit_index,
-    inner_product,
-    vacuum,
 )
 
 

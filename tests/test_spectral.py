@@ -8,10 +8,10 @@ import pytest
 
 import dense_sector
 import sea_reference
-from fock_algebra import apply_combination, normalized
+from fock_algebra import apply_combination, normalized, vacuum
 from fqca import cli, spectral
-from fqca.fermion import LadderOp, OpCombination, OpKind
-from fqca.lattice import Boundary, Eps, LatticeConfig, vacuum
+from fqca.fermion import LadderOp, OpKind
+from fqca.lattice import Boundary, Eps, LatticeConfig
 from fqca.spectral import (
     Band,
     BoundaryModeError,
@@ -319,7 +319,7 @@ def _ladder_chain(cfg, offset, modes):
     for k, band in modes:
         c = mode_orbital(cfg, k, band, offset)
         creators = [(c[s], LadderOp(OpKind.CREATE, s // 2, Eps(s % 2))) for s in range(cfg.n_sites)]
-        state = apply_combination(OpCombination(creators), state)
+        state = apply_combination(creators, state)
     return normalized(state)
 
 
