@@ -121,11 +121,16 @@ def dump_json(obj) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """Write rows as CSV: a float as %.17g (as fmt does), anything else as str."""
     lines = [",".join(header)]
+    formats = {}  # column types of a row -> its %-format
     for row in rows:
-        lines.append(
-            ",".join(fmt(v) if isinstance(v, float) else str(v) for v in row)
-        )
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        f = formats.get(kinds)
+        if f is None:
+            f = formats[kinds] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds)
+        lines.append(f % row)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -305,11 +310,12 @@ def run_wavepacket(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     write_csv(outdir / "wavepacket.csv", ["step", "cell", "prob"], rows)
     norm_dev = 0.0
     leak = 0.0
+    dist = [cfg.distance(c, cell) for c in range(cfg.L)]
     for t in range(nsteps + 1):
         probs = [p for (_, _, p) in rows[t * cfg.L:(t + 1) * cfg.L]]
         norm_dev = max(norm_dev, abs(sum(probs) - 1.0))
-        for c, p in enumerate(probs):
-            if cfg.distance(c, cell) > t:
+        for d, p in zip(dist, probs):
+            if d > t:
                 leak += p
     checks = [
         _check("norm_conservation", norm_dev, 1e-12),

@@ -28,11 +28,17 @@ pairs it occupies, and the set of occupied pairs is the same for a key and
 every key it mixes with. Round r applies, to every key at once, the r-th
 gate among those it occupies. That is one gather per round, at most one
 round per particle, and amplitudes equal to applying every gate in order.
+
+A config's two step layers (shift, then coin) are built once per
+(config, bosonic), by a cached _step_layers, and every later step of that
+config reuses them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -96,22 +102,18 @@ class _Layer:
     nbits: int
     rotated: bool
     pair_bits: int  # bit 2j for every pair j of the layer, in the pair frame
+    # whether the gate is a signed swap, |01> <-> |10> and |11> -> +-|11>,
+    # so that every word has exactly one image, as under the shift and the
+    # theta = 0 coin
+    relabels: bool
 
     @classmethod
     def of(cls, gate: np.ndarray, nbits: int, rotated: bool, npairs: int) -> "_Layer":
         c = np.arange(4)
+        d, o = gate[c, c], gate[c, 3 - c]
         pair_bits = ((1 << (2 * npairs)) - 1) // 3  # 0b0101...01, npairs ones
-        return cls(gate[c, c], gate[c, 3 - c], nbits, rotated, pair_bits)
-
-    @property
-    def relabels(self) -> bool:
-        """Whether the gate is a signed swap: |01> <-> |10>, |11> -> +-|11>.
-
-        Then every word has exactly one image, as under the shift and the
-        theta = 0 coin.
-        """
-        d, o = self.diag, self.off
-        return d[1] == d[2] == 0 and o[1] == o[2] == 1 and d[3] ** 2 == 1
+        relabels = bool(d[1] == d[2] == 0 and o[1] == o[2] == 1 and d[3] ** 2 == 1)
+        return cls(d, o, nbits, rotated, pair_bits, relabels)
 
 
 def _shift_layer(cfg: LatticeConfig, bosonic: bool) -> _Layer:
@@ -123,8 +125,9 @@ def _coin_layer(cfg: LatticeConfig, bosonic: bool) -> _Layer:
     return _Layer.of(coin_matrix(cfg.theta, bosonic), cfg.n_sites, False, cfg.L)
 
 
-def _step_layers(cfg: LatticeConfig, bosonic: bool) -> list[_Layer]:
-    return [_shift_layer(cfg, bosonic), _coin_layer(cfg, bosonic)]
+@lru_cache
+def _step_layers(cfg: LatticeConfig, bosonic: bool) -> tuple[_Layer, ...]:
+    return _shift_layer(cfg, bosonic), _coin_layer(cfg, bosonic)
 
 
 def _pruned(amps: np.ndarray) -> np.ndarray:
@@ -136,7 +139,7 @@ def _pruned(amps: np.ndarray) -> np.ndarray:
 
 def _merge(keys, cols: list, add, add_cols: list) -> list:
     """Insert the sorted keys add into sorted keys, with their column values."""
-    at = np.searchsorted(keys, add) + np.arange(len(add))
+    at = keys.searchsorted(add) + np.arange(len(add))
     old = np.ones(len(keys) + len(add), dtype=bool)
     old[at] = False
     out = []
@@ -169,7 +172,7 @@ def _relabel(keys, amps, layer: _Layer):
     amps = _pruned(np.where(odd, layer.diag[3] * amps, amps))
     live = amps != 0
     keys, amps = (keys ^ w ^ v)[live], amps[live]
-    order = np.argsort(keys)
+    order = keys.argsort()
     return keys[order], amps[order]
 
 
@@ -192,7 +195,7 @@ def _apply_layer(keys, amps, layer: _Layer, clean: bool):
         live = ~rest | (amps != 0)
         keys, amps, v, x = keys[live], amps[live], v[live], x[live]
     while True:
-        act = np.flatnonzero(x)
+        act = x.nonzero()[0]
         if not act.size:
             return keys, amps
         xa = x[act]
@@ -201,7 +204,7 @@ def _apply_layer(keys, amps, layer: _Layer, clean: bool):
         occ = v[act] & pair
         mixed = occ != pair  # exactly one site of the pair occupied
         partner = keys[act] ^ pair
-        pos = np.searchsorted(keys, partner)
+        pos = keys.searchsorted(partner)
         found = mixed & (keys[np.minimum(pos, len(keys) - 1)] == partner)
         before = np.append(amps, 0)  # the last entry stands in for absent partners
         local = 2 * ((occ & low) != 0) + (occ > low)
@@ -212,11 +215,11 @@ def _apply_layer(keys, amps, layer: _Layer, clean: bool):
         amps[act] = out
         x[act] = xa ^ low
         # an absent partner of a mixed key enters with its share alone
-        new = np.flatnonzero(mixed & ~found)
+        new = (mixed & ~found).nonzero()[0]
         if new.size:
             added = _pruned(layer.off[3 - local[new]] * before[act[new]])
             new, added = new[added != 0], added[added != 0]
-            order = np.argsort(partner[new])
+            order = partner[new].argsort()
             new, added = new[order], added[order]
             src = act[new]
             add_cols = [added, v[src] ^ pair[new], x[src]]
@@ -229,7 +232,7 @@ def _apply_layer(keys, amps, layer: _Layer, clean: bool):
             keys, amps, v, x = _merge(keys, [amps, v, x], partner[new], add_cols)
 
 
-def _run_keys(keys, amps, layers: list[_Layer]):
+def _run_keys(keys, amps, layers: Sequence[_Layer]):
     """Apply the layers in order to sorted keys; returns the new sorted (keys, amps).
 
     The amps array is overwritten.
@@ -239,12 +242,12 @@ def _run_keys(keys, amps, layers: list[_Layer]):
     return keys, amps
 
 
-def _run(state: FockState, layers: list[_Layer]) -> FockState:
+def _run(state: FockState, layers: Sequence[_Layer]) -> FockState:
     """Apply the layers in order to one state."""
     t = word_dtype(state.config.n_sites).type
     keys = np.fromiter(state.amplitudes, t, len(state.amplitudes))
     amps = np.fromiter(state.amplitudes.values(), complex, len(state.amplitudes))
-    order = np.argsort(keys)
+    order = keys.argsort()
     keys, amps = _run_keys(keys[order], amps[order], layers)
     return FockState(state.config, dict(zip(keys.tolist(), amps.tolist())))
 

@@ -99,9 +99,12 @@ def word_dtype(nbits: int) -> np.dtype:
 def _bit_parity(words: np.ndarray, nbits: int) -> np.ndarray:
     """Whether each word has an odd number of set bits below bit nbits.
 
-    Higher bits must be clear. The bits are xor-folded down to bit 0, so
-    uint64 and Python-int (object) words take the same code.
+    Higher bits must be clear. Python-int (object) words count their bits
+    with int.bit_count in one pass. uint64 words are xor-folded down to
+    bit 0, since numpy before 2.0 has no bitwise_count.
     """
+    if words.dtype == object:
+        return np.array([w.bit_count() & 1 for w in words.tolist()], dtype=bool)
     t = words.dtype.type
     fold = words
     shift = 1 << max(nbits - 1, 0).bit_length()  # the least power of two >= nbits

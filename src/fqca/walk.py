@@ -45,16 +45,17 @@ def walk_step(state: WalkState) -> WalkState:
     n = cfg.L
     # chi_minus collects what sits on a cell's Minus side after the shift,
     # chi_plus its Plus side.
-    chi_minus = np.zeros(n, dtype=complex)
-    chi_plus = np.zeros(n, dtype=complex)
+    chi_minus = np.empty(n, dtype=complex)
+    chi_plus = np.empty(n, dtype=complex)
+    chi_minus[1:] = psi[:-1, R]
+    chi_plus[:-1] = psi[1:, L_]
     if cfg.boundary is Boundary.PERIODIC:
-        chi_minus[:] = np.roll(psi[:, R], 1)
-        chi_plus[:] = np.roll(psi[:, L_], -1)
+        chi_minus[0] = psi[n - 1, R]
+        chi_plus[n - 1] = psi[0, L_]
     else:
-        chi_minus[1:] = psi[:-1, R]
-        chi_plus[:-1] = psi[1:, L_]
-        chi_plus[n - 1] += psi[n - 1, R]   # right edge: R stays, on the Plus side
-        chi_minus[0] += psi[0, L_]         # left edge: L stays, on the Minus side
+        # + 0j turns -0.0 parts into 0.0, as adding onto a zero start does
+        chi_plus[n - 1] = psi[n - 1, R] + 0j   # right edge: R stays, on the Plus side
+        chi_minus[0] = psi[0, L_] + 0j         # left edge: L stays, on the Minus side
     c, s = np.cos(cfg.theta), np.sin(cfg.theta)
     out = np.empty_like(psi)
     out[:, R] = c * chi_minus - s * chi_plus
@@ -65,9 +66,10 @@ def walk_step(state: WalkState) -> WalkState:
 def _qca_one_particle_spinors(state) -> np.ndarray:
     """Project a one-particle FockState onto the walk's (L, 2) layout."""
     amps = state.amplitudes
-    if any(w.bit_count() != 1 for w in amps):
+    # a word's one set bit, or -1 for a word with any other number of them
+    bits = np.array([w.bit_length() - 1 if w.bit_count() == 1 else -1 for w in amps], np.intp)
+    if (bits < 0).any():
         raise ValueError("state is not in the one-particle sector")
-    bits = np.fromiter((w.bit_length() - 1 for w in amps), np.intp, len(amps))
     psi = np.zeros((state.config.L, 2), dtype=complex)
     # bit 2j + 1 is (cell j, Plus) and bit 2j is (cell j, Minus)
     psi[bits >> 1, np.where(bits & 1, R, L_)] = np.fromiter(amps.values(), complex, len(amps))

@@ -4,7 +4,9 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fqca import cli
 from fqca.cli import (
@@ -16,6 +18,7 @@ from fqca.cli import (
     fmt,
     load_config,
     main,
+    write_csv,
 )
 from fqca.evolution import evolve
 from fqca.fermion import LadderOp, OpKind
@@ -312,3 +315,47 @@ def test_heisenberg_edge_cell_rejected(tmp_path, boundary, cell):
     )
     assert main(["validate", str(p)]) == 2
     assert main(["run", str(p), "--quiet"]) == 2
+
+
+def per_field_csv(path: Path, header: list[str], rows) -> None:
+    """write_csv as it formatted every field on its own."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+MIXED_ROWS = [
+    (0, 1, 0.5),
+    [1, 2, np.float64(0.1)],
+    (True, "x", -0.0),
+    ("remove_minus", np.float64(-1e-300), float("inf")),
+    (np.int64(7), np.float32(0.1), float("nan")),
+    (2.0, 3, "100%s"),
+    (),
+    ("a",),
+]
+
+
+@pytest.mark.parametrize("rows", [MIXED_ROWS, []], ids=["mixed", "empty"])
+def test_write_csv_matches_per_field_writer(tmp_path, rows):
+    write_csv(tmp_path / "new.csv", ["a", "b", "c"], rows)
+    per_field_csv(tmp_path / "old.csv", ["a", "b", "c"], rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+FIELDS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.booleans(),
+    st.text(max_size=5),
+)
+
+
+@given(st.lists(st.lists(FIELDS, max_size=4), max_size=6))
+def test_write_csv_matches_per_field_writer_on_random_rows(tmp_path_factory, rows):
+    d = tmp_path_factory.mktemp("csv")
+    write_csv(d / "new.csv", ["h"], rows)
+    per_field_csv(d / "old.csv", ["h"], rows)
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()

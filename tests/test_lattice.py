@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from fqca.lattice import (
     LatticeConfig,
     OutOfRangeError,
     PRUNE_THRESHOLD,
+    _bit_parity,
     basis_from_particles,
     bit_index,
 )
@@ -113,3 +115,46 @@ def test_normalized():
     s = FockState(cfg, {1 << 1: 3.0})
     assert normalized(s).norm() == pytest.approx(1.0)
     assert math.isclose(s.norm(), 3.0)
+
+
+def xor_fold_parity(words: np.ndarray, nbits: int) -> np.ndarray:
+    """_bit_parity's xor-fold, which every dtype took before object words
+    counted their bits with int.bit_count."""
+    t = words.dtype.type
+    fold = words
+    shift = 1 << max(nbits - 1, 0).bit_length()
+    while shift > 1:
+        shift >>= 1
+        fold = fold ^ (fold >> t(shift))
+    return (fold & t(1)) != 0
+
+
+def popcount_parity(words) -> list[bool]:
+    return [bin(w).count("1") & 1 == 1 for w in words]
+
+
+@given(st.lists(st.integers(0, (1 << 128) - 1), max_size=40))
+def test_bit_parity_of_object_words(words):
+    for extra in ([], [1 << 127], [(1 << 128) - 1, 1 << 127 | 1]):
+        ws = words + extra
+        odd = _bit_parity(np.array(ws, dtype=object), 128)
+        assert odd.dtype == bool and odd.shape == (len(ws),)
+        assert odd.tolist() == popcount_parity(ws)
+
+
+def test_bit_parity_of_empty_arrays():
+    for dtype in (object, np.uint64):
+        odd = _bit_parity(np.array([], dtype=dtype), 128 if dtype is object else 64)
+        assert odd.dtype == bool and odd.shape == (0,)
+
+
+@given(st.lists(st.integers(0, (1 << 64) - 1), max_size=40), st.integers(1, 64))
+def test_bit_parity_of_uint64_words(words, nbits):
+    ws = [w & ((1 << nbits) - 1) for w in words]
+    u = np.array(ws, dtype=np.uint64)
+    odd = _bit_parity(u, nbits)
+    assert odd.dtype == bool
+    assert np.array_equal(odd, xor_fold_parity(u, nbits))
+    assert odd.tolist() == popcount_parity(ws)
+    # the same 64-bit words as Python ints take the object path
+    assert _bit_parity(np.array(ws, dtype=object), nbits).tolist() == odd.tolist()

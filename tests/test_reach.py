@@ -46,10 +46,22 @@ def defined_functions() -> dict:
                 obj = obj.__func__
             elif isinstance(obj, property):
                 obj = obj.fget
+            obj = inspect.unwrap(obj)  # the function under an lru_cache
             # dataclass-made methods and imported names live in other files
             if inspect.isfunction(obj) and obj.__code__.co_filename == str(path):
                 out[obj.__code__] = f"{path.stem}.{name}"
     return out
+
+
+def clear_caches() -> None:
+    """Empty every lru_cache in src/fqca, as a fresh `fqca run` starts.
+
+    Otherwise a cache that earlier tests warmed hides the functions it calls.
+    """
+    for path in SRC.glob("*.py"):
+        for obj in vars(importlib.import_module(f"fqca.{path.stem}")).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
 
 
 def test_run_reaches_every_function(tmp_path):
@@ -67,6 +79,7 @@ def test_run_reaches_every_function(tmp_path):
     def tracer(frame, event, arg):
         called.add(frame.f_code)
 
+    clear_caches()
     previous = sys.gettrace()
     sys.settrace(tracer)
     try:

@@ -5,9 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from fqca.lattice import Boundary, Eps, LatticeConfig
+from fqca.lattice import Boundary, Eps, FockState, LatticeConfig
 from fqca.spectral import SIGMA2, SIGMA3, step_matrix
-from fqca.walk import WalkState, compare_one_particle, walk_step, wavepacket_trace
+from fqca.walk import (
+    R,
+    L_,
+    WalkState,
+    _qca_one_particle_spinors,
+    compare_one_particle,
+    walk_step,
+    wavepacket_trace,
+)
 
 
 def walk_momentum_step(config: LatticeConfig, k: float) -> np.ndarray:
@@ -22,6 +30,56 @@ def dirac_generator(config: LatticeConfig, k: float) -> np.ndarray:
     """Continuum generator i(k c sigma_3 - m c^2 sigma_2), hbar = 1."""
     c, m = config.c, config.mass
     return 1j * (k * c * SIGMA3 - m * c * c * SIGMA2)
+
+
+def roll_walk_step(state: WalkState) -> np.ndarray:
+    """walk_step's spinors as np.roll into zeroed arrays computed them."""
+    cfg, psi, n = state.config, state.spinors, state.config.L
+    chi_minus = np.zeros(n, dtype=complex)
+    chi_plus = np.zeros(n, dtype=complex)
+    if cfg.boundary is Boundary.PERIODIC:
+        chi_minus[:] = np.roll(psi[:, R], 1)
+        chi_plus[:] = np.roll(psi[:, L_], -1)
+    else:
+        chi_minus[1:] = psi[:-1, R]
+        chi_plus[:-1] = psi[1:, L_]
+        chi_plus[n - 1] += psi[n - 1, R]
+        chi_minus[0] += psi[0, L_]
+    c, s = np.cos(cfg.theta), np.sin(cfg.theta)
+    out = np.empty_like(psi)
+    out[:, R] = c * chi_minus - s * chi_plus
+    out[:, L_] = s * chi_minus + c * chi_plus
+    return out
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.OPEN])
+@pytest.mark.parametrize("L", [2, 3, 8, 9, 64])
+@pytest.mark.parametrize("theta", [0.0, 0.3, -1.1])
+def test_walk_step_equals_roll_formulation(boundary, L, theta):
+    cfg = LatticeConfig(L=L, theta=theta, boundary=boundary)
+    rng = np.random.default_rng(L)
+    normal = rng.normal(size=(L, 2)) + 1j * rng.normal(size=(L, 2))
+    # zeros of random sign, which only a byte comparison tells apart
+    zeros = np.empty((L, 2), dtype=complex)
+    zeros.real = np.copysign(0.0, rng.normal(size=(L, 2)))
+    zeros.imag = np.copysign(0.0, rng.normal(size=(L, 2)))
+    for psi in (normal, zeros):
+        state = WalkState(cfg, psi)
+        for _ in range(3):
+            new, old = walk_step(state).spinors, roll_walk_step(state)
+            assert np.array_equal(new, old)
+            assert new.tobytes() == old.tobytes()
+            state = WalkState(cfg, new)
+
+
+def test_spinors_reject_states_outside_the_one_particle_sector():
+    cfg = LatticeConfig(L=4)
+    for amps in ({0: 1.0}, {0b11: 1.0}, {0b100: 0.6, 0b1010: 0.8}):
+        with pytest.raises(ValueError, match="one-particle sector"):
+            _qca_one_particle_spinors(FockState(cfg, amps))
+    psi = _qca_one_particle_spinors(FockState(cfg, {0b1: 0.6, 1 << 7: 0.8j}))
+    assert psi[0, L_] == 0.6 and psi[3, R] == 0.8j
+    assert np.count_nonzero(psi) == 2
 
 
 def test_localized_and_norm():
