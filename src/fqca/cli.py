@@ -37,10 +37,6 @@ class ParseError(Exception):
     """Malformed or out-of-bounds experiment configuration."""
 
 
-class ResourceError(Exception):
-    """Requested instance exceeds a documented size cap."""
-
-
 # Every key a lattice block or an experiment's params may set, as
 # key -> (kind, default). A kind is int, float (any finite number, stored as
 # a float), bool, list (a list of numbers, kept as written), or a tuple of the
@@ -80,7 +76,12 @@ PARAMS = {
         "radius": (int, 1),
         "lattice_size": (int, 5),
         "spec": (SPECS, "full"),
-        "expect_sat": (bool, lambda cfg, p: p["dimension"] == 1 or p["spec"] == "trivial"),
+        "expect_sat": (
+            bool,
+            lambda cfg, p: nogo.csp_satisfiable(
+                p["dimension"], p["radius"], p["lattice_size"], p["spec"] == "trivial"
+            ),
+        ),
     },
 }
 EXPERIMENTS = tuple(PARAMS)
@@ -185,11 +186,12 @@ def load_config(path: str | Path) -> dict:
             f"{p}: heisenberg_check needs a bulk cell, "
             f"{cells.start} <= cell <= {cells.stop - 1}, got {params['cell']}",
         )
-    if experiment == "two_particle_scatter":
+    if experiment == "two_particle_scatter" and cfg.boundary is Boundary.OPEN:
+        uses = f"{p}: two_particle_scatter uses cells cell-1..cell+1, so the open chain"
+        _require(cfg.L >= 3, f"{uses} needs L >= 3, got L={cfg.L}")
         _require(
-            cfg.boundary is Boundary.PERIODIC or 1 <= params["cell"] <= cfg.L - 2,
-            f"{p}: two_particle_scatter uses cells cell-1..cell+1, so on the open "
-            f"chain it needs 1 <= cell <= {cfg.L - 2}, got {params['cell']}",
+            1 <= params["cell"] <= cfg.L - 2,
+            f"{uses} needs 1 <= cell <= {cfg.L - 2}, got {params['cell']}",
         )
     if experiment in ("dispersion_sweep", "dirac_sea"):
         _require(
@@ -202,6 +204,8 @@ def load_config(path: str | Path) -> dict:
         # phi = arccos|cos theta| is smallest at k = 0 and pi/dx, on the excitation grid
         gap = min(spectral.step_matrix(cfg, k).phi for k in (0.0, math.pi / cfg.dx)) / cfg.dt
         _require(gap > MIN_GAP, f"{p}: dirac_sea is massless at theta={cfg.theta}: gap {gap:.3g}")
+    if experiment == "nogo_csp" and params["dimension"] == 1:
+        _require("spec" not in raw["params"], f"{p}: nogo_csp takes no spec at dimension 1")
     try:
         if experiment == "nogo_csp":
             nogo.check_csp_size(params["dimension"], params["radius"], params["lattice_size"])
@@ -547,10 +551,7 @@ def run_experiment(raw: dict, output_dir: str | None = None, quiet: bool = False
     outdir = Path(output_dir or raw["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(raw["seed"])
-    try:
-        extras, checks = RUNNERS[raw["experiment"]](cfg, raw["_params"], rng, outdir)
-    except spectral.DimensionTooLargeError as e:
-        raise ResourceError(str(e)) from e
+    extras, checks = RUNNERS[raw["experiment"]](cfg, raw["_params"], rng, outdir)
     ok = all(c["passed"] for c in checks)
     manifest = {
         "config_sha256": config_hash(raw),
@@ -608,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         return run_experiment(raw, args.output_dir, args.quiet)
-    except ResourceError as e:
+    except spectral.DimensionTooLargeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

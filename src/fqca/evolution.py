@@ -28,6 +28,8 @@ pairs it occupies, and the set of occupied pairs is the same for a key and
 every key it mixes with. Round r applies, to every key at once, the r-th
 gate among those it occupies. That is one gather per round, at most one
 round per particle, and amplitudes equal to applying every gate in order.
+A round takes pruned amplitudes, as the shift leaves them, appends the
+absent partners it mixes in, drops zeros and sorts again.
 
 A config's two step layers (shift, then coin) are built once per
 (config, bosonic), by a cached _step_layers, and every later step of that
@@ -137,19 +139,6 @@ def _pruned(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _merge(keys, cols: list, add, add_cols: list) -> list:
-    """Insert the sorted keys add into sorted keys, with their column values."""
-    at = keys.searchsorted(add) + np.arange(len(add))
-    old = np.ones(len(keys) + len(add), dtype=bool)
-    old[at] = False
-    out = []
-    for a, b in zip([keys, *cols], [add, *add_cols]):
-        merged = np.empty(len(old), dtype=a.dtype)
-        merged[old], merged[at] = a, b
-        out.append(merged)
-    return out
-
-
 def _relabel(keys, amps, layer: _Layer):
     """Apply a signed-swap layer to keys; returns the new sorted (keys, amps).
 
@@ -176,11 +165,12 @@ def _relabel(keys, amps, layer: _Layer):
     return keys[order], amps[order]
 
 
-def _apply_layer(keys, amps, layer: _Layer, clean: bool):
+def _apply_layer(keys, amps, layer: _Layer):
     """Apply one layer to sorted keys; returns the new sorted (keys, amps).
 
-    clean says that every amplitude is already pruned, as after any gate.
-    Otherwise the layer's first gate prunes the keys it does not touch.
+    Every amplitude must already be pruned, as in a step: the shift comes
+    first, and its gate is a signed swap, so _relabel has pruned every
+    amplitude before the coin runs.
     """
     if layer.relabels:
         return _relabel(keys, amps, layer)
@@ -189,11 +179,6 @@ def _apply_layer(keys, amps, layer: _Layer, clean: bool):
     v = keys & t((1 << layer.nbits) - 1)  # the word, read in the pair frame
     # bit 2j of x: the key occupies pair j, whose gate has yet to act on it
     x = (v | (v >> one)) & t(layer.pair_bits)
-    if not clean:
-        rest = (x & one) == 0
-        amps[rest] = _pruned(amps[rest])
-        live = ~rest | (amps != 0)
-        keys, amps, v, x = keys[live], amps[live], v[live], x[live]
     while True:
         act = x.nonzero()[0]
         if not act.size:
@@ -208,28 +193,26 @@ def _apply_layer(keys, amps, layer: _Layer, clean: bool):
         found = mixed & (keys[np.minimum(pos, len(keys) - 1)] == partner)
         before = np.append(amps, 0)  # the last entry stands in for absent partners
         local = 2 * ((occ & low) != 0) + (occ > low)
-        out = _pruned(
+        amps[act] = _pruned(
             layer.diag[local] * before[act]
             + layer.off[local] * before[np.where(found, pos, len(keys))]
         )
-        amps[act] = out
         x[act] = xa ^ low
         # an absent partner of a mixed key enters with its share alone
         new = (mixed & ~found).nonzero()[0]
         if new.size:
-            added = _pruned(layer.off[3 - local[new]] * before[act[new]])
-            new, added = new[added != 0], added[added != 0]
-            order = partner[new].argsort()
-            new, added = new[order], added[order]
             src = act[new]
-            add_cols = [added, v[src] ^ pair[new], x[src]]
-        dead = out == 0
-        if dead.any():
-            live = np.ones(len(keys), dtype=bool)
-            live[act[dead]] = False
+            keys = np.concatenate((keys, partner[new]))
+            amps = np.concatenate((amps, _pruned(layer.off[3 - local[new]] * before[src])))
+            v = np.concatenate((v, v[src] ^ pair[new]))
+            x = np.concatenate((x, x[src]))
+        live = amps != 0
+        if not live.all():
             keys, amps, v, x = keys[live], amps[live], v[live], x[live]
         if new.size:
-            keys, amps, v, x = _merge(keys, [amps, v, x], partner[new], add_cols)
+            # keys are unique, so any sort gives this order; timsort uses the sorted prefix
+            order = keys.argsort(kind="stable")
+            keys, amps, v, x = keys[order], amps[order], v[order], x[order]
 
 
 def _run_keys(keys, amps, layers: Sequence[_Layer]):
@@ -237,8 +220,8 @@ def _run_keys(keys, amps, layers: Sequence[_Layer]):
 
     The amps array is overwritten.
     """
-    for n, layer in enumerate(layers):
-        keys, amps = _apply_layer(keys, amps, layer, clean=n > 0)
+    for layer in layers:
+        keys, amps = _apply_layer(keys, amps, layer)
     return keys, amps
 
 

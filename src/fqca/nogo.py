@@ -265,6 +265,17 @@ def min_witness_size(min_distance: int, height: int | None = None) -> int | None
     return 2 * min_distance + (3 if height == 2 else 2)
 
 
+def csp_satisfiable(dimension: int, radius: int, lattice_size: int, trivial: bool) -> bool:
+    """sign_csp's answer on every instance check_csp_size accepts, read off a sweep.
+
+    1D needs radius >= 1; the trivial 2D footprint always has a rule; the
+    full one has one exactly when lattice_size <= 2*radius.
+    """
+    if dimension == 1:
+        return radius >= 1
+    return trivial or lattice_size <= 2 * radius
+
+
 def check_witness_size(
     lattice_size: int, min_distance: int, height: int | None, expect_found: bool = True
 ) -> None:

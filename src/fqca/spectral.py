@@ -50,7 +50,7 @@ _DENSE_DIM_CAP = 2000
 
 
 class DimensionTooLargeError(Exception):
-    pass
+    """A requested instance exceeds a documented size cap."""
 
 
 class OffGridError(Exception):

@@ -1,5 +1,6 @@
 """Config parsing, experiment runs, manifests and determinism."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -23,6 +24,7 @@ from fqca.cli import (
 from fqca.evolution import evolve
 from fqca.fermion import LadderOp, OpKind
 from fqca.lattice import Eps, FockState, LatticeConfig, bit_index
+from fqca.nogo import sign_csp, trivial_spec
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -62,6 +64,10 @@ def test_validate_ok(tmp_path, capsys):
     p = make_config(tmp_path)
     assert main(["validate", str(p)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+# what the error line of a rejected case must say, where exit 2 alone is not enough
+REJECTION_WORDING = {"two_particle_scatter-open-L2": "the open chain needs L >= 3, got L=2"}
 
 
 @pytest.mark.parametrize(
@@ -142,14 +148,23 @@ def test_validate_ok(tmp_path, capsys):
                 ("nogo_witness", "size7-below-witness", {"lattice_size": 7}),
                 ("nogo_witness", "size0-height1", {"lattice_size": 0, "height": 1}),
                 ("nogo_witness", "height1-expect_found", {"height": 1, "expect_found": True}),
+                ("nogo_csp", "1d-spec-trivial", {"dimension": 1, "spec": "trivial"}),
+                ("nogo_csp", "1d-spec-full", {"dimension": 1, "spec": "full"}),
             )
+        ),
+        pytest.param(
+            {"lattice": {"L": 2, "theta": 0.3, "boundary": "open"}, "params": {"cell": 1}},
+            id="two_particle_scatter-open-L2",
         ),
     ],
 )
-def test_validate_rejects_bad_configs(tmp_path, overrides):
+def test_validate_rejects_bad_configs(tmp_path, capsys, request, overrides):
     p = make_config(tmp_path, **overrides)
     assert main(["validate", str(p)]) == 2
     assert main(["run", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert REJECTION_WORDING.get(request.node.callspec.id, "") in err
 
 
 def test_witness_height_null_is_square(tmp_path):
@@ -223,7 +238,7 @@ def test_failing_check_exits_nonzero(tmp_path):
     assert main(["run", str(p), "--quiet"]) == 1
 
 
-def test_resource_cap_reported(tmp_path):
+def test_resource_cap_reported(tmp_path, capsys):
     p = make_config(
         tmp_path,
         experiment="dirac_sea",
@@ -231,6 +246,30 @@ def test_resource_cap_reported(tmp_path):
         params={},
     )
     assert main(["run", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: build_dirac_sea needs L <= 8\n"
+
+
+def test_default_expect_sat_is_sign_csp_answer(tmp_path):
+    # every nogo_csp instance that validate accepts runs clean with the defaults
+    accepted = 0
+    for dimension, spec, radius, size in itertools.product(
+        (1, 2), ("full", "trivial", None), range(-1, 4), range(0, 11)
+    ):
+        params = {"dimension": dimension, "radius": radius, "lattice_size": size}
+        if spec is not None:
+            params["spec"] = spec
+        p = make_config(tmp_path, experiment="nogo_csp", params=params)
+        try:
+            got = load_config(p)["_params"]["expect_sat"]
+        except ParseError:
+            continue
+        accepted += 1
+        trivial = dimension == 2 and spec == "trivial"
+        want = sign_csp(dimension, radius, trivial_spec(2) if trivial else None, size).sat
+        assert got is want, params
+    # radius 0-2; 1D sizes 2-9 with no spec; 2D sizes 2-7 with spec full, trivial or left out
+    assert accepted == 3 * 8 + 3 * 6 * 3
 
 
 def test_all_shipped_configs_validate():

@@ -18,7 +18,16 @@ from hypothesis import given, settings, strategies as st
 
 import dense_sector
 import dict_engine
-from fqca.evolution import _coin_layer, _run, _shift_layer, evolve, step, step_keys
+from fqca.evolution import (
+    _coin_layer,
+    _pruned,
+    _run,
+    _shift_layer,
+    _step_layers,
+    evolve,
+    step,
+    step_keys,
+)
 from fqca.lattice import (
     PRUNE_THRESHOLD,
     Boundary,
@@ -82,7 +91,18 @@ def apply_shift(state: FockState, bosonic: bool = False) -> FockState:
 
 
 def apply_coin(state: FockState, bosonic: bool = False) -> FockState:
-    return _run(state, [_coin_layer(state.config, bosonic)])
+    """The coin layer alone, on a state whose amplitudes need not be pruned.
+
+    The engine's coin takes pruned amplitudes, as a step's shift leaves them.
+    The dict engine's first coin gate prunes every word, mixing those that
+    occupy cell 0's pair; the words that leave that pair empty are pruned
+    here, and the engine's first round mixes and prunes the others.
+    """
+    amps = dict(state.amplitudes)
+    rest = [w for w in amps if not w & 0b11]
+    pruned = _pruned(np.array([amps.pop(w) for w in rest], dtype=complex))
+    amps.update((w, a) for w, a in zip(rest, pruned.tolist()) if a)
+    return _run(FockState(state.config, amps), [_coin_layer(state.config, bosonic)])
 
 
 def step_batch(cfg: LatticeConfig, batch: list[FockState], bosonic: bool = False):
@@ -213,6 +233,17 @@ def test_shift_signs_every_doubly_occupied_pair(L, boundary, bosonic):
     # at L=32 the state index pushes the keys past 64 bits
     got = step_batch(cfg, batch, bosonic)
     assert [exact(s) for s in got] == [exact(dict_engine.step(s, bosonic)) for s in batch]
+
+
+@pytest.mark.parametrize("L", [2, 3, 33, 64])
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("bosonic", [False, True])
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2, math.pi, -1.1])
+def test_every_step_starts_with_a_relabelling(L, boundary, bosonic, theta):
+    # the coin's rounds take pruned amplitudes, which only a relabelling
+    # first layer guarantees: it prunes every amplitude it maps
+    cfg = LatticeConfig(L=L, theta=theta, boundary=boundary)
+    assert _step_layers(cfg, bosonic)[0].relabels
 
 
 @pytest.mark.parametrize("L", [2, 3])
