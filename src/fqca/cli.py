@@ -50,7 +50,8 @@ LATTICE = {
     "theta": (float, 0.0),
     "boundary": (tuple(b.value for b in Boundary), "periodic"),
 }
-SPECS = ("full", "trivial")
+# nogo footprint name -> its builder, which takes the internal-state count
+SPECS = {"full": nogo.full_spec, "trivial": nogo.trivial_spec}
 PARAMS = {
     "dispersion_sweep": {},
     "wavepacket": {
@@ -67,7 +68,7 @@ PARAMS = {
         "lattice_size": (int, 15),
         "min_distance": (int, 3),
         "height": (int, None),
-        "spec": (SPECS, "full"),
+        "spec": (tuple(SPECS), "full"),
         "num_eps": (int, 2),
         "expect_found": (bool, lambda cfg, p: p["height"] is None or p["height"] > 1),
     },
@@ -75,7 +76,7 @@ PARAMS = {
         "dimension": (int, 2),
         "radius": (int, 1),
         "lattice_size": (int, 5),
-        "spec": (SPECS, "full"),
+        "spec": (tuple(SPECS), "full"),
         "expect_sat": (
             bool,
             lambda cfg, p: nogo.csp_satisfiable(
@@ -210,7 +211,7 @@ def load_config(path: str | Path) -> dict:
         if experiment == "nogo_csp":
             nogo.check_csp_size(params["dimension"], params["radius"], params["lattice_size"])
         if experiment == "nogo_witness":
-            nogo.full_spec(params["num_eps"])
+            _footprint(params, params["num_eps"])
             nogo.check_witness_size(
                 params["lattice_size"], params["min_distance"], params["height"],
                 params["expect_found"],
@@ -218,6 +219,11 @@ def load_config(path: str | Path) -> dict:
     except (ValueError, nogo.LatticeTooLargeError) as e:
         raise ParseError(f"{p}: {e}") from e
     return raw
+
+
+def _footprint(params: dict, num_eps: int) -> nogo.FootprintSpec:
+    """The nogo footprint that params["spec"] names, with num_eps internal states."""
+    return SPECS[params["spec"]](num_eps)
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "true or false",
@@ -423,8 +429,15 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     rows = []
     checks = []
     images = []
+    # a fit above this residual is not linear; it has no terms, and its residual fails image_linear
+    linear_tol, nonlinear = 1e-10, 0.0
     for eps in (Eps.PLUS, Eps.MINUS):
-        terms = heisenberg_image(cfg, LadderOp(OpKind.CREATE, cell, eps))
+        try:
+            terms = heisenberg_image(
+                cfg, LadderOp(OpKind.CREATE, cell, eps), residual_tol=linear_tol
+            )
+        except NotLinearError as e:
+            terms, nonlinear = [], max(nonlinear, e.residual)
         fitted = {(op.cell, op.eps): coeff for coeff, op in terms}
         images.append(fitted)
         dev = 0.0
@@ -441,6 +454,7 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     coeffs = np.array([[img.get(site, 0.0) for site in sites] for img in images])
     gram = coeffs.conj() @ coeffs.T
     checks.append(_check("image_anticommutators", np.max(np.abs(gram - np.eye(2))), 1e-12))
+    checks.append(_check("image_linear", nonlinear, linear_tol))
     write_csv(
         outdir / "heisenberg.csv",
         ["source_eps", "target_cell", "target_eps", "re", "im"],
@@ -503,7 +517,7 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 def run_nogo_witness(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     lattice_size, min_distance = params["lattice_size"], params["min_distance"]
     num_eps, expect_found = params["num_eps"], params["expect_found"]
-    spec = nogo.trivial_spec(num_eps) if params["spec"] == "trivial" else nogo.full_spec(num_eps)
+    spec = _footprint(params, num_eps)
     triple = nogo.find_witness_triple(spec, lattice_size, min_distance, params["height"])
     obj = triple.to_json_obj() if triple else {"type": "witness", "sites": None}
     (outdir / "witness.json").write_text(dump_json(obj))
@@ -521,7 +535,7 @@ def run_nogo_csp(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     dimension, radius = params["dimension"], params["radius"]
     spec = None
     if dimension == 2:
-        spec = nogo.trivial_spec(2) if params["spec"] == "trivial" else nogo.full_spec(2)
+        spec = _footprint(params, 2)
     result = nogo.sign_csp(dimension, radius, spec, params["lattice_size"])
     (outdir / "csp.json").write_text(dump_json(result.to_json_obj()))
     expect_sat = params["expect_sat"]

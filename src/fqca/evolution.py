@@ -17,19 +17,27 @@ relations.
 The engine holds a state as one sorted array of keys and a complex
 amplitude array; a key is a basis word. step_keys steps many states in one
 pass, each key carrying its state's index above the 2L word bits, so states
-never mix. The shift (and the coin at theta = 0) is a signed swap: it maps
-every word to exactly one word, so its layer is one relabelling of the
-whole key array, which swaps the bits of every pair, signs each doubly
-occupied pair and ends with one sort.
+never mix. Both layers share one sign rule (_signed): a word picks up
+diag[3] once per doubly occupied pair, which is diag[3] to the parity of
+their number, and a word with no such pair is not touched. The shift (and
+the coin at theta = 0) is a signed swap: it maps every word to exactly one
+word, so its layer is one relabelling of the whole key array, which swaps
+the bits of every pair, applies the sign rule and ends with one sort.
 
-The coin mixes words, and runs in rounds. Its gates sit on disjoint pairs
-and a gate leaves an unoccupied pair alone, so a key changes only at the
-pairs it occupies, and the set of occupied pairs is the same for a key and
-every key it mixes with. Round r applies, to every key at once, the r-th
-gate among those it occupies. That is one gather per round, at most one
-round per particle, and amplitudes equal to applying every gate in order.
-A round takes pruned amplitudes, as the shift leaves them, appends the
-absent partners it mixes in, drops zeros and sorts again.
+The coin mixes only the words of a pair that holds one particle, |01> with
+|10>; it leaves an empty pair alone and gives a full one its sign. So the
+coin layer first signs every key, then runs in rounds over the singly
+occupied pairs alone. Its gates sit on disjoint pairs, so a key changes
+only at those pairs, and a key and every key it mixes with hold the same
+singly and the same doubly occupied pairs, hence the same sign. Round r
+mixes every key at once at the r-th of its singly occupied pairs. That is
+one gather per round, at most one round per singly occupied pair, and
+amplitudes equal to applying every gate in order: negation is exact, so
+d*(-a) + o*(-b) = -(d*a + o*b) bit for bit, and a zero amplitude and an
+absent partner both add a zero before the pruning. A round takes pruned
+amplitudes, as the shift leaves them. It keeps keys whose amplitude it
+pruned to zero; a round that appends the absent partners it mixes in drops
+the zeros and sorts again, and the layer drops the rest once at its end.
 
 A config's two step layers (shift, then coin) are built once per
 (config, bosonic), by a cached _step_layers, and every later step of that
@@ -139,13 +147,28 @@ def _pruned(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
+def _signed(amps, both, layer: _Layer):
+    """Multiply amps, in place, by diag[3] once per doubly occupied pair.
+
+    both holds, for each key, bit 2j for every doubly occupied pair j of
+    the layer, in the pair frame; the factor is diag[3] to the parity of
+    their number. Keys with no such pair are left alone, so a state
+    without one pays only for finding that out.
+    """
+    has = both.nonzero()[0]
+    if has.size:
+        odd = has[_bit_parity(both[has], layer.nbits)]
+        # + 0.0 turns -0.0 into 0.0, as _pruned does
+        amps[odd] = layer.diag[3] * amps[odd] + 0.0
+    return amps
+
+
 def _relabel(keys, amps, layer: _Layer):
     """Apply a signed-swap layer to keys; returns the new sorted (keys, amps).
 
-    Each word swaps the two bits of every pair of the layer and picks up
-    diag[3] once per doubly occupied pair, which is diag[3] to the parity
-    of their number. Bits outside the pairs, such as the open chain's seam,
-    stay put. Every amplitude is pruned.
+    Each word swaps the two bits of every pair of the layer and is signed
+    by _signed. Bits outside the pairs, such as the open chain's seam, stay
+    put. Every amplitude is pruned.
     """
     t = keys.dtype.type
     one, top = t(1), t(layer.nbits - 1)
@@ -157,8 +180,7 @@ def _relabel(keys, amps, layer: _Layer):
     v = v ^ ((lo ^ hi) * t(3))  # a pair with one site occupied flips both bits
     if layer.rotated:
         v = ((v << one) & full) | (v >> top)
-    odd = _bit_parity(lo & hi, layer.nbits)
-    amps = _pruned(np.where(odd, layer.diag[3] * amps, amps))
+    amps = _pruned(_signed(amps, lo & hi, layer))
     live = amps != 0
     keys, amps = (keys ^ w ^ v)[live], amps[live]
     order = keys.argsort()
@@ -170,49 +192,48 @@ def _apply_layer(keys, amps, layer: _Layer):
 
     Every amplitude must already be pruned, as in a step: the shift comes
     first, and its gate is a signed swap, so _relabel has pruned every
-    amplitude before the coin runs.
+    amplitude before the coin runs. The amps array is overwritten.
     """
     if layer.relabels:
         return _relabel(keys, amps, layer)
     t = keys.dtype.type
     one, three = t(1), t(3)
+    pairs = t(layer.pair_bits)
     v = keys & t((1 << layer.nbits) - 1)  # the word, read in the pair frame
-    # bit 2j of x: the key occupies pair j, whose gate has yet to act on it
-    x = (v | (v >> one)) & t(layer.pair_bits)
+    amps = _signed(amps, v & (v >> one) & pairs, layer)
+    # bit 2j of x: pair j holds one particle, and its gate has yet to mix the key
+    x = (v ^ (v >> one)) & pairs
     while True:
         act = x.nonzero()[0]
         if not act.size:
-            return keys, amps
+            break
         xa = x[act]
         low = xa & (~xa + one)  # the p1 bit of the key's next pair
         pair = low * three
-        occ = v[act] & pair
-        mixed = occ != pair  # exactly one site of the pair occupied
+        local = 1 + ((v[act] & low) != 0)  # 1 if p2 holds the particle, 2 if p1 does
         partner = keys[act] ^ pair
         pos = keys.searchsorted(partner)
-        found = mixed & (keys[np.minimum(pos, len(keys) - 1)] == partner)
+        found = keys[np.minimum(pos, len(keys) - 1)] == partner
         before = np.append(amps, 0)  # the last entry stands in for absent partners
-        local = 2 * ((occ & low) != 0) + (occ > low)
         amps[act] = _pruned(
             layer.diag[local] * before[act]
             + layer.off[local] * before[np.where(found, pos, len(keys))]
         )
         x[act] = xa ^ low
-        # an absent partner of a mixed key enters with its share alone
-        new = (mixed & ~found).nonzero()[0]
+        # an absent partner enters with its share alone
+        new = (~found).nonzero()[0]
         if new.size:
             src = act[new]
             keys = np.concatenate((keys, partner[new]))
             amps = np.concatenate((amps, _pruned(layer.off[3 - local[new]] * before[src])))
             v = np.concatenate((v, v[src] ^ pair[new]))
             x = np.concatenate((x, x[src]))
-        live = amps != 0
-        if not live.all():
-            keys, amps, v, x = keys[live], amps[live], v[live], x[live]
-        if new.size:
+            live = amps != 0
             # keys are unique, so any sort gives this order; timsort uses the sorted prefix
-            order = keys.argsort(kind="stable")
+            order = live.nonzero()[0][keys[live].argsort(kind="stable")]
             keys, amps, v, x = keys[order], amps[order], v[order], x[order]
+    live = amps != 0
+    return (keys, amps) if live.all() else (keys[live], amps[live])
 
 
 def _run_keys(keys, amps, layers: Sequence[_Layer]):

@@ -61,13 +61,15 @@ class FootprintSpec:
     num_eps: int
     targets: dict
 
+    def __post_init__(self):
+        if not 1 <= self.num_eps <= 4:
+            raise ValueError("internal-state count limited to 4")
+
     def corner_targets(self, eps: int, corner) -> frozenset:
         return self.targets[eps].get(corner, frozenset())
 
 
 def full_spec(num_eps: int = 2) -> FootprintSpec:
-    if not 1 <= num_eps <= 4:
-        raise ValueError("internal-state count limited to 4")
     everything = frozenset(range(num_eps))
     return FootprintSpec(
         num_eps, {e: {c: everything for c in CORNERS} for e in range(num_eps)}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fqca import cli
+from fqca import cli, evolution
 from fqca.cli import (
     EXPERIMENTS,
     ParseError,
@@ -125,6 +125,7 @@ REJECTION_WORDING = {"two_particle_scatter-open-L2": "the open chain needs L >= 
                 ("nogo_csp", "2d-size8", {"dimension": 2, "lattice_size": 8}),
                 ("nogo_csp", "1d-size10", {"dimension": 1, "lattice_size": 10}),
                 ("nogo_witness", "num_eps5", {"num_eps": 5}),
+                ("nogo_witness", "trivial-num_eps5", {"spec": "trivial", "num_eps": 5}),
                 ("wavepacket", "unknown-nstep", {"nstep": 3}),
                 ("wavepacket", "eps-PLUS", {"eps": "PLUS"}),
                 ("nogo_witness", "spec-Full", {"spec": "Full"}),
@@ -342,6 +343,31 @@ def test_image_anticommutators_check_fails_on_equal_images(tmp_path, monkeypatch
     assert main(["run", str(p), "--quiet"]) == 1
     anti = _checks(tmp_path / "out")["image_anticommutators"]
     assert not anti["passed"] and anti["measured"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_image_linear_check_fails_on_a_broken_coin(tmp_path, monkeypatch):
+    # a coin that leaves a filled cell unsigned makes the fermionic fit nonlinear;
+    # the run must write a failing manifest, not end in a traceback
+    p = make_config(
+        tmp_path, experiment="heisenberg_check", lattice={"L": 8, "theta": 0.3}, params={"cell": 4}
+    )
+    coin = evolution.coin_matrix
+
+    def flipped(theta, bosonic=False):
+        gate = coin(theta, bosonic)
+        gate[3, 3] *= -1
+        return gate
+
+    monkeypatch.setattr(evolution, "coin_matrix", flipped)
+    evolution._step_layers.cache_clear()
+    try:
+        assert main(["run", str(p), "--quiet"]) == 1
+    finally:
+        evolution._step_layers.cache_clear()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["ok"] is False
+    linear = _checks(tmp_path / "out")["image_linear"]
+    assert not linear["passed"] and linear["measured"] > linear["tolerance"] == 1e-10
 
 
 @pytest.mark.parametrize("boundary, cell", [("open", 1), ("open", 6), ("periodic", 2)])

@@ -4,8 +4,9 @@ Amplitudes must agree exactly (==, and down to the sign of a zero part),
 on random sparse states that mix particle numbers and carry amplitudes at
 and below the pruning threshold, for L = 2..6 and for L = 32 and 40, where
 words fill and outgrow 64 bits; on words that doubly occupy up to five
-shift pairs, the ring's seam among them; and on every word at L = 2 and 3
-under the layers that only relabel words. Batches of states run through
+shift pairs, the ring's seam among them; on words that fill coin pairs
+around their lone particles, or hold no lone particle; and on every word
+at L = 2 and 3 under the layers that only relabel words. Batches of states run through
 one step_keys pass and must equal stepping each state alone.
 """
 
@@ -95,11 +96,12 @@ def apply_coin(state: FockState, bosonic: bool = False) -> FockState:
 
     The engine's coin takes pruned amplitudes, as a step's shift leaves them.
     The dict engine's first coin gate prunes every word, mixing those that
-    occupy cell 0's pair; the words that leave that pair empty are pruned
-    here, and the engine's first round mixes and prunes the others.
+    hold one particle on cell 0's pair; the words that leave that pair empty
+    or fill it are pruned here, and the engine's first round mixes and
+    prunes the others.
     """
     amps = dict(state.amplitudes)
-    rest = [w for w in amps if not w & 0b11]
+    rest = [w for w in amps if w & 1 == w >> 1 & 1]
     pruned = _pruned(np.array([amps.pop(w) for w in rest], dtype=complex))
     amps.update((w, a) for w, a in zip(rest, pruned.tolist()) if a)
     return _run(FockState(state.config, amps), [_coin_layer(state.config, bosonic)])
@@ -233,6 +235,46 @@ def test_shift_signs_every_doubly_occupied_pair(L, boundary, bosonic):
     # at L=32 the state index pushes the keys past 64 bits
     got = step_batch(cfg, batch, bosonic)
     assert [exact(s) for s in got] == [exact(dict_engine.step(s, bosonic)) for s in batch]
+
+
+def coin_pair_words(cfg: LatticeConfig) -> list[int]:
+    """Words that fill coin pairs below, between and above 0-2 lone particles.
+
+    Coin pair j is cell j's (Minus, Plus) bits 2j and 2j+1. The lone
+    particles sit on Minus, on Plus or one on each; the words with none
+    hold only filled pairs, so they enter no coin round.
+    """
+    L = cfg.L
+    out = set()
+    for lone in ([], [0], [L // 2], [L - 1], [1, L - 2] if L >= 4 else [0, L - 1]):
+        free = [c for c in range(L) if c not in lone]
+        fills = [[], free]
+        if lone:
+            fills += [
+                [c for c in free if c < lone[0]],
+                [c for c in free if lone[0] < c < lone[-1]],
+                [c for c in free if c > lone[-1]],
+            ]
+        for filled in fills:
+            full = sum(3 << 2 * c for c in filled)
+            for sides in ([0] * len(lone), [1] * len(lone), [0, 1][: len(lone)]):
+                out.add(full | sum(1 << (2 * c + s) for c, s in zip(lone, sides)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("L", [2, 3, 6, 32, 40])
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("bosonic", [False, True])
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2, -1.1])
+def test_coin_signs_filled_pairs_and_mixes_lone_particles(L, boundary, bosonic, theta):
+    # the coin signs each filled pair once, before its rounds, and its rounds
+    # visit only the pairs that hold one particle; at L=40 words are Python ints
+    cfg = LatticeConfig(L=L, theta=theta, boundary=boundary)
+    family = coin_pair_words(cfg)
+    whole = FockState(cfg, {w: complex(1 + i, -0.5) for i, w in enumerate(family)})
+    for state in [*(FockState(cfg, {w: a}) for w, a in whole.amplitudes.items()), whole]:
+        for engine, reference in ((step, dict_engine.step), (apply_coin, dict_engine.apply_coin)):
+            assert exact(engine(state, bosonic)) == exact(reference(state, bosonic))
 
 
 @pytest.mark.parametrize("L", [2, 3, 33, 64])
