@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nogo, spectral, walk
 from .evolution import coin_matrix, shift_matrix, step
-from .fermion import LadderOp, NotLinearError, OpKind, bulk_cells, heisenberg_image
+from .fermion import LadderOp, OpKind, bulk_cells, heisenberg_image
 from .lattice import (
     Boundary,
     Eps,
@@ -41,8 +41,7 @@ class ParseError(Exception):
 # key -> (kind, default). A kind is int, float (any finite number, stored as
 # a float), bool, list (a list of numbers, kept as written), or a tuple of the
 # allowed strings. A default of ... marks a required key; a default of None
-# also admits null; a callable default is worked out from the lattice config
-# and the params resolved above it.
+# also admits null; a callable default is worked out from the lattice config.
 LATTICE = {
     "L": (int, ...),
     "dx": (float, 1.0),
@@ -55,14 +54,14 @@ SPECS = {"full": nogo.full_spec, "trivial": nogo.trivial_spec}
 PARAMS = {
     "dispersion_sweep": {},
     "wavepacket": {
-        "cell": (int, lambda cfg, p: cfg.L // 2),
+        "cell": (int, lambda cfg: cfg.L // 2),
         "eps": (("plus", "minus"), "plus"),
-        "nsteps": (int, lambda cfg, p: cfg.L // 2),
-        "compare_thetas": (list, lambda cfg, p: [cfg.theta]),
+        "nsteps": (int, lambda cfg: cfg.L // 2),
+        "compare_thetas": (list, lambda cfg: [cfg.theta]),
     },
-    "two_particle_scatter": {"cell": (int, lambda cfg, p: cfg.L // 2 - 1)},
+    "two_particle_scatter": {"cell": (int, lambda cfg: cfg.L // 2 - 1)},
     "dirac_limit": {"nsamples": (int, 100), "eps": (float, 0.05)},
-    "heisenberg_check": {"cell": (int, lambda cfg, p: cfg.L // 2)},
+    "heisenberg_check": {"cell": (int, lambda cfg: cfg.L // 2)},
     "dirac_sea": {},
     "nogo_witness": {
         "lattice_size": (int, 15),
@@ -70,19 +69,12 @@ PARAMS = {
         "height": (int, None),
         "spec": (tuple(SPECS), "full"),
         "num_eps": (int, 2),
-        "expect_found": (bool, lambda cfg, p: p["height"] is None or p["height"] > 1),
     },
     "nogo_csp": {
         "dimension": (int, 2),
         "radius": (int, 1),
         "lattice_size": (int, 5),
         "spec": (tuple(SPECS), "full"),
-        "expect_sat": (
-            bool,
-            lambda cfg, p: nogo.csp_satisfiable(
-                p["dimension"], p["radius"], p["lattice_size"], p["spec"] == "trivial"
-            ),
-        ),
     },
 }
 EXPERIMENTS = tuple(PARAMS)
@@ -202,6 +194,8 @@ def load_config(path: str | Path) -> dict:
     if experiment == "dirac_sea":
         # at odd L the sea's grid mirrors its excitations', so gaps miss phi/dt
         _require(cfg.L % 2 == 0, f"{p}: dirac_sea needs an even L")
+        cap = spectral.MAX_SEA_CELLS
+        _require(cfg.L <= cap, f"{p}: dirac_sea needs L <= {cap}, got L={cfg.L}")
         # phi = arccos|cos theta| is smallest at k = 0 and pi/dx, on the excitation grid
         gap = min(spectral.step_matrix(cfg, k).phi for k in (0.0, math.pi / cfg.dx)) / cfg.dt
         _require(gap > MIN_GAP, f"{p}: dirac_sea is massless at theta={cfg.theta}: gap {gap:.3g}")
@@ -213,8 +207,7 @@ def load_config(path: str | Path) -> dict:
         if experiment == "nogo_witness":
             _footprint(params, params["num_eps"])
             nogo.check_witness_size(
-                params["lattice_size"], params["min_distance"], params["height"],
-                params["expect_found"],
+                params["lattice_size"], params["min_distance"], params["height"]
             )
     except (ValueError, nogo.LatticeTooLargeError) as e:
         raise ParseError(f"{p}: {e}") from e
@@ -250,7 +243,7 @@ def _resolve(table: dict, given: dict, where: str, cfg: LatticeConfig | None) ->
     for key, (kind, default) in table.items():
         if key not in given:
             _require(default is not ..., f"{where}: missing field {key!r}")
-            out[key] = default(cfg, out) if callable(default) else default
+            out[key] = default(cfg) if callable(default) else default
             continue
         value = given[key]
         _require(
@@ -429,15 +422,10 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     rows = []
     checks = []
     images = []
-    # a fit above this residual is not linear; it has no terms, and its residual fails image_linear
-    linear_tol, nonlinear = 1e-10, 0.0
+    residuals = []
     for eps in (Eps.PLUS, Eps.MINUS):
-        try:
-            terms = heisenberg_image(
-                cfg, LadderOp(OpKind.CREATE, cell, eps), residual_tol=linear_tol
-            )
-        except NotLinearError as e:
-            terms, nonlinear = [], max(nonlinear, e.residual)
+        terms, residual = heisenberg_image(cfg, LadderOp(OpKind.CREATE, cell, eps))
+        residuals.append(residual)
         fitted = {(op.cell, op.eps): coeff for coeff, op in terms}
         images.append(fitted)
         dev = 0.0
@@ -454,7 +442,7 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     coeffs = np.array([[img.get(site, 0.0) for site in sites] for img in images])
     gram = coeffs.conj() @ coeffs.T
     checks.append(_check("image_anticommutators", np.max(np.abs(gram - np.eye(2))), 1e-12))
-    checks.append(_check("image_linear", nonlinear, linear_tol))
+    checks.append(_check("image_linear", max(residuals), 1e-10))
     write_csv(
         outdir / "heisenberg.csv",
         ["source_eps", "target_cell", "target_eps", "re", "im"],
@@ -462,14 +450,7 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     )
     # negative control: with the doubly-occupied phases flipped to +1 the
     # conjugated operator stops being a linear ladder combination
-    try:
-        heisenberg_image(
-            cfg, LadderOp(OpKind.CREATE, cell, Eps.PLUS), bosonic=True,
-            residual_tol=1e-3,
-        )
-        residual = 0.0
-    except NotLinearError as e:
-        residual = e.residual
+    _, residual = heisenberg_image(cfg, LadderOp(OpKind.CREATE, cell, Eps.PLUS), bosonic=True)
     checks.append(_check("bosonic_control_residual", residual, 1e-3, "min"))
     return {"cell": cell, "theta": cfg.theta}, checks
 
@@ -516,13 +497,16 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 
 def run_nogo_witness(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     lattice_size, min_distance = params["lattice_size"], params["min_distance"]
-    num_eps, expect_found = params["num_eps"], params["expect_found"]
-    spec = _footprint(params, num_eps)
-    triple = nogo.find_witness_triple(spec, lattice_size, min_distance, params["height"])
+    height = params["height"]
+    spec = _footprint(params, params["num_eps"])
+    triple = nogo.find_witness_triple(spec, lattice_size, min_distance, height)
     obj = triple.to_json_obj() if triple else {"type": "witness", "sites": None}
     (outdir / "witness.json").write_text(dump_json(obj))
+    bounds = nogo.LatticeBounds(lattice_size, lattice_size if height is None else height)
     checks = [
-        _check("witness_found_matches_expectation", triple is not None, expect_found, "eq")
+        # only a height-1 lattice has no path around s2
+        _check("witness_found_matches_expectation", triple is not None, height != 1, "eq"),
+        _check("witness_path_valid", triple.violations(spec, bounds) if triple else 0, 0),
     ]
     return {
         "lattice_size": lattice_size,
@@ -532,14 +516,14 @@ def run_nogo_witness(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 
 
 def run_nogo_csp(cfg: LatticeConfig, params: dict, rng, outdir: Path):
-    dimension, radius = params["dimension"], params["radius"]
+    dimension, radius, size = params["dimension"], params["radius"], params["lattice_size"]
     spec = None
     if dimension == 2:
         spec = _footprint(params, 2)
-    result = nogo.sign_csp(dimension, radius, spec, params["lattice_size"])
+    result = nogo.sign_csp(dimension, radius, spec, size)
     (outdir / "csp.json").write_text(dump_json(result.to_json_obj()))
-    expect_sat = params["expect_sat"]
-    checks = [_check("satisfiability_matches_expectation", result.sat, expect_sat, "eq")]
+    want = nogo.csp_satisfiable(dimension, radius, size, params["spec"] == "trivial")
+    checks = [_check("satisfiability_matches_expectation", result.sat, want, "eq")]
     return {
         "dimension": dimension,
         "radius": radius,

@@ -157,7 +157,7 @@ def _signed(amps, both, layer: _Layer):
     """
     has = both.nonzero()[0]
     if has.size:
-        odd = has[_bit_parity(both[has], layer.nbits)]
+        odd = has[_bit_parity(both[has])]
         # + 0.0 turns -0.0 into 0.0, as _pruned does
         amps[odd] = layer.diag[3] * amps[odd] + 0.0
     return amps

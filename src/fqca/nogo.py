@@ -156,13 +156,20 @@ class WitnessTriple:
     path: list[Site2D]
     min_distance: int
 
-    def check(self, spec: FootprintSpec, bounds: LatticeBounds) -> None:
-        assert self.s1 < self.s2 < self.s3, "triple must be canonically ordered"
-        assert self.path[0] == self.s1 and self.path[-1] == self.s3
-        for prev, nxt in zip(self.path, self.path[1:]):
-            assert nxt in footprint(prev, spec, bounds), "path step not in footprint"
-        for s in self.path:
-            assert chebyshev(s, self.s2) >= self.min_distance, "path too close to s2"
+    def violations(self, spec: FootprintSpec, bounds: LatticeBounds) -> int:
+        """How many witness conditions the triple breaks; 0 for a valid one.
+
+        Counts s1 < s2 < s3 failing, a path that does not run from s1 to s3,
+        each path step outside its site's footprint and each path site
+        closer than min_distance to s2.
+        """
+        path = self.path
+        return (
+            (not self.s1 < self.s2 < self.s3)
+            + (not path or path[0] != self.s1 or path[-1] != self.s3)
+            + sum(nxt not in footprint(prev, spec, bounds) for prev, nxt in zip(path, path[1:]))
+            + sum(chebyshev(s, self.s2) < self.min_distance for s in path)
+        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -196,9 +203,7 @@ def find_witness_triple(
                     continue
                 path = connected_path(s1, s3, spec, bounds, s2, min_distance)
                 if path is not None:
-                    triple = WitnessTriple(s1, s2, s3, path, min_distance)
-                    triple.check(spec, bounds)
-                    return triple
+                    return WitnessTriple(s1, s2, s3, path, min_distance)
     return None
 
 
@@ -278,18 +283,18 @@ def csp_satisfiable(dimension: int, radius: int, lattice_size: int, trivial: boo
     return trivial or lattice_size <= 2 * radius
 
 
-def check_witness_size(
-    lattice_size: int, min_distance: int, height: int | None, expect_found: bool = True
-) -> None:
-    """Raise unless lattice_size is >= 1 and, if a witness is expected, can hold one."""
+def check_witness_size(lattice_size: int, min_distance: int, height: int | None) -> None:
+    """Raise unless lattice_size is >= 1 and large enough to hold a witness.
+
+    A height-1 lattice holds none at any size, so there every lattice_size >= 1 passes.
+    """
     if lattice_size < 1:
         raise ValueError("lattice_size must be >= 1")
     smallest = min_witness_size(min_distance, height)
-    if expect_found and (smallest is None or lattice_size < smallest):
-        need = "a height above 1" if smallest is None else f"lattice_size >= {smallest}"
+    if smallest is not None and lattice_size < smallest:
         raise ValueError(
-            f"expect_found: a witness at min_distance {min_distance}, height {height} "
-            f"needs {need}, got lattice_size {lattice_size}"
+            f"a witness at min_distance {min_distance}, height {height} "
+            f"needs lattice_size >= {smallest}, got lattice_size {lattice_size}"
         )
 
 

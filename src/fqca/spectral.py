@@ -1,6 +1,6 @@
 """Momentum modes, eigenphases, effective Hamiltonian and the Dirac sea.
 
-Mode conventions, fixed once here and asserted by the sector-spectrum tests:
+Mode conventions, fixed once here and checked by the sector-spectrum tests:
 
 - Plane-wave ladders use one Fourier convention for both internal states:
   creator a^dag_{k,eps} = sum_j exp(-i j k dx) a^dag_{j,eps}, annihilator the
@@ -47,6 +47,8 @@ SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _DENSE_DIM_CAP = 2000
+# the largest L whose Dirac sea build_dirac_sea will fill
+MAX_SEA_CELLS = 8
 
 
 class DimensionTooLargeError(Exception):
@@ -370,8 +372,8 @@ def _minus_orbitals(config: LatticeConfig, offset: float) -> list[np.ndarray]:
 def build_dirac_sea(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fill every negative-energy mode of the L-particle sector's grid; sorted (words, amps)."""
     _require_periodic(config)
-    if config.L > 8:
-        raise DimensionTooLargeError("build_dirac_sea needs L <= 8")
+    if config.L > MAX_SEA_CELLS:
+        raise DimensionTooLargeError(f"build_dirac_sea needs L <= {MAX_SEA_CELLS}")
     return slater_state(config, _minus_orbitals(config, parity_offset(config, config.L)))
 
 

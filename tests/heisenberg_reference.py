@@ -16,7 +16,6 @@ from fock_algebra import prune
 from fqca.evolution import step
 from fqca.fermion import (
     LadderOp,
-    NotLinearError,
     OpKind,
     _bulk_span_words,
     bulk_cells,
@@ -61,11 +60,8 @@ def dense_ladder(config: LatticeConfig, op: LadderOp, words: list[int]) -> np.nd
 
 
 def heisenberg_image(
-    config: LatticeConfig,
-    op: LadderOp,
-    bosonic: bool = False,
-    residual_tol: float = 1e-10,
-) -> list[tuple[complex, LadderOp]]:
+    config: LatticeConfig, op: LadderOp, bosonic: bool = False
+) -> tuple[list[tuple[complex, LadderOp]], float]:
     cells = bulk_cells(config)
     if op.cell not in cells:
         edge = "boundary" if config.boundary is Boundary.OPEN else "seam"
@@ -101,6 +97,4 @@ def heisenberg_image(
             A[ri, ci] = col_entries[ci].get(key, 0.0)
     coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
     residual = float(np.linalg.norm(A @ coeffs - y))
-    if residual > residual_tol:
-        raise NotLinearError(residual)
-    return [(complex(c), cand) for c, cand in zip(coeffs, candidates) if abs(c) > 1e-12]
+    return [(complex(c), cand) for c, cand in zip(coeffs, candidates) if abs(c) > 1e-12], residual

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from fqca.cli import (
 from fqca.evolution import evolve
 from fqca.fermion import LadderOp, OpKind
 from fqca.lattice import Eps, FockState, LatticeConfig, bit_index
-from fqca.nogo import sign_csp, trivial_spec
+from fqca.nogo import csp_satisfiable, sign_csp, trivial_spec
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -67,7 +68,12 @@ def test_validate_ok(tmp_path, capsys):
 
 
 # what the error line of a rejected case must say, where exit 2 alone is not enough
-REJECTION_WORDING = {"two_particle_scatter-open-L2": "the open chain needs L >= 3, got L=2"}
+REJECTION_WORDING = {
+    "two_particle_scatter-open-L2": "the open chain needs L >= 3, got L=2",
+    "dirac_sea-L10": "dirac_sea needs L <= 8, got L=10",
+    "nogo_witness-height1-expect_found": "unknown key 'expect_found'",
+    "nogo_csp-expect_sat": "unknown key 'expect_sat'",
+}
 
 
 @pytest.mark.parametrize(
@@ -115,6 +121,10 @@ REJECTION_WORDING = {"two_particle_scatter-open-L2": "the open chain needs L >= 
             )
             for L, theta in ((2, 0.0), (6, 0.0), (4, math.pi), (4, 1e-9))
         ),
+        pytest.param(
+            {"experiment": "dirac_sea", "lattice": {"L": 10, "theta": 0.4}, "params": {}},
+            id="dirac_sea-L10",
+        ),
         *(
             pytest.param({"experiment": name, "params": params}, id=f"{name}-{label}")
             for name, label, params in (
@@ -149,6 +159,7 @@ REJECTION_WORDING = {"two_particle_scatter-open-L2": "the open chain needs L >= 
                 ("nogo_witness", "size7-below-witness", {"lattice_size": 7}),
                 ("nogo_witness", "size0-height1", {"lattice_size": 0, "height": 1}),
                 ("nogo_witness", "height1-expect_found", {"height": 1, "expect_found": True}),
+                ("nogo_csp", "expect_sat", {"expect_sat": True}),
                 ("nogo_csp", "1d-spec-trivial", {"dimension": 1, "spec": "trivial"}),
                 ("nogo_csp", "1d-spec-full", {"dimension": 1, "spec": "full"}),
             )
@@ -169,12 +180,31 @@ def test_validate_rejects_bad_configs(tmp_path, capsys, request, overrides):
 
 
 def test_witness_height_null_is_square(tmp_path):
+    # 8 columns hold a witness at min_distance 3 on an 8 x 8 lattice, not on 8 x 2
     p = make_config(
         tmp_path, experiment="nogo_witness", params={"lattice_size": 8, "height": None}
     )
     assert main(["validate", str(p)]) == 0
-    params = load_config(p)["_params"]
-    assert params["height"] is None and params["expect_found"] is True
+    assert load_config(p)["_params"]["height"] is None
+    assert main(["run", str(p), "--quiet"]) == 0
+    assert _checks(tmp_path / "out")["witness_found_matches_expectation"]["measured"] == 1
+    p = make_config(tmp_path, experiment="nogo_witness", params={"lattice_size": 8, "height": 2})
+    assert main(["validate", str(p)]) == 2
+
+
+def test_witness_path_valid_fails_on_a_corrupted_triple(tmp_path, monkeypatch):
+    # the path stops one site short of s3
+    p = make_config(tmp_path, experiment="nogo_witness", params={"lattice_size": 8})
+    find = cli.nogo.find_witness_triple
+
+    def corrupted(*args):
+        triple = find(*args)
+        return replace(triple, path=triple.path[:-1])
+
+    monkeypatch.setattr(cli.nogo, "find_witness_triple", corrupted)
+    assert main(["run", str(p), "--quiet"]) == 1
+    valid = _checks(tmp_path / "out")["witness_path_valid"]
+    assert not valid["passed"] and valid["measured"] == 1
 
 
 def test_malformed_json_reports_line(tmp_path):
@@ -229,17 +259,19 @@ def test_unwritable_output_dir_exits_two(tmp_path, capsys, where, flag):
     assert blocker.read_text() == "a regular file"
 
 
-def test_failing_check_exits_nonzero(tmp_path):
-    # an impossible expectation: the 2D full-spec CSP cannot be satisfiable
+def test_failing_check_exits_nonzero(tmp_path, monkeypatch):
+    # a wrong expectation: the 2D full-spec CSP at size 5, radius 1 is unsatisfiable
     p = make_config(
         tmp_path,
         experiment="nogo_csp",
-        params={"dimension": 2, "radius": 1, "lattice_size": 5, "expect_sat": True},
+        params={"dimension": 2, "radius": 1, "lattice_size": 5},
     )
+    monkeypatch.setattr(cli.nogo, "csp_satisfiable", lambda *args: True)
     assert main(["run", str(p), "--quiet"]) == 1
+    assert not _checks(tmp_path / "out")["satisfiability_matches_expectation"]["passed"]
 
 
-def test_resource_cap_reported(tmp_path, capsys):
+def test_resource_cap_reported(tmp_path, capsys, monkeypatch):
     p = make_config(
         tmp_path,
         experiment="dirac_sea",
@@ -248,11 +280,17 @@ def test_resource_cap_reported(tmp_path, capsys):
     )
     assert main(["run", str(p), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: build_dirac_sea needs L <= 8\n"
+    assert err == f"error: {p}: dirac_sea needs L <= 8, got L=12\n"
+    # the library's own guard, should a run reach it, exits 2 too
+    p = make_config(tmp_path, experiment="dirac_sea", lattice={"L": 8, "theta": 0.4}, params={})
+    sea = lambda cfg: cli.spectral.build_dirac_sea(replace(cfg, L=12))
+    monkeypatch.setattr(cli.spectral, "dirac_sea_excitations", sea)
+    assert main(["run", str(p), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: build_dirac_sea needs L <= 8\n"
 
 
-def test_default_expect_sat_is_sign_csp_answer(tmp_path):
-    # every nogo_csp instance that validate accepts runs clean with the defaults
+def test_csp_satisfiable_is_sign_csp_answer(tmp_path):
+    # every nogo_csp instance that validate accepts runs clean
     accepted = 0
     for dimension, spec, radius, size in itertools.product(
         (1, 2), ("full", "trivial", None), range(-1, 4), range(0, 11)
@@ -262,11 +300,12 @@ def test_default_expect_sat_is_sign_csp_answer(tmp_path):
             params["spec"] = spec
         p = make_config(tmp_path, experiment="nogo_csp", params=params)
         try:
-            got = load_config(p)["_params"]["expect_sat"]
+            load_config(p)
         except ParseError:
             continue
         accepted += 1
         trivial = dimension == 2 and spec == "trivial"
+        got = csp_satisfiable(dimension, radius, size, trivial)
         want = sign_csp(dimension, radius, trivial_spec(2) if trivial else None, size).sat
         assert got is want, params
     # radius 0-2; 1D sizes 2-9 with no spec; 2D sizes 2-7 with spec full, trivial or left out

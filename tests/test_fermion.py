@@ -23,7 +23,7 @@ from fock_algebra import (
 )
 from test_engine import AMPLITUDES, exact
 from fqca.evolution import step
-from fqca.fermion import LadderOp, NotLinearError, OpKind, heisenberg_image
+from fqca.fermion import LadderOp, OpKind, heisenberg_image
 from fqca.lattice import (
     Boundary,
     Eps,
@@ -111,14 +111,21 @@ def test_anticommutator_sector_truncation_shape():
     assert np.allclose(m, np.eye(5), atol=1e-14)
 
 
+def linear_image(cfg, op) -> dict:
+    """heisenberg_image's fitted coefficients by (cell, eps), for a fit that is linear."""
+    terms, residual = heisenberg_image(cfg, op)
+    assert residual <= 1e-10
+    return {(t.cell, t.eps): coeff for coeff, t in terms}
+
+
 @pytest.mark.parametrize("theta", [0.1, 0.3])
 def test_heisenberg_image_coefficients(theta):
     cfg = LatticeConfig(L=8, theta=theta, boundary=Boundary.OPEN)
     c, s = math.cos(theta), math.sin(theta)
-    coeffs = {(op.cell, op.eps): coeff for coeff, op in heisenberg_image(cfg, cr(4, Eps.PLUS))}
+    coeffs = linear_image(cfg, cr(4, Eps.PLUS))
     assert coeffs[(5, Eps.PLUS)] == pytest.approx(c, abs=1e-12)
     assert coeffs[(5, Eps.MINUS)] == pytest.approx(s, abs=1e-12)
-    coeffs = {(op.cell, op.eps): coeff for coeff, op in heisenberg_image(cfg, cr(4, Eps.MINUS))}
+    coeffs = linear_image(cfg, cr(4, Eps.MINUS))
     assert coeffs[(3, Eps.MINUS)] == pytest.approx(c, abs=1e-12)
     assert coeffs[(3, Eps.PLUS)] == pytest.approx(-s, abs=1e-12)
 
@@ -126,14 +133,14 @@ def test_heisenberg_image_coefficients(theta):
 def test_heisenberg_image_annihilator():
     theta = 0.3
     cfg = LatticeConfig(L=8, theta=theta, boundary=Boundary.OPEN)
-    coeffs = {(op.cell, op.eps): coeff for coeff, op in heisenberg_image(cfg, an(4, Eps.PLUS))}
+    coeffs = linear_image(cfg, an(4, Eps.PLUS))
     assert coeffs[(5, Eps.PLUS)] == pytest.approx(math.cos(theta), abs=1e-12)
     assert coeffs[(5, Eps.MINUS)] == pytest.approx(math.sin(theta), abs=1e-12)
 
 
 def test_heisenberg_image_periodic_bulk():
     cfg = LatticeConfig(L=8, theta=0.2)
-    total = sum(abs(coeff) ** 2 for coeff, _ in heisenberg_image(cfg, cr(4, Eps.PLUS)))
+    total = sum(abs(coeff) ** 2 for coeff in linear_image(cfg, cr(4, Eps.PLUS)).values())
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -141,14 +148,6 @@ def test_heisenberg_rejects_boundary_cells():
     cfg = LatticeConfig(L=8, theta=0.2, boundary=Boundary.OPEN)
     with pytest.raises(OutOfRangeError):
         heisenberg_image(cfg, cr(0, Eps.PLUS))
-
-
-def _fit(image, cfg, op, bosonic):
-    """The fitted terms, or the residual of a fit that is not linear."""
-    try:
-        return image(cfg, op, bosonic=bosonic, residual_tol=1e-3 if bosonic else 1e-10)
-    except NotLinearError as e:
-        return e.residual
 
 
 def _case(L, theta, boundary, op):
@@ -172,12 +171,11 @@ def _case(L, theta, boundary, op):
 def test_heisenberg_image_matches_dict_reference(cfg, op):
     # a sign error that negates every ladder alike leaves a fit unchanged;
     # test_apply_ladder_equals_reference_loop catches that one
-    terms = _fit(heisenberg_image, cfg, op, bosonic=False)
-    assert isinstance(terms, list)
-    assert terms == _fit(heisenberg_reference.heisenberg_image, cfg, op, bosonic=False)
-    residual = _fit(heisenberg_image, cfg, op, bosonic=True)
-    assert isinstance(residual, float)
-    assert residual == _fit(heisenberg_reference.heisenberg_image, cfg, op, bosonic=True)
+    for bosonic in (False, True):
+        terms, residual = heisenberg_image(cfg, op, bosonic=bosonic)
+        assert isinstance(residual, float)
+        assert residual > 1e-3 if bosonic else residual <= 1e-10
+        assert (terms, residual) == heisenberg_reference.heisenberg_image(cfg, op, bosonic)
 
 
 @st.composite
@@ -222,10 +220,8 @@ def test_dense_ladder_equals_loop_built_matrix(L):
 
 def test_bosonic_phase_breaks_linearity():
     cfg = LatticeConfig(L=8, theta=0.3, boundary=Boundary.OPEN)
-    with pytest.raises(NotLinearError) as exc:
-        heisenberg_image(cfg, cr(4, Eps.PLUS), bosonic=True, residual_tol=1e-3)
-    assert exc.value.residual > 1e-3
-    assert "residual" in str(exc.value)
+    _, residual = heisenberg_image(cfg, cr(4, Eps.PLUS), bosonic=True)
+    assert residual > 1e-3
 
 
 def test_image_reproduces_evolution_on_two_particle_state():
@@ -234,5 +230,6 @@ def test_image_reproduces_evolution_on_two_particle_state():
     psi = basis_state(cfg, [(3, Eps.MINUS), (5, Eps.PLUS)])
     op = cr(4, Eps.PLUS)
     lhs = step(apply_ladder(psi, op))
-    rhs = apply_combination(heisenberg_image(cfg, op), step(psi))
+    terms, _ = heisenberg_image(cfg, op)
+    rhs = apply_combination(terms, step(psi))
     assert distance(lhs, rhs) < 1e-12

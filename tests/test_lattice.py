@@ -118,7 +118,8 @@ def test_normalized():
 
 
 def xor_fold_parity(words: np.ndarray, nbits: int) -> np.ndarray:
-    """_bit_parity's xor-fold, which every dtype took before object words
+    """_bit_parity's xor-fold of the bits below nbits, which uint64 words
+    took before np.bitwise_count, and every dtype before object words
     counted their bits with int.bit_count."""
     t = words.dtype.type
     fold = words
@@ -137,14 +138,14 @@ def popcount_parity(words) -> list[bool]:
 def test_bit_parity_of_object_words(words):
     for extra in ([], [1 << 127], [(1 << 128) - 1, 1 << 127 | 1]):
         ws = words + extra
-        odd = _bit_parity(np.array(ws, dtype=object), 128)
+        odd = _bit_parity(np.array(ws, dtype=object))
         assert odd.dtype == bool and odd.shape == (len(ws),)
         assert odd.tolist() == popcount_parity(ws)
 
 
 def test_bit_parity_of_empty_arrays():
     for dtype in (object, np.uint64):
-        odd = _bit_parity(np.array([], dtype=dtype), 128 if dtype is object else 64)
+        odd = _bit_parity(np.array([], dtype=dtype))
         assert odd.dtype == bool and odd.shape == (0,)
 
 
@@ -152,9 +153,9 @@ def test_bit_parity_of_empty_arrays():
 def test_bit_parity_of_uint64_words(words, nbits):
     ws = [w & ((1 << nbits) - 1) for w in words]
     u = np.array(ws, dtype=np.uint64)
-    odd = _bit_parity(u, nbits)
+    odd = _bit_parity(u)
     assert odd.dtype == bool
     assert np.array_equal(odd, xor_fold_parity(u, nbits))
     assert odd.tolist() == popcount_parity(ws)
     # the same 64-bit words as Python ints take the object path
-    assert _bit_parity(np.array(ws, dtype=object), nbits).tolist() == odd.tolist()
+    assert _bit_parity(np.array(ws, dtype=object)).tolist() == odd.tolist()

@@ -1,0 +1,111 @@
+"""Known-bad engines must fail a shipped manifest.
+
+Each mutant rewrites one line of one function in src/fqca, compiles the
+rewritten source into the function's module and binds it there, so every
+caller that looks the name up at call time (all of the engine does) runs
+the mutant. The configs it names, shipped or benchmark, run in process
+through `cli.run_experiment` and must each write a manifest with
+"ok": false and return 1, not raise. The step layers are cached per
+config, so the cache is cleared before and after every mutant.
+
+Left out, as an equivalent mutant: `_ladder_arrays` taking the parity of
+the bits above the target instead of below. For a creator on an empty site
+the parity above equals the parity below times (-1)^N(w), with N(w) the
+particle number of the word. The step conserves N, so both sides of every
+row of the Heisenberg fit pick up the same sign and every manifest passes.
+"""
+
+import __future__
+
+import inspect
+import json
+from pathlib import Path
+
+import pytest
+
+from fqca import cli, evolution, nogo
+
+REPO = Path(__file__).resolve().parents[1]
+CONFIGS = {p.stem: p for p in sorted(REPO.glob("experiments/*.json"))}
+CONFIGS.update((p.stem, p) for p in sorted(REPO.glob("perfbench/configs/*.json")))
+
+ENGINE_FAILS = ("dirac_sea", "heisenberg_check", "two_particle_scatter")
+
+# name -> (module, function, line as written, mutated line, configs that must fail)
+MUTANTS = {
+    "coin_11_phase_plus_one": (
+        evolution, "coin_matrix",
+        "phase = 1.0 if bosonic else -1.0", "phase = 1.0",
+        ENGINE_FAILS,
+    ),
+    "shift_11_phase_plus_one": (
+        evolution, "shift_matrix",
+        "phase = 1.0 if bosonic else -1.0", "phase = 1.0",
+        ENGINE_FAILS,
+    ),
+    "coin_theta_negated": (
+        evolution, "coin_matrix",
+        "c, s = np.cos(theta), np.sin(theta)", "c, s = np.cos(theta), np.sin(-theta)",
+        ENGINE_FAILS + ("wavepacket",),
+    ),
+    "two_steps_per_step": (
+        evolution, "_step_layers",
+        "return _shift_layer(cfg, bosonic), _coin_layer(cfg, bosonic)",
+        "return (_shift_layer(cfg, bosonic), _coin_layer(cfg, bosonic)) * 2",
+        ENGINE_FAILS + ("dispersion_sweep", "wavepacket"),
+    ),
+    "ring_seam_pair_left_out": (
+        evolution, "_shift_layer",
+        "npairs = cfg.L if cfg.boundary is Boundary.PERIODIC else cfg.L - 1",
+        "npairs = cfg.L - 1",
+        ("dirac_sea", "dispersion_sweep", "wavepacket"),
+    ),
+    "csp_flip_reversed": (
+        nogo, "sign_csp",
+        "flip = k1 > k2", "flip = k1 < k2",
+        ("nogo_csp_1d_9",),
+    ),
+}
+
+
+def mutate(monkeypatch, module, name: str, line: str, mutated: str) -> None:
+    """Bind module.name to its source with line replaced by mutated."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(line) == 1, f"{module.__name__}.{name} no longer holds {line!r}"
+    code = compile(
+        source.replace(line, mutated), inspect.getsourcefile(module), "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    namespace = dict(vars(module))
+    exec(code, namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+
+
+def run(name: str, outdir: Path) -> tuple[int, dict]:
+    rc = cli.run_experiment(cli.load_config(CONFIGS[name]), str(outdir), quiet=True)
+    return rc, json.loads((outdir / "manifest.json").read_text())
+
+
+@pytest.fixture
+def fresh_layers():
+    evolution._step_layers.cache_clear()
+    yield
+    evolution._step_layers.cache_clear()
+
+
+def test_unmutated_configs_pass(tmp_path, fresh_layers):
+    named = sorted({c for *_, configs in MUTANTS.values() for c in configs})
+    for name in named:
+        rc, manifest = run(name, tmp_path / name)
+        assert rc == 0 and manifest["ok"] is True, name
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_mutant_fails_its_configs(tmp_path, fresh_layers, monkeypatch, mutant):
+    # fresh_layers comes first, so it clears the cache after monkeypatch undoes the mutant
+    module, name, line, mutated, configs = MUTANTS[mutant]
+    mutate(monkeypatch, module, name, line, mutated)
+    for config in configs:
+        rc, manifest = run(config, tmp_path / config)
+        failed = [c["name"] for c in manifest["checks"] if not c["passed"]]
+        assert rc == 1 and manifest["ok"] is False and failed, config

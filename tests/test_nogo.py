@@ -1,6 +1,7 @@
 """Witness search and sign-rule constraint problem."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,24 @@ def test_witness_found_on_2d_lattice():
     assert all(chebyshev(s, triple.s2) >= 3 for s in triple.path)
 
 
+def test_witness_violations_count_each_broken_condition():
+    spec, bounds = full_spec(2), LatticeBounds(15, 15)
+    triple = find_witness_triple(spec, lattice_size=15, min_distance=3)
+    assert triple.violations(spec, bounds) == 0
+    path = triple.path
+    near = sum(chebyshev(s, triple.s2) < 5 for s in path)
+    assert near > 0
+    cases = [
+        (replace(triple, s1=triple.s3, s3=triple.s1), 2),  # out of order, ends swapped
+        (replace(triple, path=path[:-1]), 1),  # stops short of s3
+        (replace(triple, path=[]), 1),
+        (replace(triple, path=path[:2] + path[1:]), 1),  # a step that stays put
+        (replace(triple, min_distance=5), near),
+    ]
+    for corrupted, count in cases:
+        assert corrupted.violations(spec, bounds) == count
+
+
 def test_no_witness_on_degenerate_1d_lattice():
     triple = find_witness_triple(
         full_spec(2), lattice_size=15, min_distance=3, height=1
@@ -178,15 +197,15 @@ def test_min_witness_size_matches_search():
 
 
 def test_check_witness_size():
-    check_witness_size(8, 3, None)
-    check_witness_size(7, 3, None, expect_found=False)
-    check_witness_size(1, 3, 1, expect_found=False)
-    for args in ((7, 3, None), (2, 1, 2), (15, 3, 1)):
+    # a size below min_witness_size fails, unless no size holds a witness (height 1)
+    for args in ((8, 3, None), (9, 3, 2), (2, 1, 3), (1, 3, 1), (15, 3, 1)):
+        check_witness_size(*args)
+    for args in ((7, 3, None), (8, 3, 2), (2, 1, 2)):
         with pytest.raises(ValueError):
             check_witness_size(*args)
     for size in (0, -3):
         with pytest.raises(ValueError):
-            check_witness_size(size, 3, 1, expect_found=False)
+            check_witness_size(size, 3, 1)
 
 
 def _csp_case(dimension, radius, spec, lattice_size):
