@@ -11,8 +11,8 @@ Two independent checks:
   two-particle state and evolution branch demands the phase product equal
   the fermionic reordering sign. The 1D instance is satisfiable and
   reproduces the -1-on-crossing rule of the automaton gates; the generic 2D
-  instance is unsatisfiable, with far-separated violating pairs as the
-  certificate.
+  instance is unsatisfiable. A local pair's sign is forced by its translation
+  class, so UNSAT has one certificate: far-separated pairs whose order flips.
 """
 
 from __future__ import annotations
@@ -154,9 +154,8 @@ class WitnessTriple:
     s2: Site2D
     s3: Site2D
     path: list[Site2D]
-    min_distance: int
 
-    def violations(self, spec: FootprintSpec, bounds: LatticeBounds) -> int:
+    def violations(self, spec: FootprintSpec, bounds: LatticeBounds, min_distance: int) -> int:
         """How many witness conditions the triple breaks; 0 for a valid one.
 
         Counts s1 < s2 < s3 failing, a path that does not run from s1 to s3,
@@ -168,7 +167,7 @@ class WitnessTriple:
             (not self.s1 < self.s2 < self.s3)
             + (not path or path[0] != self.s1 or path[-1] != self.s3)
             + sum(nxt not in footprint(prev, spec, bounds) for prev, nxt in zip(path, path[1:]))
-            + sum(chebyshev(s, self.s2) < self.min_distance for s in path)
+            + sum(chebyshev(s, self.s2) < min_distance for s in path)
         )
 
     def to_json_obj(self) -> dict:
@@ -176,19 +175,17 @@ class WitnessTriple:
             "type": "witness",
             "sites": [asdict(self.s1), asdict(self.s2), asdict(self.s3)],
             "path": [asdict(s) for s in self.path],
-            "min_distance": self.min_distance,
         }
 
 
 def find_witness_triple(
-    spec: FootprintSpec, lattice_size: int, min_distance: int, height: int | None = None
+    spec: FootprintSpec, bounds: LatticeBounds, min_distance: int
 ) -> WitnessTriple | None:
-    """First witness triple on a lattice_size x height lattice, or None.
+    """First witness triple on the bounded lattice, or None.
 
     s2 sits near the center; s1 and s3 are scanned outward on opposite sides
     of s2 in the canonical order, so small witnesses surface first.
     """
-    bounds = LatticeBounds(lattice_size, lattice_size if height is None else height)
     ci, cj = bounds.width // 2, bounds.height // 2
     all_sites = _sites(bounds, spec.num_eps)
     for e2 in range(spec.num_eps):
@@ -203,7 +200,7 @@ def find_witness_triple(
                     continue
                 path = connected_path(s1, s3, spec, bounds, s2, min_distance)
                 if path is not None:
-                    return WitnessTriple(s1, s2, s3, path, min_distance)
+                    return WitnessTriple(s1, s2, s3, path)
     return None
 
 
@@ -359,15 +356,11 @@ def sign_csp(
         ]
         return CspResult(False, None, certificate, total)
 
-    constraints: dict = {}
+    # translation keeps the order of both sources and of both images, so
+    # every candidate with one key demands the same sign
+    assignment = {}
     for p, b1, b2 in zip(*np.nonzero(unblocked & local)):
         a1, a2 = p1[p], p2[p]
         k = _normalize_pair(sites[a1], moves[a1][b1], sites[a2], moves[a2][b2])
-        constraints.setdefault(k, set()).add(-1 if flip[p, b1, b2] else 1)
-    conflict = [k for k, v in constraints.items() if len(v) > 1]
-    if conflict:
-        keys = [{"conflicting_key": list(map(list, k))} for k in conflict[:10]]
-        return CspResult(False, None, keys, total)
-    # past the conflict filter every key demands exactly one sign
-    assignment = {k: sign for k, (sign,) in constraints.items()}
+        assignment[k] = -1 if flip[p, b1, b2] else 1
     return CspResult(True, assignment, [], total)

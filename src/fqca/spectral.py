@@ -464,10 +464,10 @@ def dispersion_rows(config: LatticeConfig) -> list[tuple[float, ...]]:
 
 
 def phi_convergence_slope(eps_values=(0.2, 0.1, 0.05, 0.025)) -> float:
-    """Log-log slope of |phi - sqrt(theta^2 + kdx^2)| at theta = kdx = eps."""
+    """Log-log slope of |phi - sqrt(2) eps| for step_matrix's phi at theta = k dx = eps."""
     errs = []
     for eps in eps_values:
-        phi = math.acos(math.cos(eps) * math.cos(eps))
+        phi = step_matrix(LatticeConfig(L=2, theta=eps), eps).phi
         errs.append(abs(phi - math.sqrt(2.0) * eps))
     slope, _ = np.polyfit(np.log(np.asarray(eps_values)), np.log(np.asarray(errs)), 1)
     return float(slope)

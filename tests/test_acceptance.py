@@ -240,12 +240,11 @@ def test_09_dirac_sea():
 
 def test_10_nogo_witness():
     spec = nogo.full_spec(2)
-    triple = nogo.find_witness_triple(spec, lattice_size=15, min_distance=3)
+    bounds = nogo.LatticeBounds(15, 15)
+    triple = nogo.find_witness_triple(spec, bounds, min_distance=3)
     found = triple is not None
-    invariants = found and triple.violations(spec, nogo.LatticeBounds(15, 15)) == 0
-    degenerate = nogo.find_witness_triple(
-        spec, lattice_size=15, min_distance=3, height=1
-    )
+    invariants = found and triple.violations(spec, bounds, 3) == 0
+    degenerate = nogo.find_witness_triple(spec, nogo.LatticeBounds(15, 1), min_distance=3)
     report(
         10,
         "witness triple on 15x15 at distance 3; none on a height-1 lattice",

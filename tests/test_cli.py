@@ -207,6 +207,24 @@ def test_witness_path_valid_fails_on_a_corrupted_triple(tmp_path, monkeypatch):
     assert not valid["passed"] and valid["measured"] == 1
 
 
+def test_witness_path_valid_reads_the_config_distance(tmp_path, monkeypatch):
+    # a triple found at min_distance 1 passes within 2 of s2, closer than
+    # the config's min_distance 3 allows
+    p = make_config(
+        tmp_path, experiment="nogo_witness", params={"lattice_size": 8, "min_distance": 3}
+    )
+    find = cli.nogo.find_witness_triple
+    near = find(cli.nogo.full_spec(2), cli.nogo.LatticeBounds(8, 8), 1)
+    close = sum(cli.nogo.chebyshev(s, near.s2) < 3 for s in near.path)
+    assert close > 0
+    monkeypatch.setattr(
+        cli.nogo, "find_witness_triple", lambda spec, bounds, min_distance: find(spec, bounds, 1)
+    )
+    assert main(["run", str(p), "--quiet"]) == 1
+    valid = _checks(tmp_path / "out")["witness_path_valid"]
+    assert not valid["passed"] and valid["measured"] == close
+
+
 def test_malformed_json_reports_line(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"experiment": \n oops}')
@@ -271,7 +289,7 @@ def test_failing_check_exits_nonzero(tmp_path, monkeypatch):
     assert not _checks(tmp_path / "out")["satisfiability_matches_expectation"]["passed"]
 
 
-def test_resource_cap_reported(tmp_path, capsys, monkeypatch):
+def test_resource_cap_reported(tmp_path, capsys):
     p = make_config(
         tmp_path,
         experiment="dirac_sea",
@@ -281,12 +299,6 @@ def test_resource_cap_reported(tmp_path, capsys, monkeypatch):
     assert main(["run", str(p), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {p}: dirac_sea needs L <= 8, got L=12\n"
-    # the library's own guard, should a run reach it, exits 2 too
-    p = make_config(tmp_path, experiment="dirac_sea", lattice={"L": 8, "theta": 0.4}, params={})
-    sea = lambda cfg: cli.spectral.build_dirac_sea(replace(cfg, L=12))
-    monkeypatch.setattr(cli.spectral, "dirac_sea_excitations", sea)
-    assert main(["run", str(p), "--quiet"]) == 2
-    assert capsys.readouterr().err == "error: build_dirac_sea needs L <= 8\n"
 
 
 def test_csp_satisfiable_is_sign_csp_answer(tmp_path):

@@ -5,6 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import csp_reference
 from fqca.cli import dump_json, main
@@ -97,7 +98,7 @@ def test_connected_path_respects_exclusion():
 
 
 def test_witness_found_on_2d_lattice():
-    triple = find_witness_triple(full_spec(2), lattice_size=15, min_distance=3)
+    triple = find_witness_triple(full_spec(2), LatticeBounds(15, 15), min_distance=3)
     assert triple is not None
     assert triple.s1 < triple.s2 < triple.s3
     assert all(chebyshev(s, triple.s2) >= 3 for s in triple.path)
@@ -105,8 +106,8 @@ def test_witness_found_on_2d_lattice():
 
 def test_witness_violations_count_each_broken_condition():
     spec, bounds = full_spec(2), LatticeBounds(15, 15)
-    triple = find_witness_triple(spec, lattice_size=15, min_distance=3)
-    assert triple.violations(spec, bounds) == 0
+    triple = find_witness_triple(spec, bounds, min_distance=3)
+    assert triple.violations(spec, bounds, 3) == 0
     path = triple.path
     near = sum(chebyshev(s, triple.s2) < 5 for s in path)
     assert near > 0
@@ -115,16 +116,15 @@ def test_witness_violations_count_each_broken_condition():
         (replace(triple, path=path[:-1]), 1),  # stops short of s3
         (replace(triple, path=[]), 1),
         (replace(triple, path=path[:2] + path[1:]), 1),  # a step that stays put
-        (replace(triple, min_distance=5), near),
     ]
     for corrupted, count in cases:
-        assert corrupted.violations(spec, bounds) == count
+        assert corrupted.violations(spec, bounds, 3) == count
+    # the distance is the caller's: the same path breaks a larger one
+    assert triple.violations(spec, bounds, 5) == near
 
 
 def test_no_witness_on_degenerate_1d_lattice():
-    triple = find_witness_triple(
-        full_spec(2), lattice_size=15, min_distance=3, height=1
-    )
+    triple = find_witness_triple(full_spec(2), LatticeBounds(15, 1), min_distance=3)
     assert triple is None
 
 
@@ -167,7 +167,7 @@ def test_csp_guards():
 
 
 def test_witness_json_shape():
-    triple = find_witness_triple(full_spec(2), lattice_size=11, min_distance=3)
+    triple = find_witness_triple(full_spec(2), LatticeBounds(11, 11), min_distance=3)
     obj = triple.to_json_obj()
     assert obj["type"] == "witness"
     assert len(obj["sites"]) == 3
@@ -191,7 +191,9 @@ def test_min_witness_size_matches_search():
             sizes = range(1, 4 * min_distance + 8)
             found = [
                 n for n in sizes
-                if find_witness_triple(full_spec(2), n, min_distance, height) is not None
+                if find_witness_triple(
+                    full_spec(2), LatticeBounds(n, n if height is None else height), min_distance
+                ) is not None
             ]
             assert found == ([] if smallest is None else list(range(smallest, sizes.stop)))
 
@@ -228,6 +230,28 @@ def _csp_case(dimension, radius, spec, lattice_size):
 def test_csp_matches_reference_loop(dimension, radius, spec, lattice_size):
     got = sign_csp(dimension, radius, spec, lattice_size)
     want = csp_reference.sign_csp(dimension, radius, spec, lattice_size)
+    assert dump_json(got.to_json_obj()) == dump_json(want.to_json_obj())
+
+
+@st.composite
+def footprints(draw):
+    """A FootprintSpec of 1-4 labels, each reaching a random subset of the
+    corners, each corner with a random nonempty set of target labels."""
+    num_eps = draw(st.integers(1, 4))
+    labels = st.frozensets(st.integers(0, num_eps - 1), min_size=1)
+    corners = st.lists(st.sampled_from(CORNERS), unique=True)
+    targets = {e: {c: draw(labels) for c in draw(corners)} for e in range(num_eps)}
+    return FootprintSpec(num_eps, targets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=footprints(), radius=st.integers(0, 2), data=st.data())
+def test_csp_matches_reference_on_random_footprints(spec, radius, data):
+    # the reference keeps a check for one key demanding both signs, so a
+    # conflict would show here as a mismatch
+    lattice_size = data.draw(st.integers(2, 4 if spec.num_eps <= 2 else 3))
+    got = sign_csp(2, radius, spec, lattice_size)
+    want = csp_reference.sign_csp(2, radius, spec, lattice_size)
     assert dump_json(got.to_json_obj()) == dump_json(want.to_json_obj())
 
 

@@ -135,6 +135,19 @@ def test_convergence_slope_cubic():
     assert phi_convergence_slope() >= 2.9
 
 
+def test_convergence_slope_reads_step_matrix(monkeypatch):
+    # a second-order error in step_matrix's phi must pull the slope to about 2
+    exact = spectral.step_matrix
+
+    def second_order(config, k):
+        mode = exact(config, k)
+        mode.phi += 0.1 * (k * config.dx) ** 2
+        return mode
+
+    monkeypatch.setattr(spectral, "step_matrix", second_order)
+    assert phi_convergence_slope() < 2.9
+
+
 def test_effective_hamiltonian_exponentiates_to_step():
     rng = np.random.default_rng(11)
     worst = 0.0
