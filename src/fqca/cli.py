@@ -27,7 +27,6 @@ from .lattice import (
     Eps,
     FockState,
     LatticeConfig,
-    LatticeError,
     basis_from_particles,
     basis_state,
 )
@@ -163,7 +162,7 @@ def load_config(path: str | Path) -> dict:
     lat = _resolve(LATTICE, raw["lattice"], f"{p}: lattice", None)
     try:
         cfg = LatticeConfig(**{**lat, "boundary": Boundary(lat["boundary"])})
-    except LatticeError as e:
+    except ValueError as e:
         raise ParseError(f"{p}: bad lattice block: {e}") from e
     experiment = raw["experiment"]
     params = _resolve(PARAMS[experiment], raw["params"], f"{p}: {experiment}", cfg)
@@ -209,7 +208,7 @@ def load_config(path: str | Path) -> dict:
             nogo.check_witness_size(
                 params["lattice_size"], params["min_distance"], params["height"]
             )
-    except (ValueError, nogo.LatticeTooLargeError) as e:
+    except ValueError as e:
         raise ParseError(f"{p}: {e}") from e
     return raw
 

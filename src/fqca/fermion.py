@@ -20,7 +20,6 @@ from .lattice import (
     Boundary,
     Eps,
     LatticeConfig,
-    OutOfRangeError,
     PRUNE_THRESHOLD,
     _bit_parity,
     bit_index,
@@ -48,7 +47,7 @@ def _ladder_arrays(config: LatticeConfig, op: LadderOp, words: np.ndarray, amps:
     the parity of the bits below op's site.
     """
     if not 0 <= op.cell < config.L:
-        raise OutOfRangeError(f"cell {op.cell} outside lattice")
+        raise ValueError(f"cell {op.cell} outside lattice")
     b = bit_index(op.cell, op.eps)
     t = words.dtype.type
     bit = t(1 << b)
@@ -102,7 +101,7 @@ def heisenberg_image(
     cells = bulk_cells(config)
     if op.cell not in cells:
         edge = "boundary" if config.boundary is Boundary.OPEN else "seam"
-        raise OutOfRangeError(f"bulk cell required: distance >= {cells.start} from the {edge}")
+        raise ValueError(f"bulk cell required: distance >= {cells.start} from the {edge}")
 
     candidates = [
         LadderOp(op.kind, (op.cell + d) % config.L, e)

@@ -33,18 +33,6 @@ class Eps(enum.IntEnum):
     PLUS = 1
 
 
-class LatticeError(Exception):
-    pass
-
-
-class DuplicateSiteError(LatticeError):
-    pass
-
-
-class OutOfRangeError(LatticeError):
-    pass
-
-
 @dataclass(frozen=True)
 class LatticeConfig:
     """Lattice size and physical discretization parameters."""
@@ -57,11 +45,11 @@ class LatticeConfig:
 
     def __post_init__(self):
         if self.L < 2:
-            raise OutOfRangeError(f"L must be >= 2, got {self.L}")
+            raise ValueError(f"L must be >= 2, got {self.L}")
         if self.L > MAX_CELLS:
-            raise OutOfRangeError(f"L must be <= {MAX_CELLS}, got {self.L}")
+            raise ValueError(f"L must be <= {MAX_CELLS}, got {self.L}")
         if self.dx <= 0 or self.dt <= 0:
-            raise OutOfRangeError("dx and dt must be positive")
+            raise ValueError("dx and dt must be positive")
 
     @property
     def n_sites(self) -> int:
@@ -110,16 +98,15 @@ def _bit_parity(words: np.ndarray) -> np.ndarray:
 def basis_from_particles(config: LatticeConfig, particles) -> int:
     """Pack an unordered list of (cell, eps) sites into a basis word.
 
-    Raises DuplicateSiteError on a repeated site and OutOfRangeError for a
-    cell outside [0, L).
+    Raises ValueError on a repeated site or a cell outside [0, L).
     """
     word = 0
     for cell, eps in particles:
         if not 0 <= cell < config.L:
-            raise OutOfRangeError(f"cell {cell} outside [0, {config.L})")
+            raise ValueError(f"cell {cell} outside [0, {config.L})")
         b = bit_index(cell, Eps(eps))
         if word & (1 << b):
-            raise DuplicateSiteError(f"site (cell={cell}, eps={Eps(eps).name}) repeated")
+            raise ValueError(f"site (cell={cell}, eps={Eps(eps).name}) repeated")
         word |= 1 << b
     return word
 

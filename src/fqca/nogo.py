@@ -4,8 +4,9 @@ Two independent checks:
 
 - A geometric witness search: three sites s1 < s2 < s3 (row-major order)
   with s1 and s3 joined by a footprint path that stays everywhere far from
-  s2. Such a triple is what forces a faraway order flip in 2D; in a
-  one-dimensional (height-1) lattice no such path exists.
+  s2, found by one breadth-first search per s1. Such a triple is what
+  forces a faraway order flip in 2D; in a one-dimensional (height-1)
+  lattice no such path exists.
 - A constraint problem over +/-1 phases attached to pairs of single-step
   particle moves that come within a configurable radius of each other. Each
   two-particle state and evolution branch demands the phase product equal
@@ -21,10 +22,6 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-
-
-class LatticeTooLargeError(Exception):
-    pass
 
 
 @dataclass(frozen=True, order=False)
@@ -46,6 +43,9 @@ def chebyshev(a: Site2D, b: Site2D) -> int:
 
 
 CORNERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+# the longest side find_witness_triple searches: _sites builds every site
+MAX_WITNESS_SIDE = 201
 
 
 @dataclass(frozen=True)
@@ -108,46 +108,6 @@ def footprint(s: Site2D, spec: FootprintSpec, bounds: LatticeBounds) -> set[Site
     return out
 
 
-def connected_path(
-    a: Site2D,
-    b: Site2D,
-    spec: FootprintSpec,
-    bounds: LatticeBounds,
-    forbidden_center: Site2D,
-    min_distance: int,
-) -> list[Site2D] | None:
-    """Shortest footprint path a -> b staying Chebyshev-far from the center.
-
-    Moves flip the parity of i+j never, so opposite parities fail fast.
-    """
-    if a == b:
-        return [a]
-    if (a.i + a.j) % 2 != (b.i + b.j) % 2:
-        return None
-
-    def far(s: Site2D) -> bool:
-        return chebyshev(s, forbidden_center) >= min_distance
-
-    if not (far(a) and far(b)):
-        return None
-    prev: dict[Site2D, Site2D] = {a: a}
-    queue = deque([a])
-    while queue:
-        s = queue.popleft()
-        for t in footprint(s, spec, bounds):
-            if t in prev or not far(t):
-                continue
-            prev[t] = s
-            if t == b:
-                path = [t]
-                while path[-1] != a:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            queue.append(t)
-    return None
-
-
 @dataclass
 class WitnessTriple:
     s1: Site2D
@@ -184,7 +144,13 @@ def find_witness_triple(
     """First witness triple on the bounded lattice, or None.
 
     s2 sits near the center; s1 and s3 are scanned outward on opposite sides
-    of s2 in the canonical order, so small witnesses surface first.
+    of s2 in the canonical order, so small witnesses surface first. The path
+    is the shortest footprint path s1 -> s3 through sites at least
+    min_distance from s2. Each s1 gets one breadth-first search, resumed for
+    each s3 until it is reached or the search runs dry; a site's parent is
+    fixed when the site is first reached, so resuming finds the path a fresh
+    search from s1 would. Moves never change the parity of i+j, so an s3 of
+    the other parity is skipped.
     """
     ci, cj = bounds.width // 2, bounds.height // 2
     all_sites = _sites(bounds, spec.num_eps)
@@ -195,12 +161,22 @@ def find_witness_triple(
         below.sort(key=lambda s: chebyshev(s, s2))
         above.sort(key=lambda s: chebyshev(s, s2))
         for s1 in below:
+            prev: dict[Site2D, Site2D] = {s1: s1}
+            queue = deque([s1])
             for s3 in above:
                 if (s1.i + s1.j) % 2 != (s3.i + s3.j) % 2:
                     continue
-                path = connected_path(s1, s3, spec, bounds, s2, min_distance)
-                if path is not None:
-                    return WitnessTriple(s1, s2, s3, path)
+                while s3 not in prev and queue:
+                    s = queue.popleft()
+                    for t in footprint(s, spec, bounds):
+                        if t not in prev and chebyshev(t, s2) >= min_distance:
+                            prev[t] = s
+                            queue.append(t)
+                if s3 in prev:
+                    path = [s3]
+                    while path[-1] != s1:
+                        path.append(prev[path[-1]])
+                    return WitnessTriple(s1, s2, s3, path[::-1])
     return None
 
 
@@ -251,7 +227,7 @@ def check_csp_size(dimension: int, radius: int, lattice_size: int) -> None:
         raise ValueError("dimension must be 1 or 2")
     cap = 9 if dimension == 1 else 7
     if lattice_size > cap:
-        raise LatticeTooLargeError(f"{dimension}D instance limited to {cap} per side")
+        raise ValueError(f"{dimension}D instance limited to {cap} per side")
 
 
 def min_witness_size(min_distance: int, height: int | None = None) -> int | None:
@@ -283,10 +259,17 @@ def csp_satisfiable(dimension: int, radius: int, lattice_size: int, trivial: boo
 def check_witness_size(lattice_size: int, min_distance: int, height: int | None) -> None:
     """Raise unless lattice_size is >= 1 and large enough to hold a witness.
 
-    A height-1 lattice holds none at any size, so there every lattice_size >= 1 passes.
+    Neither lattice_size nor height may exceed MAX_WITNESS_SIDE. A height-1
+    lattice holds no witness at any size, so there every lattice_size from 1
+    to the cap passes.
     """
     if lattice_size < 1:
         raise ValueError("lattice_size must be >= 1")
+    for name, side in (("lattice_size", lattice_size), ("height", height)):
+        if side is not None and side > MAX_WITNESS_SIDE:
+            raise ValueError(
+                f"witness lattice limited to {MAX_WITNESS_SIDE} per side, got {name} {side}"
+            )
     smallest = min_witness_size(min_distance, height)
     if smallest is not None and lattice_size < smallest:
         raise ValueError(

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import step_keys
-from .lattice import PRUNE_THRESHOLD, Boundary, LatticeConfig, LatticeError, word_dtype
+from .lattice import PRUNE_THRESHOLD, Boundary, LatticeConfig, word_dtype
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,18 +49,6 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 _DENSE_DIM_CAP = 2000
 # the largest L whose Dirac sea build_dirac_sea will fill
 MAX_SEA_CELLS = 8
-
-
-class DimensionTooLargeError(Exception):
-    """A requested instance exceeds a documented size cap."""
-
-
-class OffGridError(Exception):
-    pass
-
-
-class BoundaryModeError(Exception):
-    pass
 
 
 class Band(enum.Enum):
@@ -85,7 +73,6 @@ class ModeMatrix:
     vplus: np.ndarray   # M-eigenvalue exp(-i phi)
     vminus: np.ndarray  # M-eigenvalue exp(+i phi)
     nhat: np.ndarray
-    degenerate: bool
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -109,7 +96,6 @@ def step_matrix(config: LatticeConfig, k: float) -> ModeMatrix:
             vplus=np.array([1.0, 0.0], dtype=complex),
             vminus=np.array([0.0, 1.0], dtype=complex),
             nhat=np.array([0.0, 0.0, 1.0]),
-            degenerate=True,
         )
     nhat = (
         np.array(
@@ -126,20 +112,20 @@ def step_matrix(config: LatticeConfig, k: float) -> ModeMatrix:
         vminus = np.array([1.0, 0.0], dtype=complex)
     vplus = _fix_phase(vplus / np.linalg.norm(vplus))
     vminus = _fix_phase(vminus / np.linalg.norm(vminus))
-    return ModeMatrix(M, phi, vplus, vminus, nhat, degenerate=False)
+    return ModeMatrix(M, phi, vplus, vminus, nhat)
 
 
 def _require_periodic(config: LatticeConfig) -> None:
     if config.boundary is not Boundary.PERIODIC:
-        raise BoundaryModeError("momentum modes need the periodic boundary")
+        raise ValueError("momentum modes need the periodic boundary")
 
 
 def _check_on_grid(config: LatticeConfig, k: float, offset: float) -> None:
     v = k * config.L * config.dx / (2 * math.pi) - offset
     if abs(v - round(v)) > 1e-9:
-        raise OffGridError(f"k={k} not on the offset-{offset} momentum grid")
+        raise ValueError(f"k={k} not on the offset-{offset} momentum grid")
     if not -math.pi < k * config.dx <= math.pi + 1e-12:
-        raise OffGridError(f"k={k} outside the Brillouin zone")
+        raise ValueError(f"k={k} outside the Brillouin zone")
 
 
 def mode_orbital(
@@ -179,8 +165,6 @@ def energy(config: LatticeConfig, k: float) -> EnergyResult:
 def effective_hamiltonian(config: LatticeConfig, k: float) -> np.ndarray:
     """H(k) with exp(-i H dt) = M(k); long wavelengths give the Dirac form."""
     mode = step_matrix(config, k)
-    if mode.degenerate:
-        return (mode.phi / config.dt) * SIGMA3
     n1, n2, n3 = mode.nhat
     return (mode.phi / config.dt) * (n1 * SIGMA1 + n2 * SIGMA2 + n3 * SIGMA3)
 
@@ -241,7 +225,7 @@ def block_eigenphases(config: LatticeConfig, n: int) -> list[np.ndarray]:
     _require_periodic(config)
     L, dim = config.L, math.comb(config.n_sites, n)
     if dim > _DENSE_DIM_CAP:
-        raise DimensionTooLargeError(
+        raise ValueError(
             f"sector dimension {dim} exceeds the dense cap {_DENSE_DIM_CAP}"
         )
     words, sites = _sector(config.n_sites, n)
@@ -354,7 +338,7 @@ def slater_state(
     words, re, im = words[keep], amps.real[keep], amps.imag[keep]
     norm = math.sqrt(sum(m ** 2 for m in modulus[keep].tolist()))
     if norm == 0.0:
-        raise LatticeError("cannot normalize the zero state")
+        raise ValueError("cannot normalize the zero state")
     amps = np.empty(len(words), dtype=complex)
     amps.real = (re + im * 0.0) / norm
     amps.imag = (im - re * 0.0) / norm
@@ -373,7 +357,7 @@ def build_dirac_sea(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fill every negative-energy mode of the L-particle sector's grid; sorted (words, amps)."""
     _require_periodic(config)
     if config.L > MAX_SEA_CELLS:
-        raise DimensionTooLargeError(f"build_dirac_sea needs L <= {MAX_SEA_CELLS}")
+        raise ValueError(f"build_dirac_sea needs L <= {MAX_SEA_CELLS}")
     return slater_state(config, _minus_orbitals(config, parity_offset(config, config.L)))
 
 

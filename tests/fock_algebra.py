@@ -13,7 +13,7 @@ runs.
 import numpy as np
 
 from fqca.fermion import LadderOp, OpKind, _ladder_arrays
-from fqca.lattice import PRUNE_THRESHOLD, FockState, LatticeConfig, LatticeError, word_dtype
+from fqca.lattice import PRUNE_THRESHOLD, FockState, LatticeConfig, word_dtype
 
 
 def vacuum(config: LatticeConfig) -> FockState:
@@ -55,7 +55,7 @@ def prune(state: FockState) -> FockState:
 def normalized(state: FockState) -> FockState:
     n = state.norm()
     if n == 0.0:
-        raise LatticeError("cannot normalize the zero state")
+        raise ValueError("cannot normalize the zero state")
     return FockState(state.config, {w: a / n for w, a in state.amplitudes.items()})
 
 

@@ -25,7 +25,6 @@ from fqca.lattice import (
     Eps,
     FockState,
     LatticeConfig,
-    OutOfRangeError,
     bit_index,
 )
 
@@ -36,7 +35,7 @@ def _jw_sign(word: int, bit: int) -> int:
 
 def apply_ladder(state: FockState, op: LadderOp) -> FockState:
     if not 0 <= op.cell < state.config.L:
-        raise OutOfRangeError(f"cell {op.cell} outside lattice")
+        raise ValueError(f"cell {op.cell} outside lattice")
     b = bit_index(op.cell, op.eps)
     out: dict = {}
     create = op.kind is OpKind.CREATE
@@ -65,7 +64,7 @@ def heisenberg_image(
     cells = bulk_cells(config)
     if op.cell not in cells:
         edge = "boundary" if config.boundary is Boundary.OPEN else "seam"
-        raise OutOfRangeError(f"bulk cell required: distance >= {cells.start} from the {edge}")
+        raise ValueError(f"bulk cell required: distance >= {cells.start} from the {edge}")
 
     candidates = [
         LadderOp(op.kind, (op.cell + d) % config.L, e)

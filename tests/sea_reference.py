@@ -17,7 +17,6 @@ from fqca.evolution import step
 from fqca.lattice import FockState, LatticeConfig
 from fqca.spectral import (
     Band,
-    DimensionTooLargeError,
     SeaExcitation,
     _require_periodic,
     _sector,
@@ -53,7 +52,7 @@ def mode_sea(
 def build_dirac_sea(config: LatticeConfig) -> FockState:
     _require_periodic(config)
     if config.L > 8:
-        raise DimensionTooLargeError("build_dirac_sea needs L <= 8")
+        raise ValueError("build_dirac_sea needs L <= 8")
     return mode_sea(config, parity_offset(config, config.L))
 
 

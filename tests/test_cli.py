@@ -73,6 +73,8 @@ REJECTION_WORDING = {
     "dirac_sea-L10": "dirac_sea needs L <= 8, got L=10",
     "nogo_witness-height1-expect_found": "unknown key 'expect_found'",
     "nogo_csp-expect_sat": "unknown key 'expect_sat'",
+    "nogo_witness-size202": "witness lattice limited to 201 per side, got lattice_size 202",
+    "nogo_witness-height202": "witness lattice limited to 201 per side, got height 202",
 }
 
 
@@ -158,6 +160,8 @@ REJECTION_WORDING = {
                 ("nogo_witness", "size0", {"lattice_size": 0}),
                 ("nogo_witness", "size7-below-witness", {"lattice_size": 7}),
                 ("nogo_witness", "size0-height1", {"lattice_size": 0, "height": 1}),
+                ("nogo_witness", "size202", {"lattice_size": 202}),
+                ("nogo_witness", "height202", {"height": 202}),
                 ("nogo_witness", "height1-expect_found", {"height": 1, "expect_found": True}),
                 ("nogo_csp", "expect_sat", {"expect_sat": True}),
                 ("nogo_csp", "1d-spec-trivial", {"dimension": 1, "spec": "trivial"}),

@@ -29,7 +29,6 @@ from fqca.lattice import (
     Eps,
     FockState,
     LatticeConfig,
-    OutOfRangeError,
     basis_from_particles,
     basis_state,
     bit_index,
@@ -100,7 +99,7 @@ def test_build_state_rejects_annihilators():
 
 def test_ladder_out_of_range():
     cfg = LatticeConfig(L=3)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="cell 3 outside lattice"):
         apply_ladder(vacuum(cfg), cr(3, Eps.PLUS))
 
 
@@ -146,7 +145,7 @@ def test_heisenberg_image_periodic_bulk():
 
 def test_heisenberg_rejects_boundary_cells():
     cfg = LatticeConfig(L=8, theta=0.2, boundary=Boundary.OPEN)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="bulk cell required: distance >= 2 from the boundary"):
         heisenberg_image(cfg, cr(0, Eps.PLUS))
 
 

@@ -9,11 +9,9 @@ from hypothesis import given, strategies as st
 from fock_algebra import inner_product, normalized, prune, to_json_obj, vacuum
 from fqca.lattice import (
     Boundary,
-    DuplicateSiteError,
     Eps,
     FockState,
     LatticeConfig,
-    OutOfRangeError,
     PRUNE_THRESHOLD,
     _bit_parity,
     basis_from_particles,
@@ -29,11 +27,11 @@ def test_bit_layout():
 
 
 def test_config_validation():
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="L must be >= 2, got 1"):
         LatticeConfig(L=1)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="L must be <= 64, got 65"):
         LatticeConfig(L=65)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="dx and dt must be positive"):
         LatticeConfig(L=4, dx=-1.0)
     cfg = LatticeConfig(L=4, dx=0.5, dt=0.25, theta=0.3)
     assert cfg.n_sites == 8
@@ -45,9 +43,9 @@ def test_basis_packing_and_errors():
     cfg = LatticeConfig(L=4)
     w = basis_from_particles(cfg, [(2, Eps.PLUS), (0, Eps.MINUS)])
     assert w == (1 << 5) | 1
-    with pytest.raises(DuplicateSiteError):
+    with pytest.raises(ValueError, match=r"site \(cell=1, eps=PLUS\) repeated"):
         basis_from_particles(cfg, [(1, Eps.PLUS), (1, Eps.PLUS)])
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match=r"cell 4 outside \[0, 4\)"):
         basis_from_particles(cfg, [(4, Eps.MINUS)])
 
 
@@ -62,7 +60,7 @@ def test_pack_unpack_roundtrip(particles):
     cfg = LatticeConfig(L=6)
     try:
         w = basis_from_particles(cfg, particles)
-    except DuplicateSiteError:
+    except ValueError:
         # distinct (cell, eps) tuples cannot collide; only equal ones do
         raise AssertionError("unique site lists must pack")
     assert w == sum(1 << bit_index(cell, eps) for cell, eps in particles)

@@ -5,19 +5,19 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import csp_reference
+import witness_reference
 from fqca.cli import dump_json, main
 from fqca.nogo import (
     CORNERS,
     FootprintSpec,
     LatticeBounds,
-    LatticeTooLargeError,
+    MAX_WITNESS_SIDE,
     Site2D,
     chebyshev,
     check_witness_size,
-    connected_path,
     find_witness_triple,
     footprint,
     full_spec,
@@ -68,33 +68,50 @@ def test_full_spec_nontrivial_and_eps_cap():
         full_spec(5)
 
 
-def test_connected_path_parity_fast_fail():
+def test_witness_path_respects_exclusion():
+    # at 8 x 8 and min_distance 2 the shortest path that ignored s2 would pass next to it
     spec = full_spec(2)
-    bounds = LatticeBounds(9, 9)
-    center = Site2D(4, 4, 0)
-    assert connected_path(
-        Site2D(0, 0, 0), Site2D(1, 0, 0), spec, bounds, center, 3
-    ) is None
-
-
-def test_connected_path_trivial_endpoints():
-    spec = full_spec(2)
-    bounds = LatticeBounds(9, 9)
-    a = Site2D(0, 0, 0)
-    assert connected_path(a, a, spec, bounds, Site2D(4, 4, 0), 3) == [a]
-
-
-def test_connected_path_respects_exclusion():
-    spec = full_spec(2)
-    bounds = LatticeBounds(9, 9)
-    center = Site2D(4, 4, 0)
-    path = connected_path(
-        Site2D(0, 0, 0), Site2D(8, 8, 0), spec, bounds, center, 3
-    )
-    assert path is not None
-    assert all(chebyshev(s, center) >= 3 for s in path)
+    bounds = LatticeBounds(8, 8)
+    triple = find_witness_triple(spec, bounds, min_distance=2)
+    path = triple.path
+    assert triple.s2 == Site2D(4, 4, 0)
+    assert path[0] == triple.s1 and path[-1] == triple.s3
+    assert all(chebyshev(s, triple.s2) >= 2 for s in path)
     for prev, nxt in zip(path, path[1:]):
         assert nxt in footprint(prev, spec, bounds)
+
+
+@st.composite
+def footprint_specs(draw):
+    """The full or trivial spec, or each label reaching a random label set at each corner."""
+    num_eps = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["full", "trivial", "random"]))
+    if kind == "full":
+        return full_spec(num_eps)
+    if kind == "trivial":
+        return trivial_spec(num_eps)
+    labels = st.frozensets(st.integers(0, num_eps - 1))
+    return FootprintSpec(
+        num_eps, {e: {c: draw(labels) for c in CORNERS} for e in range(num_eps)}
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=footprint_specs(),
+    width=st.integers(1, 13),
+    height=st.sampled_from([None, 1, 2, 3]),
+    min_distance=st.integers(1, 4),
+)
+# the shipped and benchmark witness sizes
+@example(spec=full_spec(2), width=15, height=None, min_distance=3)
+@example(spec=full_spec(2), width=15, height=1, min_distance=3)
+@example(spec=trivial_spec(2), width=15, height=None, min_distance=3)
+def test_witness_matches_per_pair_search(spec, width, height, min_distance):
+    bounds = LatticeBounds(width, width if height is None else height)
+    assert find_witness_triple(spec, bounds, min_distance) == (
+        witness_reference.find_witness_triple(spec, bounds, min_distance)
+    )
 
 
 def test_witness_found_on_2d_lattice():
@@ -158,11 +175,11 @@ def test_csp_2d_trivial_spec_sat():
 
 
 def test_csp_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be 1 or 2"):
         sign_csp(dimension=3, radius=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="radius <= 2 supported"):
         sign_csp(dimension=1, radius=3)
-    with pytest.raises(LatticeTooLargeError):
+    with pytest.raises(ValueError, match="2D instance limited to 7 per side"):
         sign_csp(dimension=2, radius=1, lattice_size=9)
 
 
@@ -208,6 +225,12 @@ def test_check_witness_size():
     for size in (0, -3):
         with pytest.raises(ValueError):
             check_witness_size(size, 3, 1)
+    cap = MAX_WITNESS_SIDE
+    for args in ((cap, 3, None), (cap, 3, cap), (cap, 3, 1)):
+        check_witness_size(*args)
+    for args, name in (((cap + 1, 3, None), "lattice_size"), ((15, 3, cap + 1), "height")):
+        with pytest.raises(ValueError, match=f"limited to {cap} per side, got {name} {cap + 1}"):
+            check_witness_size(*args)
 
 
 def _csp_case(dimension, radius, spec, lattice_size):
