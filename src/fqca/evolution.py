@@ -27,17 +27,29 @@ the bits of every pair, applies the sign rule and ends with one sort.
 The coin mixes only the words of a pair that holds one particle, |01> with
 |10>; it leaves an empty pair alone and gives a full one its sign. So the
 coin layer first signs every key, then runs in rounds over the singly
-occupied pairs alone. Its gates sit on disjoint pairs, so a key changes
-only at those pairs, and a key and every key it mixes with hold the same
-singly and the same doubly occupied pairs, hence the same sign. Round r
-mixes every key at once at the r-th of its singly occupied pairs. That is
-one gather per round, at most one round per singly occupied pair, and
-amplitudes equal to applying every gate in order: negation is exact, so
-d*(-a) + o*(-b) = -(d*a + o*b) bit for bit, and a zero amplitude and an
-absent partner both add a zero before the pruning. A round takes pruned
-amplitudes, as the shift leaves them. It keeps keys whose amplitude it
-pruned to zero; a round that appends the absent partners it mixes in drops
-the zeros and sorts again, and the layer drops the rest once at its end.
+occupied (lone) pairs alone. Its gates sit on disjoint pairs, so a key
+changes only at those pairs, and a key and every key it mixes with hold the
+same lone and the same doubly occupied pairs, hence the same sign. They
+form the key's occupation orbit, the 2**s words (s lone pairs) that differ
+only in which site of each lone pair holds its particle, on which the coin
+is a product of 2x2 rotations. Round r mixes every key at once at the r-th
+of its lone pairs, at most one round per lone pair. A round takes pruned
+amplitudes, as the shift leaves them.
+
+The rounds run one of two ways. A coin input of more than ORBIT_CUTOFF keys
+is laid out by orbit (_orbit_rounds): one sort finds the orbits, each is
+laid out whole as one block, the blocks in descending s, and round r is a
+reshape of the blocks with s > r. One argsort restores word order and the
+zeros are dropped once at the end, with no search, append or sort per
+round. Below the cutoff (measured crossover: about 500 keys on uint64
+words), or when the orbits would hold more than ORBIT_FILL words per key,
+the search rounds (_search_rounds) find each key's partner by binary
+search; a round that appends the absent partners it mixes in drops the
+zeros and sorts again, and the layer drops the rest once at its end. Both
+equal applying every gate in order, bit for bit: each gate does the same
+two products and one add in the same pair order, negation is exact, so
+d*(-a) + o*(-b) = -(d*a + o*b), a zero amplitude and an absent partner
+both add a zero, and the pruning turns every zero part into +0.0.
 
 A config's two step layers (shift, then coin) are built once per
 (config, bosonic), by a cached _step_layers, and every later step of that
@@ -57,6 +69,7 @@ from .lattice import (
     FockState,
     LatticeConfig,
     PRUNE_THRESHOLD,
+    _bit_count,
     _bit_parity,
     word_dtype,
 )
@@ -187,6 +200,22 @@ def _relabel(keys, amps, layer: _Layer):
     return keys[order], amps[order]
 
 
+# A coin input of more keys than ORBIT_CUTOFF runs in the orbit layout, a
+# smaller one in search rounds. Measured crossover (2 vCPUs, numpy 2.4): on
+# uint64 words (L = 6 and 8, 3-8 particles, whole orbits) the layout took
+# 1.02-1.45x the search rounds' time at 128-384 keys (one sample 0.77x),
+# 0.91-1.05x at 512 and 0.68-0.96x at 640-1024; on L = 64 object words
+# with one particle, as the wavepacket steps them, 1.5-2.1x at 16-128.
+ORBIT_CUTOFF = 512
+# The layout runs only while its orbits hold at most ORBIT_FILL words per
+# input key. Near a diagonal coin (theta near a multiple of pi/2) the
+# rounds prune the filled-in members again, so the layout's cost grows with
+# the fill and the search rounds' does not: at theta = pi/2 on 400 keys
+# with 8-member orbits the layout took 1.5-2x their time, with 64-member
+# orbits about 8x. At theta = 0.3 it was faster at every fill.
+ORBIT_FILL = 2
+
+
 def _apply_layer(keys, amps, layer: _Layer):
     """Apply one layer to sorted keys; returns the new sorted (keys, amps).
 
@@ -197,12 +226,77 @@ def _apply_layer(keys, amps, layer: _Layer):
     if layer.relabels:
         return _relabel(keys, amps, layer)
     t = keys.dtype.type
-    one, three = t(1), t(3)
+    one = t(1)
     pairs = t(layer.pair_bits)
     v = keys & t((1 << layer.nbits) - 1)  # the word, read in the pair frame
     amps = _signed(amps, v & (v >> one) & pairs, layer)
-    # bit 2j of x: pair j holds one particle, and its gate has yet to mix the key
+    # bit 2j of x: pair j holds one particle
     x = (v ^ (v >> one)) & pairs
+    if len(keys) > ORBIT_CUTOFF:
+        out = _orbit_rounds(keys, amps, v, x, layer)
+        if out is not None:
+            return out
+    return _search_rounds(keys, amps, v, x, layer)
+
+
+def _orbit_rounds(keys, amps, v, x, layer: _Layer):
+    """The coin's rounds on a layout by occupation orbit; None past ORBIT_FILL.
+
+    A key's class word moves each of its lone particles to its pair's p1.
+    The words of one class form an orbit of 2**s words, s its number of
+    lone pairs, and member m of the orbit holds the particle of its r-th
+    lone pair on p2 when bit r of m is set; member words ascend with m.
+    Each orbit is laid out whole as one block, the blocks in descending s,
+    so each block starts at a multiple of its size, and round r is a
+    reshape of the blocks with s > r into (lo, hi) halves that differ at
+    their r-th lone pair. Members absent from keys start at 0j, as absent
+    partners enter the search rounds.
+    """
+    t = keys.dtype.type
+    one, three = t(1), t(3)
+    cw = np.sort(keys ^ ((v >> one) & x) * three)
+    first = np.ones(len(cw), dtype=bool)
+    first[1:] = cw[1:] != cw[:-1]
+    cw = cw[first]
+    xc = cw & ~(cw >> one) & t(layer.pair_bits)  # a lone pair reads 10 in its class word
+    s = _bit_count(xc)
+    if np.ldexp(1.0, s).sum() > ORBIT_FILL * len(keys):
+        return None
+    by_s = (~s).argsort(kind="stable")  # descending s
+    cw, xc, s = cw[by_s], xc[by_s], s[by_s].astype(np.intp)
+    size = np.left_shift(1, s)
+    words = np.repeat(cw, size)
+    ends = np.cumsum(size)
+    # round r runs on the blocks with s > r, the first nblocks[r]
+    nblocks = (s[:, None] > np.arange(s.max(initial=0))).sum(0).tolist()
+    for r, nb in enumerate(nblocks):
+        low = xc[:nb] & (~xc[:nb] + one)  # the p1 bit of each block's r-th lone pair
+        xc[:nb] ^= low
+        hi = words[: ends[nb - 1]].reshape(-1, 2, 1 << r)[:, 1, :]
+        hi ^= np.repeat(low * three, size[:nb] >> (r + 1))[:, None]
+    worder = words.argsort()
+    words = words[worder]
+    a = np.zeros(len(words), dtype=complex)
+    # the sorted words hold every key, and only the keys when no orbit lacks a member
+    a[worder if len(words) == len(keys) else worder[words.searchsorted(keys)]] = amps
+    d, o = layer.diag, layer.off
+    # lo holds the particle on p1 (local state 2), hi on p2 (local state 1)
+    for r, nb in enumerate(nblocks):
+        blk = a[: ends[nb - 1]].reshape(-1, 2, 1 << r)
+        lo, hi = blk[:, 0, :], blk[:, 1, :]
+        blk[:, 0, :], blk[:, 1, :] = _pruned(d[2] * lo + o[2] * hi), _pruned(d[1] * hi + o[1] * lo)
+    a = a[worder]
+    live = a != 0
+    return (words, a) if live.all() else (words[live], a[live])
+
+
+def _search_rounds(keys, amps, v, x, layer: _Layer):
+    """The coin's rounds, each finding every key's partner by binary search.
+
+    Bit 2j of x marks a lone pair j whose gate has yet to mix the key.
+    """
+    t = keys.dtype.type
+    one, three = t(1), t(3)
     while True:
         act = x.nonzero()[0]
         if not act.size:

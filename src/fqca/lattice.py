@@ -84,15 +84,20 @@ def word_dtype(nbits: int) -> np.dtype:
     return np.dtype(np.uint64) if nbits <= 64 else np.dtype(object)
 
 
-def _bit_parity(words: np.ndarray) -> np.ndarray:
-    """Whether each word has an odd number of set bits.
+def _bit_count(words: np.ndarray) -> np.ndarray:
+    """The number of set bits of each word (uint8 for uint64 words, else intp).
 
     uint64 words take np.bitwise_count. Python-int (object) words take
     int.bit_count in one pass, which is faster on them than bitwise_count.
     """
     if words.dtype == object:
-        return np.array([w.bit_count() & 1 for w in words.tolist()], dtype=bool)
-    return (np.bitwise_count(words) & 1).astype(bool)
+        return np.array([w.bit_count() for w in words.tolist()], dtype=np.intp)
+    return np.bitwise_count(words)
+
+
+def _bit_parity(words: np.ndarray) -> np.ndarray:
+    """Whether each word has an odd number of set bits."""
+    return (_bit_count(words) & 1).astype(bool)
 
 
 def basis_from_particles(config: LatticeConfig, particles) -> int:

@@ -7,9 +7,13 @@ words fill and outgrow 64 bits; on words that doubly occupy up to five
 shift pairs, the ring's seam among them; on words that fill coin pairs
 around their lone particles, or hold no lone particle; and on every word
 at L = 2 and 3 under the layers that only relabel words. Batches of states run through
-one step_keys pass and must equal stepping each state alone.
+one step_keys pass and must equal stepping each state alone. Coin inputs
+just below, at and above ORBIT_CUTOFF, whole Fock spaces and sectors among
+them, check both coin paths, and with the cutoff and the fill bound lifted
+every random input, the empty one included, runs in the orbit layout.
 """
 
+import contextlib
 import itertools
 import math
 
@@ -19,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_sector
 import dict_engine
+from fqca import evolution
 from fqca.evolution import (
     _coin_layer,
     _pruned,
@@ -39,20 +44,19 @@ from fqca.lattice import (
     word_dtype,
 )
 
+SPECIAL_AMPLITUDES = [
+    0j,
+    complex(-0.0, 0.0),
+    complex(0.5, -0.0),
+    1.0,
+    -1.0,
+    PRUNE_THRESHOLD,
+    -0.9 * PRUNE_THRESHOLD,
+    complex(PRUNE_THRESHOLD, 1e-15),
+]
 AMPLITUDES = st.one_of(
     st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
-    st.sampled_from(
-        [
-            0j,
-            complex(-0.0, 0.0),
-            complex(0.5, -0.0),
-            1.0,
-            -1.0,
-            PRUNE_THRESHOLD,
-            -0.9 * PRUNE_THRESHOLD,
-            complex(PRUNE_THRESHOLD, 1e-15),
-        ]
-    ),
+    st.sampled_from(SPECIAL_AMPLITUDES),
 )
 THETAS = st.one_of(
     st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]),
@@ -307,3 +311,119 @@ def test_permutation_layers_exhaustive(L, boundary, bosonic):
             assert exact(engine(state, bosonic)) == exact(reference(state, bosonic))
     got = step_batch(cfg, batch, bosonic)
     assert [exact(s) for s in got] == [exact(dict_engine.step(s, bosonic)) for s in batch]
+
+
+@contextlib.contextmanager
+def orbit_layouts():
+    """Yields a list that gets, per coin layer that tried the orbit layout, whether it ran."""
+    ran = []
+    real = evolution._orbit_rounds
+
+    def spy(*args):
+        out = real(*args)
+        ran.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_orbit_rounds", spy)
+        yield ran
+
+
+def loaded(cfg: LatticeConfig, words, seed: int, specials: bool = True) -> FockState:
+    """A state on words with random amplitudes, every fifth one a special amplitude."""
+    rng = np.random.default_rng(seed)
+    amps = (rng.normal(size=len(words)) + 1j * rng.normal(size=len(words))).tolist()
+    if specials:
+        for i in range(0, len(amps), 5):
+            amps[i] = SPECIAL_AMPLITUDES[(i // 5) % len(SPECIAL_AMPLITUDES)]
+    return FockState(cfg, dict(zip(words, amps)))
+
+
+def shift_preimage(cfg: LatticeConfig, words) -> list[int]:
+    """The words the shift maps onto words, so that a step's coin receives words."""
+    return sorted(dict_engine.apply_shift(FockState(cfg, {w: 1.0 for w in words})).amplitudes)
+
+
+@pytest.mark.parametrize("L, n", [(4, None), (5, None), (6, 3)])
+@pytest.mark.parametrize("theta", [0.3, math.pi / 2, -1.1])
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("bosonic", [False, True])
+def test_whole_spaces_equal_reference(L, n, theta, boundary, bosonic):
+    # the full L=4 space (256 words) and the L=6, n=3 sector (220) stay below
+    # ORBIT_CUTOFF, the full L=5 space (1024) runs in the orbit layout; at
+    # theta = pi/2 the coin is diagonal, so the filled-in members prune to zeros
+    cfg = LatticeConfig(L=L, theta=theta, boundary=boundary)
+    words = [w for w in range(1 << cfg.n_sites) if n is None or w.bit_count() == n]
+    state = loaded(cfg, words, seed=L)
+    with orbit_layouts() as ran:
+        got = [step(state, bosonic), apply_coin(state, bosonic), evolve(state, 2, bosonic)]
+    want = [dict_engine.step(state, bosonic), dict_engine.apply_coin(state, bosonic)]
+    want.append(dict_engine.step(want[0], bosonic))
+    assert [exact(s) for s in got] == [exact(s) for s in want]
+    assert ran == ([True] * 4 if len(words) > evolution.ORBIT_CUTOFF else [])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("theta", [0.3, math.pi / 2])
+def test_coin_paths_meet_at_the_cutoff(offset, theta):
+    # ORBIT_CUTOFF - 1, ORBIT_CUTOFF and ORBIT_CUTOFF + 1 coin input keys,
+    # no amplitude pruned before the coin, so both step and the coin alone see them all
+    cfg = LatticeConfig(L=5, theta=theta)
+    order = np.random.default_rng(0).permutation(1 << cfg.n_sites)
+    size = evolution.ORBIT_CUTOFF + offset
+    state = loaded(cfg, shift_preimage(cfg, order[:size].tolist()), seed=size, specials=False)
+    coin_input = loaded(cfg, order[:size].tolist(), seed=size, specials=False)
+    with orbit_layouts() as ran:
+        assert exact(step(state)) == exact(dict_engine.step(state))
+        assert exact(apply_coin(coin_input)) == exact(dict_engine.apply_coin(coin_input))
+    assert ran == [True, True] * (offset > 0)
+
+
+def test_object_words_and_wide_batches_in_the_orbit_layout():
+    # L=40 words outgrow 64 bits; so do L=32 keys once the state index sits above them
+    cfg = LatticeConfig(L=40, theta=0.3)
+    three = [sum(1 << b for b in c) for c in itertools.combinations(range(20), 3)]
+    state = loaded(cfg, shift_preimage(cfg, three), seed=1)
+    cfg32 = LatticeConfig(L=32, theta=-1.1, boundary=Boundary.OPEN)
+    # each state's coin receives whole orbits: 3 lone particles and a filled pair
+    orbits = [
+        [sum(1 << (2 * c + e) for c, e in zip(cells, sides)) | 3 << (2 * cells[2] + 2)
+         for sides in itertools.product((0, 1), repeat=3)]
+        for cells in itertools.combinations(range(0, 30, 3), 3)
+    ]
+    batch = [loaded(cfg32, shift_preimage(cfg32, o), seed=i) for i, o in enumerate(orbits)]
+    assert sum(len(s.amplitudes) for s in batch) > evolution.ORBIT_CUTOFF
+    with orbit_layouts() as ran:
+        assert exact(step(state)) == exact(dict_engine.step(state))
+        got = step_batch(cfg32, batch)
+    assert [exact(s) for s in got] == [exact(dict_engine.step(s)) for s in batch]
+    assert ran == [True, True]
+
+
+def test_sparse_coin_input_past_the_fill_bound():
+    # 600 words, each alone in its 8-member orbit: the layout would hold 8
+    # words per key, so the search rounds run
+    cfg = LatticeConfig(L=40, theta=math.pi / 2)
+    cells = itertools.islice(itertools.combinations(range(40), 3), 600)
+    words = [sum(1 << 2 * c for c in cs) for cs in cells]
+    state = loaded(cfg, words, seed=2)
+    with orbit_layouts() as ran:
+        assert exact(apply_coin(state)) == exact(dict_engine.apply_coin(state))
+    assert ran == [False]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data(), configs(), st.booleans(), st.integers(0, 2))
+def test_orbit_layout_equals_reference_on_every_input(data, cfg, bosonic, nsteps):
+    # with no cutoff and no fill bound every coin input, the empty one
+    # included, runs in the orbit layout
+    state = data.draw(states(cfg))
+    want = state
+    for _ in range(nsteps):
+        want = dict_engine.step(want, bosonic)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "ORBIT_CUTOFF", -1)
+        mp.setattr(evolution, "ORBIT_FILL", math.inf)
+        assert exact(step(state, bosonic)) == exact(dict_engine.step(state, bosonic))
+        assert exact(apply_coin(state, bosonic)) == exact(dict_engine.apply_coin(state, bosonic))
+        assert exact(evolve(state, nsteps, bosonic)) == exact(want)

@@ -14,6 +14,11 @@ the shipped `nogo_witness` config: on 15 x 15 at min_distance 3 the first
 path it finds stays far from s2 anyway. On 8 x 8 at min_distance 2 its path
 cuts past s2, so WRITTEN holds that config.
 
+The coin's orbit layout (evolution._orbit_rounds) runs only on coin inputs
+above evolution.ORBIT_CUTOFF keys. Of the shipped and benchmark configs
+only `dirac_sea` (780-888 keys at L = 6) reaches it, so its mutant names
+that config alone.
+
 Left out, as an equivalent mutant: `_ladder_arrays` taking the parity of
 the bits above the target instead of below. For a creator on an empty site
 the parity above equals the parity below times (-1)^N(w), with N(w) the
@@ -76,6 +81,12 @@ MUTANTS = {
         "npairs = cfg.L if cfg.boundary is Boundary.PERIODIC else cfg.L - 1",
         "npairs = cfg.L - 1",
         ("dirac_sea", "dispersion_sweep", "wavepacket"),
+    ),
+    "orbit_round_diag_swapped": (
+        evolution, "_orbit_rounds",
+        "_pruned(d[2] * lo + o[2] * hi), _pruned(d[1] * hi + o[1] * lo)",
+        "_pruned(d[1] * lo + o[2] * hi), _pruned(d[2] * hi + o[1] * lo)",
+        ("dirac_sea",),
     ),
     "csp_flip_reversed": (
         nogo, "sign_csp",
