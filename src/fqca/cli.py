@@ -489,6 +489,7 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
         ),
         _check("gaps_match_phi", max(r[5] for r in rows), 1e-10),
         _check("gaps_positive", min(e.gap for e in excitations), MIN_GAP, "min"),
+        _check("steps_keep_norm", sea.norm_err, 1e-12),
     ]
     return {"sea_phase": sea.phase, "n_excitations": len(excitations)}, checks
 

@@ -36,20 +36,34 @@ is a product of 2x2 rotations. Round r mixes every key at once at the r-th
 of its lone pairs, at most one round per lone pair. A round takes pruned
 amplitudes, as the shift leaves them.
 
-The rounds run one of two ways. A coin input of more than ORBIT_CUTOFF keys
-is laid out by orbit (_orbit_rounds): one sort finds the orbits, each is
-laid out whole as one block, the blocks in descending s, and round r is a
-reshape of the blocks with s > r. One argsort restores word order and the
-zeros are dropped once at the end, with no search, append or sort per
-round. Below the cutoff (measured crossover: about 500 keys on uint64
-words), or when the orbits would hold more than ORBIT_FILL words per key,
-the search rounds (_search_rounds) find each key's partner by binary
-search; a round that appends the absent partners it mixes in drops the
-zeros and sorts again, and the layer drops the rest once at its end. Both
-equal applying every gate in order, bit for bit: each gate does the same
-two products and one add in the same pair order, negation is exact, so
-d*(-a) + o*(-b) = -(d*a + o*b), a zero amplitude and an absent partner
-both add a zero, and the pruning turns every zero part into +0.0.
+Each layer application applies a plan (_plan), built from the part of the
+layer's work that depends on its input keys alone: for a relabelling
+(_relabel_plan) the sorted image keys, the permutation into them and the
+indices the sign rule signs; for the coin those indices and the layout its
+rounds run on. Applying the plan does what depends on the amplitudes: the
+sign, the rounds, the pruning and the dropping of zeros, which keeps the
+sorted order since keys are unique. _run_keys keeps the last plan it built
+for each layer object and applies it again while that layer's input keys
+equal the keys it was built for, so once a state fills a support that the
+step maps onto itself, as a full particle-number sector is, every later
+step reuses both plans. Plans live for one _run_keys call.
+
+The coin's rounds run one of two ways. A coin input of more than
+ORBIT_CUTOFF keys is laid out by orbit (_orbit_plan): one sort finds the
+orbits, each is laid out whole as one block, the blocks in descending s,
+and round r is a reshape of the blocks with s > r. One argsort gives word
+order, and the application gathers into it and drops the zeros once at the
+end, with no search, append or sort per round. Below the cutoff (measured
+crossover: about 500 keys on uint64 words), or when the orbits would hold
+more than ORBIT_FILL words per key, the search rounds (_search_rounds) find
+each key's partner by binary search; a round that appends the absent
+partners it mixes in drops the zeros and sorts again, and the layer drops
+the rest once at its end. Their mid-round drop depends on the
+amplitudes, so only their words and lone-pair masks are planned. Both equal
+applying every gate in order, bit for bit: each gate does the same two
+products and one add in the same pair order, negation is exact, so
+d*(-a) + o*(-b) = -(d*a + o*b), a zero amplitude and an absent partner both
+add a zero, and the pruning turns every zero part into +0.0.
 
 A config's two step layers (shift, then coin) are built once per
 (config, bosonic), by a cached _step_layers, and every later step of that
@@ -160,28 +174,67 @@ def _pruned(amps: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _signed(amps, both, layer: _Layer):
-    """Multiply amps, in place, by diag[3] once per doubly occupied pair.
+def _odd(both) -> np.ndarray:
+    """The indices of the keys that hold an odd number of doubly occupied pairs.
 
     both holds, for each key, bit 2j for every doubly occupied pair j of
-    the layer, in the pair frame; the factor is diag[3] to the parity of
-    their number. Keys with no such pair are left alone, so a state
-    without one pays only for finding that out.
+    the layer, in the pair frame. Keys with no such pair are skipped, so a
+    state without one pays only for finding that out.
     """
     has = both.nonzero()[0]
-    if has.size:
-        odd = has[_bit_parity(both[has])]
+    return has[_bit_parity(both[has])] if has.size else has
+
+
+def _signed(amps, odd, layer: _Layer):
+    """Multiply amps[odd], in place, by diag[3]; returns amps.
+
+    A word picks up diag[3] once per doubly occupied pair, which is diag[3]
+    to the parity of their number, so _odd's keys change sign (or not, for
+    diag[3] = 1) and the rest are left alone.
+    """
+    if odd.size:
         # + 0.0 turns -0.0 into 0.0, as _pruned does
         amps[odd] = layer.diag[3] * amps[odd] + 0.0
     return amps
 
 
-def _relabel(keys, amps, layer: _Layer):
-    """Apply a signed-swap layer to keys; returns the new sorted (keys, amps).
+def _plan(keys, layer: _Layer):
+    """Build layer's plan for sorted keys; returns it as a function of their amplitudes.
+
+    The plan does the part of the layer's work that depends on the keys
+    alone. The function it returns does the rest, overwrites the amplitudes
+    it takes and returns the layer's sorted (keys, amps); it may be called
+    again with new amplitudes of the same keys. The coin's rounds take
+    pruned amplitudes, as a step's shift leaves them: its gate is a signed
+    swap, so its plan prunes every amplitude before the coin runs.
+    """
+    if layer.relabels:
+        return _relabel_plan(keys, layer)
+    t = keys.dtype.type
+    one = t(1)
+    pairs = t(layer.pair_bits)
+    v = keys & t((1 << layer.nbits) - 1)  # the word, read in the pair frame
+    odd = _odd(v & (v >> one) & pairs)
+    # bit 2j of x: pair j holds one particle
+    x = (v ^ (v >> one)) & pairs
+    if len(keys) > ORBIT_CUTOFF:
+        plan = _orbit_plan(keys, odd, v, x, layer)
+        if plan is not None:
+            return plan
+
+    def search_rounds(amps):
+        # the rounds clear x's bits as they go, so each application gets a copy
+        return _search_rounds(keys, _signed(amps, odd, layer), v, x.copy(), layer)
+
+    return search_rounds
+
+
+def _relabel_plan(keys, layer: _Layer):
+    """The plan of a signed-swap layer: the sorted image keys and the permutation into them.
 
     Each word swaps the two bits of every pair of the layer and is signed
     by _signed. Bits outside the pairs, such as the open chain's seam, stay
-    put. Every amplitude is pruned.
+    put.
     """
     t = keys.dtype.type
     one, top = t(1), t(layer.nbits - 1)
@@ -193,11 +246,17 @@ def _relabel(keys, amps, layer: _Layer):
     v = v ^ ((lo ^ hi) * t(3))  # a pair with one site occupied flips both bits
     if layer.rotated:
         v = ((v << one) & full) | (v >> top)
-    amps = _pruned(_signed(amps, lo & hi, layer))
-    live = amps != 0
-    keys, amps = (keys ^ w ^ v)[live], amps[live]
-    order = keys.argsort()
-    return keys[order], amps[order]
+    odd, out = _odd(lo & hi), keys ^ w ^ v
+    order = out.argsort()
+    out = out[order]
+
+    def relabelling(amps):
+        # keys are unique, so dropping the zeros after the sort keeps the order
+        a = _pruned(_signed(amps, odd, layer))[order]
+        live = a != 0
+        return (out, a) if live.all() else (out[live], a[live])
+
+    return relabelling
 
 
 # A coin input of more keys than ORBIT_CUTOFF runs in the orbit layout, a
@@ -216,31 +275,8 @@ ORBIT_CUTOFF = 512
 ORBIT_FILL = 2
 
 
-def _apply_layer(keys, amps, layer: _Layer):
-    """Apply one layer to sorted keys; returns the new sorted (keys, amps).
-
-    Every amplitude must already be pruned, as in a step: the shift comes
-    first, and its gate is a signed swap, so _relabel has pruned every
-    amplitude before the coin runs. The amps array is overwritten.
-    """
-    if layer.relabels:
-        return _relabel(keys, amps, layer)
-    t = keys.dtype.type
-    one = t(1)
-    pairs = t(layer.pair_bits)
-    v = keys & t((1 << layer.nbits) - 1)  # the word, read in the pair frame
-    amps = _signed(amps, v & (v >> one) & pairs, layer)
-    # bit 2j of x: pair j holds one particle
-    x = (v ^ (v >> one)) & pairs
-    if len(keys) > ORBIT_CUTOFF:
-        out = _orbit_rounds(keys, amps, v, x, layer)
-        if out is not None:
-            return out
-    return _search_rounds(keys, amps, v, x, layer)
-
-
-def _orbit_rounds(keys, amps, v, x, layer: _Layer):
-    """The coin's rounds on a layout by occupation orbit; None past ORBIT_FILL.
+def _orbit_plan(keys, odd, v, x, layer: _Layer):
+    """The coin's plan on a layout by occupation orbit; None past ORBIT_FILL.
 
     A key's class word moves each of its lone particles to its pair's p1.
     The words of one class form an orbit of 2**s words, s its number of
@@ -276,18 +312,25 @@ def _orbit_rounds(keys, amps, v, x, layer: _Layer):
         hi ^= np.repeat(low * three, size[:nb] >> (r + 1))[:, None]
     worder = words.argsort()
     words = words[worder]
-    a = np.zeros(len(words), dtype=complex)
     # the sorted words hold every key, and only the keys when no orbit lacks a member
-    a[worder if len(words) == len(keys) else worder[words.searchsorted(keys)]] = amps
+    deposit = worder if len(words) == len(keys) else worder[words.searchsorted(keys)]
+    # round r mixes the layout's first stops[r] positions
+    stops = [ends[nb - 1] for nb in nblocks]
     d, o = layer.diag, layer.off
-    # lo holds the particle on p1 (local state 2), hi on p2 (local state 1)
-    for r, nb in enumerate(nblocks):
-        blk = a[: ends[nb - 1]].reshape(-1, 2, 1 << r)
-        lo, hi = blk[:, 0, :], blk[:, 1, :]
-        blk[:, 0, :], blk[:, 1, :] = _pruned(d[2] * lo + o[2] * hi), _pruned(d[1] * hi + o[1] * lo)
-    a = a[worder]
-    live = a != 0
-    return (words, a) if live.all() else (words[live], a[live])
+
+    def orbit_layout(amps):
+        a = np.zeros(len(words), dtype=complex)
+        a[deposit] = _signed(amps, odd, layer)
+        # lo holds the particle on p1 (local state 2), hi on p2 (local state 1)
+        for r, stop in enumerate(stops):
+            blk = a[:stop].reshape(-1, 2, 1 << r)
+            lo, hi = blk[:, 0, :], blk[:, 1, :]
+            blk[:, 0, :], blk[:, 1, :] = _pruned(d[2] * lo + o[2] * hi), _pruned(d[1] * hi + o[1] * lo)
+        a = a[worder]
+        live = a != 0
+        return (words, a) if live.all() else (words[live], a[live])
+
+    return orbit_layout
 
 
 def _search_rounds(keys, amps, v, x, layer: _Layer):
@@ -333,10 +376,20 @@ def _search_rounds(keys, amps, v, x, layer: _Layer):
 def _run_keys(keys, amps, layers: Sequence[_Layer]):
     """Apply the layers in order to sorted keys; returns the new sorted (keys, amps).
 
-    The amps array is overwritten.
+    Every layer application applies a plan (_plan), built for its input
+    keys. The last plan built for each layer object is kept for the rest of
+    the call and applied again while that layer's input keys equal the
+    keys it was built for, so a support that the step maps onto itself,
+    such as a full particle-number sector, builds one plan per layer. The
+    amps array is overwritten.
     """
+    plans = {}  # id(layer) -> (the keys its plan was built for, the plan)
     for layer in layers:
-        keys, amps = _apply_layer(keys, amps, layer)
+        seen, plan = plans.get(id(layer), (None, None))
+        # equal keys, index bits and all, not merely as many
+        if plan is None or not (keys is seen or np.array_equal(keys, seen)):
+            seen, plan = plans[id(layer)] = keys, _plan(keys, layer)
+        keys, amps = plan(amps)
     return keys, amps
 
 
@@ -361,7 +414,8 @@ def step_keys(config: LatticeConfig, keys: np.ndarray, amps: np.ndarray, bosonic
     A key is a basis word of config with its state's index above the
     word's 2L bits, so states never mix. keys must be sorted and unique and
     have the word_dtype of the 2L bits plus the index bits. amps holds each
-    key's amplitude and is overwritten.
+    key's amplitude and is overwritten. One step applies each layer once,
+    so each layer builds its plan (see _run_keys) and reuses none.
     """
     return _run_keys(keys, amps, _step_layers(config, bosonic))
 

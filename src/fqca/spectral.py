@@ -363,11 +363,13 @@ def build_dirac_sea(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def eigenphase_of(
     config: LatticeConfig, words: np.ndarray, amps: np.ndarray
-) -> tuple[float, float]:
-    """(|<psi|U|psi>|, arg) for a normalized state's sorted (words, amps); modulus 1 iff eigenstate.
+) -> tuple[float, float, float]:
+    """(|<psi|U|psi>|, arg, ||U psi||) for a normalized state's sorted (words, amps).
 
-    The overlap takes each conj(a) b as Python's complex product does and
-    sums them sequentially in ascending word order.
+    The modulus is 1 iff psi is an eigenstate only while the step keeps the
+    norm, so the stepped norm comes with it. The overlap takes each
+    conj(a) b as Python's complex product does and sums them sequentially
+    in ascending word order.
     """
     out_words, out = step_keys(config, words, amps.copy())
     pos = np.minimum(np.searchsorted(out_words, words), len(out_words) - 1)
@@ -378,7 +380,7 @@ def eigenphase_of(
     terms.real = ar * b.real - ai * b.imag
     terms.imag = ar * b.imag + ai * b.real
     ov = sum(terms.tolist())
-    return abs(ov), float(np.angle(ov))
+    return abs(ov), float(np.angle(ov)), float(np.linalg.norm(out))
 
 
 @dataclass
@@ -397,6 +399,7 @@ class DiracSea:
     modulus: float     # |<sea|U|sea>|
     phase: float       # arg <sea|U|sea>
     excitations: list[SeaExcitation]
+    norm_err: float    # the largest | ||U psi|| - 1 | over the sea and its excitations
 
 
 def dirac_sea_excitations(config: LatticeConfig) -> DiracSea:
@@ -414,7 +417,8 @@ def dirac_sea_excitations(config: LatticeConfig) -> DiracSea:
     each of the 2L + 1 states is stepped once.
     """
     words, amps = build_dirac_sea(config)
-    modulus, sea_phase = eigenphase_of(config, words, amps)
+    modulus, sea_phase, norm = eigenphase_of(config, words, amps)
+    norm_err = abs(norm - 1.0)
     other = parity_offset(config, config.L + 1)
     minus = _minus_orbitals(config, other)
     sectors = {n: _sector(config.n_sites, n) for n in (config.L + 1, config.L - 1)}
@@ -425,10 +429,11 @@ def dirac_sea_excitations(config: LatticeConfig) -> DiracSea:
         remove_minus = minus[:i] + minus[i + 1:]
         for kind, orbitals in (("add_plus", add_plus), ("remove_minus", remove_minus)):
             state = slater_state(config, orbitals, sectors[len(orbitals)])
-            mod, ph = eigenphase_of(config, *state)
+            mod, ph, norm = eigenphase_of(config, *state)
+            norm_err = max(norm_err, abs(norm - 1.0))
             gap = ((sea_phase - ph) % (2 * math.pi)) / config.dt
             excitations.append(SeaExcitation(kind, float(k), gap, phi, mod))
-    return DiracSea(words, amps, modulus, sea_phase, excitations)
+    return DiracSea(words, amps, modulus, sea_phase, excitations, norm_err)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ one step_keys pass and must equal stepping each state alone. Coin inputs
 just below, at and above ORBIT_CUTOFF, whole Fock spaces and sectors among
 them, check both coin paths, and with the cutoff and the fill bound lifted
 every random input, the empty one included, runs in the orbit layout.
+Full sectors, which the step maps onto themselves, evolve on one plan per
+layer and must equal chained steps; a support that keeps its size but not
+its words builds a new plan for every layer application.
 """
 
 import contextlib
@@ -143,8 +146,10 @@ def test_layers_equal_reference(data, cfg, bosonic):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.data(), configs(), st.booleans(), st.integers(0, 3))
+@given(st.data(), configs(), st.booleans(), st.integers(0, 6))
 def test_evolve_equals_repeated_reference_steps(data, cfg, bosonic, nsteps):
+    # a sparse support grows and may fill its sector, so evolve builds plans
+    # and, once the support stops changing, reuses them
     state = data.draw(states(cfg))
     want = state
     for _ in range(nsteps):
@@ -315,9 +320,9 @@ def test_permutation_layers_exhaustive(L, boundary, bosonic):
 
 @contextlib.contextmanager
 def orbit_layouts():
-    """Yields a list that gets, per coin layer that tried the orbit layout, whether it ran."""
+    """Yields a list that gets, per coin plan that tried the orbit layout, whether it was built."""
     ran = []
-    real = evolution._orbit_rounds
+    real = evolution._orbit_plan
 
     def spy(*args):
         out = real(*args)
@@ -325,7 +330,7 @@ def orbit_layouts():
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "_orbit_rounds", spy)
+        mp.setattr(evolution, "_orbit_plan", spy)
         yield ran
 
 
@@ -427,3 +432,56 @@ def test_orbit_layout_equals_reference_on_every_input(data, cfg, bosonic, nsteps
         assert exact(step(state, bosonic)) == exact(dict_engine.step(state, bosonic))
         assert exact(apply_coin(state, bosonic)) == exact(dict_engine.apply_coin(state, bosonic))
         assert exact(evolve(state, nsteps, bosonic)) == exact(want)
+
+
+@contextlib.contextmanager
+def plans_built():
+    """Yields a list that gets the number of input keys of every plan built."""
+    built = []
+    real = evolution._plan
+
+    def spy(keys, layer):
+        built.append(len(keys))
+        return real(keys, layer)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_plan", spy)
+        yield built
+
+
+def sector(cfg: LatticeConfig, n: int) -> list[int]:
+    """Every word of cfg with n particles."""
+    return [sum(1 << b for b in bits) for bits in itertools.combinations(range(cfg.n_sites), n)]
+
+
+# a full sector maps onto itself, so evolve builds 2 plans and reuses them:
+# the search rounds (L=4, n=4: 70 keys; L=5, n=3: 120), the orbit layout
+# (L=6, n=6: 924) and, on object words, both (L=33, n=1: 66; L=40, n=2: 3160)
+@pytest.mark.parametrize("L, n", [(4, 4), (5, 3), (6, 6), (33, 1), (40, 2)])
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, -math.pi / 2, 0.3, -1.1])
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("bosonic", [False, True])
+def test_evolve_equals_chained_steps_on_full_sectors(L, n, theta, boundary, bosonic):
+    cfg = LatticeConfig(L=L, theta=theta, boundary=boundary)
+    state = loaded(cfg, sector(cfg, n), seed=L, specials=False)
+    want = state
+    for _ in range(5):
+        want = step(want, bosonic)
+    with plans_built() as built:
+        got = evolve(state, 5, bosonic)
+    assert exact(got) == exact(want)
+    assert built == [len(state.amplitudes)] * 2
+
+
+def test_plans_follow_the_keys_not_their_number():
+    # at theta = 0 a lone particle's one word moves every step: each layer
+    # sees one key each time, never the same one, so every application builds
+    cfg = LatticeConfig(L=5, theta=0.0)
+    state = basis_state(cfg, [(0, Eps.PLUS)])
+    want = state
+    for _ in range(6):
+        want = dict_engine.step(want)
+    with plans_built() as built:
+        got = evolve(state, 6)
+    assert exact(got) == exact(want)
+    assert built == [1] * 12

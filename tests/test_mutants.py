@@ -14,10 +14,16 @@ the shipped `nogo_witness` config: on 15 x 15 at min_distance 3 the first
 path it finds stays far from s2 anyway. On 8 x 8 at min_distance 2 its path
 cuts past s2, so WRITTEN holds that config.
 
-The coin's orbit layout (evolution._orbit_rounds) runs only on coin inputs
+The coin's orbit layout (evolution._orbit_plan) runs only on coin inputs
 above evolution.ORBIT_CUTOFF keys. Of the shipped and benchmark configs
 only `dirac_sea` (780-888 keys at L = 6) reaches it, so its mutant names
 that config alone.
+
+A pruning that writes 1 where it should write 0 leaves every overlap check
+passing, since `eigenphase_of` sums <psi|U psi> over psi's own words only;
+only `dirac_sea`'s stepped norm (`steps_keep_norm`) sees it. The open
+chain's last shift pair is checked only by `wavepacket_open`, whose packet
+reaches both edges.
 
 Left out, as an equivalent mutant: `_ladder_arrays` taking the parity of
 the bits above the target instead of below. For a creator on an empty site
@@ -83,10 +89,21 @@ MUTANTS = {
         ("dirac_sea", "dispersion_sweep", "wavepacket"),
     ),
     "orbit_round_diag_swapped": (
-        evolution, "_orbit_rounds",
+        evolution, "_orbit_plan",
         "_pruned(d[2] * lo + o[2] * hi), _pruned(d[1] * hi + o[1] * lo)",
         "_pruned(d[1] * lo + o[2] * hi), _pruned(d[2] * hi + o[1] * lo)",
         ("dirac_sea",),
+    ),
+    "pruned_to_one": (
+        evolution, "_pruned",
+        "amps[np.abs(amps) <= PRUNE_THRESHOLD] = 0", "amps[np.abs(amps) <= PRUNE_THRESHOLD] = 1",
+        ("dirac_sea",),
+    ),
+    "open_chain_last_pair_left_out": (
+        evolution, "_shift_layer",
+        "npairs = cfg.L if cfg.boundary is Boundary.PERIODIC else cfg.L - 1",
+        "npairs = cfg.L if cfg.boundary is Boundary.PERIODIC else cfg.L - 2",
+        ("wavepacket_open",),
     ),
     "csp_flip_reversed": (
         nogo, "sign_csp",

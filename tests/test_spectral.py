@@ -73,9 +73,10 @@ def test_b_mode_is_one_particle_eigenstate():
     cfg = LatticeConfig(L=6, theta=0.4)
     for k in momentum_grid(cfg):
         for band, sign in ((Band.PLUS, -1.0), (Band.MINUS, 1.0)):
-            mod, ph = eigenphase_of(cfg, *slater_state(cfg, [mode_orbital(cfg, k, band)]))
+            mod, ph, norm = eigenphase_of(cfg, *slater_state(cfg, [mode_orbital(cfg, k, band)]))
             phi = step_matrix(cfg, k).phi
             assert mod == pytest.approx(1.0, abs=1e-12)
+            assert norm == pytest.approx(1.0, abs=1e-12)
             want = (sign * phi + math.pi) % (2 * math.pi) - math.pi
             diff = abs(ph - want) % (2 * math.pi)
             assert min(diff, 2 * math.pi - diff) < 1e-12
@@ -278,8 +279,10 @@ def test_vacuum_sector_trivial():
 def test_dirac_sea_eigenstate_and_gaps():
     cfg = LatticeConfig(L=6, theta=0.4)
     sea = dirac_sea_excitations(cfg)
-    assert eigenphase_of(cfg, sea.words, sea.amps) == (sea.modulus, sea.phase)
+    modulus, phase, norm = eigenphase_of(cfg, sea.words, sea.amps)
+    assert (modulus, phase) == (sea.modulus, sea.phase)
     assert abs(sea.modulus - 1.0) <= 1e-10
+    assert abs(norm - 1.0) <= sea.norm_err <= 1e-12
     assert len(sea.excitations) == 2 * cfg.L
     for e in sea.excitations:
         assert abs(e.eigen_modulus - 1.0) <= 1e-10
