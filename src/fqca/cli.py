@@ -518,15 +518,58 @@ def run_nogo_witness(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     }, checks
 
 
+def _certificate_faults(
+    entries: list[dict], radius: int, size: int, spec: nogo.FootprintSpec | None
+) -> int:
+    """How many UNSAT certificate entries fail a re-check from their own fields.
+
+    An entry holds when its sources and its images are each more than radius
+    apart, its separation is the sources' distance, each image is one move
+    from its source on the size-wide lattice, and the images reverse the
+    sources' (j, i, eps) order. A move is a diagonal step to a label that
+    spec allows at that corner, or with spec None (1D) a step right for
+    label 1 and left for label 0, to either label. The distance and the
+    moves are worked out here, not by nogo's own helpers.
+    """
+    height = 1 if spec is None else size
+    dist = lambda a, b: max(abs(a["i"] - b["i"]), abs(a["j"] - b["j"]))
+    order = lambda s: (s["j"], s["i"], s["eps"])
+
+    def moves(s, t) -> bool:
+        di, dj = t["i"] - s["i"], t["j"] - s["j"]
+        if spec is not None:
+            labels = spec.corner_targets(s["eps"], (di, dj)) if abs(di) == abs(dj) == 1 else ()
+        else:
+            labels = (0, 1) if (di, dj) == (1 if s["eps"] else -1, 0) else ()
+        return t["eps"] in labels and 0 <= t["i"] < size and 0 <= t["j"] < height
+
+    def holds(entry: dict) -> bool:
+        (a, b), (ta, tb) = entry["pair"], entry["images"]
+        return (
+            dist(a, b) > radius
+            and dist(ta, tb) > radius
+            and entry["separation"] == dist(a, b)
+            and moves(a, ta)
+            and moves(b, tb)
+            and (order(a) < order(b)) != (order(ta) < order(tb))
+        )
+
+    return sum(not holds(e) for e in entries)
+
+
 def run_nogo_csp(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     dimension, radius, size = params["dimension"], params["radius"], params["lattice_size"]
     spec = None
     if dimension == 2:
         spec = _footprint(params, 2)
     result = nogo.sign_csp(dimension, radius, spec, size)
-    (outdir / "csp.json").write_text(dump_json(result.to_json_obj()))
+    obj = result.to_json_obj()
+    (outdir / "csp.json").write_text(dump_json(obj))
     want = nogo.csp_satisfiable(dimension, radius, size, params["spec"] == "trivial")
     checks = [_check("satisfiability_matches_expectation", result.sat, want, "eq")]
+    if not result.sat:
+        faults = _certificate_faults(obj["violated_constraints"], radius, size, spec)
+        checks.append(_check("certificate_verified", faults, 0))
     return {
         "dimension": dimension,
         "radius": radius,

@@ -291,6 +291,9 @@ def sign_csp(
     Each (site pair, move, move) candidate is one entry of a (pair, m1, m2)
     array whose C order is the enumeration order (site pairs in combinations
     order, then each site's moves as listed), kept among equal separations.
+    Distances are taken per axis: a pair's separation is the larger of its
+    two axis gaps, and its images are within radius when both of their axis
+    gaps are, so no array of image distances is built.
     """
     check_csp_size(dimension, radius, lattice_size)
     bounds = LatticeBounds(lattice_size, 1 if dimension == 1 else lattice_size)
@@ -305,23 +308,25 @@ def sign_csp(
     sites = _sites(bounds, num_eps)
     moves = [moves_of(s) for s in sites]
 
-    # padded (site, move) tables: destination cell, and the destination's
-    # order key (j, i, eps) as one integer, -1 on padding; the size caps keep
-    # cells below 10 and, with up to 4 labels, keys below 200: no int8/int16 wrap
-    dst = np.zeros((len(sites), max(map(len, moves)), 2), np.int8)
-    key = np.full(dst.shape[:2], -1, np.int16)
+    # padded (axis, site, move) tables: destination coordinate, and the
+    # destination's order key (j, i, eps) as one integer, -1 on padding; the
+    # size caps keep cells below 10 and, with up to 4 labels, keys below 200:
+    # no int8/int16 wrap
+    dst = np.zeros((2, len(sites), max(map(len, moves))), np.int8)
+    key = np.full(dst.shape[1:], -1, np.int16)
     for a, row in enumerate(moves):
         for b, t in enumerate(row):
-            dst[a, b] = t.i, t.j
+            dst[:, a, b] = t.i, t.j
             key[a, b] = (t.j * lattice_size + t.i) * num_eps + t.eps
-    src = np.array([(s.i, s.j) for s in sites], np.int8)
+    src = np.array([[s.i for s in sites], [s.j for s in sites]], np.int8)
 
     p1, p2 = np.triu_indices(len(sites), 1)
-    separation = np.abs(src[p1] - src[p2]).max(axis=1)
+    separation = np.maximum(*np.abs(src[:, p1] - src[:, p2]))
     k1, k2 = key[p1][:, :, None], key[p2][:, None, :]
     unblocked = (k1 >= 0) & (k2 >= 0) & (k1 != k2)  # distinct images: not Pauli-blocked
-    image_gap = np.abs(dst[p1][:, :, None] - dst[p2][:, None, :]).max(axis=-1)
-    local = (separation <= radius)[:, None, None] | (image_gap <= radius)
+    # the images' Chebyshev distance is within radius exactly when each axis's is
+    local = np.logical_and(*(np.abs(d[p1][:, :, None] - d[p2][:, None, :]) <= radius for d in dst))
+    local |= (separation <= radius)[:, None, None]
     flip = k1 > k2  # s1 < s2, so the required sign is -1 exactly on a flip
     total = int(np.count_nonzero(unblocked))
 

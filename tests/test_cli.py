@@ -14,6 +14,7 @@ from fqca import cli, evolution
 from fqca.cli import (
     EXPERIMENTS,
     ParseError,
+    _certificate_faults,
     _light_cone_leak,
     config_hash,
     dump_json,
@@ -25,7 +26,7 @@ from fqca.cli import (
 from fqca.evolution import evolve
 from fqca.fermion import LadderOp, OpKind
 from fqca.lattice import Eps, FockState, LatticeConfig, bit_index
-from fqca.nogo import csp_satisfiable, sign_csp, trivial_spec
+from fqca.nogo import csp_satisfiable, full_spec, sign_csp, trivial_spec
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -306,7 +307,8 @@ def test_resource_cap_reported(tmp_path, capsys):
 
 
 def test_csp_satisfiable_is_sign_csp_answer(tmp_path):
-    # every nogo_csp instance that validate accepts runs clean
+    # every nogo_csp instance that validate accepts runs clean, and every
+    # UNSAT certificate passes the manifest's re-check
     accepted = 0
     for dimension, spec, radius, size in itertools.product(
         (1, 2), ("full", "trivial", None), range(-1, 4), range(0, 11)
@@ -322,10 +324,61 @@ def test_csp_satisfiable_is_sign_csp_answer(tmp_path):
         accepted += 1
         trivial = dimension == 2 and spec == "trivial"
         got = csp_satisfiable(dimension, radius, size, trivial)
-        want = sign_csp(dimension, radius, trivial_spec(2) if trivial else None, size).sat
-        assert got is want, params
+        footprint = None if dimension == 1 else trivial_spec(2) if trivial else full_spec(2)
+        result = sign_csp(dimension, radius, footprint, size)
+        assert got is result.sat, params
+        assert _certificate_faults(result.violated, radius, size, footprint) == 0, params
     # radius 0-2; 1D sizes 2-9 with no spec; 2D sizes 2-7 with spec full, trivial or left out
     assert accepted == 3 * 8 + 3 * 6 * 3
+
+
+def _moved(site, di=0, dj=0, eps=None):
+    return {"i": site["i"] + di, "j": site["j"] + dj, "eps": site["eps"] if eps is None else eps}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda e: {**e, "separation": e["separation"] + 1}, id="separation"),
+        pytest.param(lambda e: {**e, "images": e["images"][::-1]}, id="images-swapped"),
+        pytest.param(
+            lambda e: {**e, "images": [_moved(e["images"][0], di=1), e["images"][1]]}, id="not-diagonal"
+        ),
+        pytest.param(
+            lambda e: {**e, "images": [_moved(e["images"][0], eps=2), e["images"][1]]}, id="label"
+        ),
+        pytest.param(
+            lambda e: {**e, "pair": [e["pair"][0], _moved(e["pair"][0], eps=1)]}, id="sources-near"
+        ),
+    ],
+)
+def test_certificate_faults_counts_each_broken_entry(corrupt):
+    result = sign_csp(2, 1, full_spec(2), 5)
+    entries = result.violated
+    assert len(entries) == 10 and _certificate_faults(entries, 1, 5, full_spec(2)) == 0
+    assert _certificate_faults([corrupt(entries[0])] + entries[1:], 1, 5, full_spec(2)) == 1
+    assert _certificate_faults([corrupt(e) for e in entries], 1, 5, full_spec(2)) == 10
+
+
+def test_certificate_faults_works_out_the_moves_itself():
+    # a trivial spec allows only the (+1, +1) corner, at the source's label;
+    # in 1D a label-0 particle hops left and a label-1 particle right
+    far = {"pair": [{"i": 0, "j": 0, "eps": 0}, {"i": 3, "j": 1, "eps": 0}], "separation": 3}
+    up = {**far, "images": [{"i": 1, "j": 1, "eps": 0}, {"i": 4, "j": 2, "eps": 0}]}
+    swap = {**far, "images": [{"i": 1, "j": 1, "eps": 0}, {"i": 2, "j": 0, "eps": 0}]}
+    assert _certificate_faults([up], 0, 5, trivial_spec(2)) == 1  # order kept
+    assert _certificate_faults([swap], 0, 5, full_spec(2)) == 0
+    assert _certificate_faults([swap], 0, 5, trivial_spec(2)) == 1  # the (-1, -1) corner
+    off = {**far, "images": [{"i": -1, "j": 1, "eps": 0}, {"i": 2, "j": 0, "eps": 0}]}
+    assert _certificate_faults([off], 0, 5, full_spec(2)) == 1  # an image off the lattice
+    hop = {
+        "pair": [{"i": 0, "j": 0, "eps": 1}, {"i": 1, "j": 0, "eps": 0}],
+        "images": [{"i": 1, "j": 0, "eps": 0}, {"i": 0, "j": 0, "eps": 1}],
+        "separation": 1,
+    }
+    assert _certificate_faults([hop], 0, 3, None) == 0
+    wrong_way = {**hop, "pair": [{"i": 0, "j": 0, "eps": 0}, hop["pair"][1]]}
+    assert _certificate_faults([wrong_way], 0, 3, None) == 1
 
 
 def test_all_shipped_configs_validate():

@@ -3,16 +3,22 @@
 Each mutant rewrites one line of one function in src/fqca, compiles the
 rewritten source into the function's module and binds it there, so every
 caller that looks the name up at call time (all of the engine does) runs
-the mutant. The configs it names, shipped or benchmark or written by the
-test (WRITTEN), run in process through `cli.run_experiment` and must each
-write a manifest with "ok": false and return 1, not raise. The step layers
-are cached per config, so the cache is cleared before and after every
-mutant.
+the mutant. The configs it names, shipped or benchmark, run in process
+through `cli.run_experiment` and must each write a manifest with "ok":
+false and return 1, not raise. The step layers are cached per config, so
+the cache is cleared before and after every mutant.
 
 A witness search whose breadth-first search admits sites near s2 passes
 the shipped `nogo_witness` config: on 15 x 15 at min_distance 3 the first
-path it finds stays far from s2 anyway. On 8 x 8 at min_distance 2 its path
-cuts past s2, so WRITTEN holds that config.
+path it finds stays far from s2 anyway. On 8 x 8 at min_distance 2
+(`nogo_witness_close`) its path cuts past s2.
+
+A CSP whose flip test is reversed still answers UNSAT in 2D, since far
+pairs that keep their order are then its violations; only the
+certificate's re-check (`certificate_verified`) sees that their images do
+not swap. The same re-check sees a source separation taken as the
+Manhattan sum: the certificate then reports sums that are not the
+sources' Chebyshev distance.
 
 The coin's orbit layout (evolution._orbit_plan) runs only on coin inputs
 above evolution.ORBIT_CUTOFF keys. Of the shipped and benchmark configs
@@ -45,17 +51,6 @@ from fqca import cli, evolution, nogo
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = {p.stem: p for p in sorted(REPO.glob("experiments/*.json"))}
 CONFIGS.update((p.stem, p) for p in sorted(REPO.glob("perfbench/configs/*.json")))
-
-# configs no shipped one can stand in for, written to the test's tmp_path
-WRITTEN = {
-    "nogo_witness_8x8_d2": {
-        "experiment": "nogo_witness",
-        "lattice": {"L": 2},
-        "params": {"lattice_size": 8, "min_distance": 2, "spec": "full"},
-        "output_dir": "unused",
-        "seed": 7,
-    },
-}
 
 ENGINE_FAILS = ("dirac_sea", "heisenberg_check", "two_particle_scatter")
 
@@ -108,12 +103,18 @@ MUTANTS = {
     "csp_flip_reversed": (
         nogo, "sign_csp",
         "flip = k1 > k2", "flip = k1 < k2",
-        ("nogo_csp_1d_9",),
+        ("nogo_csp", "nogo_csp_1d_9", "nogo_csp_2d_7x7"),
+    ),
+    "csp_separation_manhattan": (
+        nogo, "sign_csp",
+        "separation = np.maximum(*np.abs(src[:, p1] - src[:, p2]))",
+        "separation = np.add(*np.abs(src[:, p1] - src[:, p2]))",
+        ("nogo_csp", "nogo_csp_2d_7x7"),
     ),
     "witness_path_near_s2": (
         nogo, "find_witness_triple",
         "if t not in prev and chebyshev(t, s2) >= min_distance:", "if t not in prev:",
-        ("nogo_witness_8x8_d2",),
+        ("nogo_witness_close",),
     ),
 }
 
@@ -132,11 +133,7 @@ def mutate(monkeypatch, module, name: str, line: str, mutated: str) -> None:
 
 
 def run(name: str, outdir: Path) -> tuple[int, dict]:
-    path = CONFIGS.get(name)
-    if path is None:
-        path = outdir.with_name(f"{name}.json")
-        path.write_text(json.dumps(WRITTEN[name]))
-    rc = cli.run_experiment(cli.load_config(path), str(outdir), quiet=True)
+    rc = cli.run_experiment(cli.load_config(CONFIGS[name]), str(outdir), quiet=True)
     return rc, json.loads((outdir / "manifest.json").read_text())
 
 

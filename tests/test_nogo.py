@@ -248,7 +248,9 @@ def _csp_case(dimension, radius, spec, lattice_size):
         for n in range(2, 7 if e <= 2 else 4)
     ]
     + [_csp_case(2, r, trivial_spec(2), n) for r in (0, 1, 2) for n in range(2, 7)]
-    + [_csp_case(2, 1, full_spec(2), 7)],
+    + [_csp_case(2, 1, full_spec(2), 7)]
+    # the largest satisfiable 4-label instance the caps admit: 159,776 constraints
+    + [_csp_case(2, 2, full_spec(4), 4)],
 )
 def test_csp_matches_reference_loop(dimension, radius, spec, lattice_size):
     got = sign_csp(dimension, radius, spec, lattice_size)
