@@ -79,6 +79,12 @@ PARAMS = {
 EXPERIMENTS = tuple(PARAMS)
 # lower bounds of params that count something
 MINIMUM = {"nsteps": 0, "nsamples": 1, "radius": 0, "height": 1, "min_distance": 1}
+# the most samples one dirac_limit run draws and checks as one batch
+MAX_SAMPLES = 100_000
+# dx and dt lie in [1 / UNIT_SCALE, UNIT_SCALE] and |theta| <= pi, so every
+# quantity a run forms from them (the mass theta dt / dx^2 and its square,
+# the grid 2 pi n / (L dx), phi / dt) stays a finite float
+UNIT_SCALE = 1e100
 # smallest excitation gap dirac_sea accepts, and its gaps_positive tolerance
 MIN_GAP = 1e-12
 
@@ -164,11 +170,24 @@ def load_config(path: str | Path) -> dict:
         cfg = LatticeConfig(**{**lat, "boundary": Boundary(lat["boundary"])})
     except ValueError as e:
         raise ParseError(f"{p}: bad lattice block: {e}") from e
+    for unit in ("dx", "dt"):
+        _require(
+            1 / UNIT_SCALE <= lat[unit] <= UNIT_SCALE,
+            f"{p}: {unit} must lie in [{1 / UNIT_SCALE:g}, {UNIT_SCALE:g}], got {lat[unit]!r}",
+        )
+    _require(abs(cfg.theta) <= math.pi, f"{p}: |theta| must be at most pi, got {cfg.theta!r}")
     experiment = raw["experiment"]
     params = _resolve(PARAMS[experiment], raw["params"], f"{p}: {experiment}", cfg)
     raw["_config"], raw["_params"] = cfg, params
     for key, low in MINIMUM.items():
         _require(params.get(key) is None or params[key] >= low, f"{p}: {key} must be >= {low}")
+    if experiment == "dirac_limit":
+        _require(
+            params["nsamples"] <= MAX_SAMPLES,
+            f"{p}: nsamples must be <= {MAX_SAMPLES}, got {params['nsamples']}",
+        )
+        # theta = k dx = eps is a long wavelength: positive, and at most 1
+        _require(0 < params["eps"] <= 1, f"{p}: eps must lie in (0, 1], got {params['eps']!r}")
     if "cell" in params:
         _require(0 <= params["cell"] < cfg.L, f"{p}: cell={params['cell']} outside the lattice")
     if experiment == "heisenberg_check":
@@ -196,7 +215,7 @@ def load_config(path: str | Path) -> dict:
         cap = spectral.MAX_SEA_CELLS
         _require(cfg.L <= cap, f"{p}: dirac_sea needs L <= {cap}, got L={cfg.L}")
         # phi = arccos|cos theta| is smallest at k = 0 and pi/dx, on the excitation grid
-        gap = min(spectral.step_matrix(cfg, k).phi for k in (0.0, math.pi / cfg.dx)) / cfg.dt
+        gap = spectral.step_matrix(cfg, np.array([0.0, math.pi / cfg.dx])).phi.min() / cfg.dt
         _require(gap > MIN_GAP, f"{p}: dirac_sea is massless at theta={cfg.theta}: gap {gap:.3g}")
     if experiment == "nogo_csp" and params["dimension"] == 1:
         _require("spec" not in raw["params"], f"{p}: nogo_csp takes no spec at dimension 1")
@@ -384,21 +403,19 @@ def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path
 
 def run_dirac_limit(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     nsamples, eps = params["nsamples"], params["eps"]
-    rows = []
-    worst = 0.0
-    for _ in range(nsamples):
-        theta = float(rng.uniform(-1.2, 1.2))
-        k = float(rng.uniform(-math.pi / cfg.dx, math.pi / cfg.dx))
-        sample_cfg = LatticeConfig(cfg.L, cfg.dx, cfg.dt, theta, cfg.boundary)
-        H = spectral.effective_hamiltonian(sample_cfg, k)
-        M = spectral.step_matrix(sample_cfg, k).matrix
-        w, v = np.linalg.eigh(H)
-        expH = v @ np.diag(np.exp(-1j * w * cfg.dt)) @ v.conj().T
-        dev = float(np.max(np.abs(expH - M)))
-        worst = max(worst, dev)
-        rows.append((theta, k, dev))
-    write_csv(outdir / "dirac_limit.csv", ["theta", "k", "exp_dev"], rows)
-    checks = [_check("exp_of_hamiltonian_matches_step", worst, 1e-12)]
+    # row i holds sample i's theta, then its k: one pair after another
+    theta, k = rng.uniform(
+        [-1.2, -math.pi / cfg.dx], [1.2, math.pi / cfg.dx], size=(nsamples, 2)
+    ).T
+    mode = spectral.mode_algebra(theta, k * cfg.dx)
+    w, v = np.linalg.eigh(mode.hamiltonian(cfg.dt))
+    expH = (v * np.exp(-1j * w * cfg.dt)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    dev = np.max(np.abs(expH - mode.matrix), axis=(1, 2))
+    write_csv(
+        outdir / "dirac_limit.csv", ["theta", "k", "exp_dev"],
+        zip(theta.tolist(), k.tolist(), dev.tolist()),
+    )
+    checks = [_check("exp_of_hamiltonian_matches_step", dev.max(), 1e-12)]
     # energy deviation from the relativistic dispersion at theta = k dx = eps;
     # third order in eps, hence the cubic tolerance
     small = LatticeConfig(cfg.L, cfg.dx, cfg.dt, eps, cfg.boundary)

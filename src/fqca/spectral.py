@@ -16,8 +16,8 @@ Mode conventions, fixed once here and checked by the sector-spectrum tests:
 - The modes are free, so the Dirac sea and each of its excitations is one
   Slater determinant of band orbitals (mode_orbital, slater_state). The sea
   runs on sorted word and amplitude arrays from the determinant to the
-  overlap: dirac_sea_excitations enumerates each sector and builds each
-  orbital once per call, and steps each state, the sea included, once.
+  overlap: dirac_sea_excitations enumerates each sector once, builds each
+  grid's orbitals in one call, and steps each state, the sea included, once.
 - On the ring, the n-particle sector behaves like free modes on a momentum
   grid offset by half a grid step for even n and not at all for odd n: the
   Jordan-Wigner string at the seam twists the boundary by (-1)^(n-1)
@@ -45,6 +45,7 @@ from .lattice import PRUNE_THRESHOLD, Boundary, LatticeConfig, word_dtype
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
+SIGMAS = np.array([SIGMA1, SIGMA2, SIGMA3])
 
 _DENSE_DIM_CAP = 2000
 # the largest L whose Dirac sea build_dirac_sea will fill
@@ -57,7 +58,7 @@ class Band(enum.Enum):
 
 
 def momentum_grid(config: LatticeConfig, offset: float = 0.0) -> np.ndarray:
-    """Grid k = 2 pi (n + offset) / (L dx) restricted to -pi < k dx <= pi."""
+    """Ascending grid k = 2 pi (n + offset) / (L dx) restricted to -pi < k dx <= pi."""
     L = config.L
     lo = math.floor(-L / 2 - offset) + 1
     hi = math.floor(L / 2 - offset)
@@ -68,51 +69,56 @@ def momentum_grid(config: LatticeConfig, offset: float = 0.0) -> np.ndarray:
 
 @dataclass
 class ModeMatrix:
-    matrix: np.ndarray
-    phi: float
-    vplus: np.ndarray   # M-eigenvalue exp(-i phi)
-    vminus: np.ndarray  # M-eigenvalue exp(+i phi)
-    nhat: np.ndarray
+    """The 2x2 mode algebra at each point of a grid; each field leads with the grid's shape."""
+
+    matrix: np.ndarray  # M, (..., 2, 2)
+    phi: np.ndarray     # (...)
+    vplus: np.ndarray   # (..., 2), M-eigenvalue exp(-i phi)
+    vminus: np.ndarray  # (..., 2), M-eigenvalue exp(+i phi)
+    nhat: np.ndarray    # (..., 3)
+
+    def hamiltonian(self, dt: float) -> np.ndarray:
+        """H = (phi / dt) nhat.sigma at each point, so that exp(-i H dt) = M."""
+        return np.asarray(self.phi / dt)[..., None, None] * np.tensordot(self.nhat, SIGMAS, 1)
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(v)))
-    ph = v[i] / abs(v[i])
-    return v / ph
+def _unit(v: np.ndarray) -> np.ndarray:
+    """Each row of v over its norm, with its largest component made real positive."""
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    top = np.take_along_axis(v, np.argmax(np.abs(v), axis=-1)[..., None], axis=-1)
+    return v / (top / np.abs(top))
 
 
-def step_matrix(config: LatticeConfig, k: float) -> ModeMatrix:
-    theta = config.theta
-    kdx = k * config.dx
-    c, s = math.cos(theta), math.sin(theta)
+def mode_algebra(theta, kdx) -> ModeMatrix:
+    """M(k), phi, nhat and the band vectors at coin angles theta and momenta k dx.
+
+    theta and kdx broadcast together, and each point is computed on its
+    own: a grid gives each point the bits a call at that point alone gives.
+    """
+    theta, kdx = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(kdx, dtype=float))
+    c, s = np.cos(theta), np.sin(theta)
+    ck, sk = np.cos(kdx), np.sin(kdx)
     ekm, ekp = np.exp(-1j * kdx), np.exp(1j * kdx)
-    M = np.array([[ekm * c, -ekp * s], [ekm * s, ekp * c]], dtype=complex)
-    cosphi = c * math.cos(kdx)
-    phi = math.acos(max(-1.0, min(1.0, cosphi)))
-    sinphi = math.sqrt(max(0.0, 1.0 - cosphi * cosphi))
-    if sinphi < 1e-12:
-        return ModeMatrix(
-            M, phi,
-            vplus=np.array([1.0, 0.0], dtype=complex),
-            vminus=np.array([0.0, 1.0], dtype=complex),
-            nhat=np.array([0.0, 0.0, 1.0]),
-        )
-    nhat = (
-        np.array(
-            [s * math.sin(kdx), s * math.cos(kdx), c * math.sin(kdx)]
-        )
-        / sinphi
-    )
-    n1, n2, n3 = nhat
-    if 1.0 + n3 > 1e-12:
-        vplus = np.array([1.0 + n3, n1 + 1j * n2], dtype=complex)
-        vminus = np.array([-(n1 - 1j * n2), 1.0 + n3], dtype=complex)
-    else:
-        vplus = np.array([0.0, 1.0], dtype=complex)
-        vminus = np.array([1.0, 0.0], dtype=complex)
-    vplus = _fix_phase(vplus / np.linalg.norm(vplus))
-    vminus = _fix_phase(vminus / np.linalg.norm(vminus))
-    return ModeMatrix(M, phi, vplus, vminus, nhat)
+    matrix = np.stack([ekm * c, -ekp * s, ekm * s, ekp * c], axis=-1).reshape(kdx.shape + (2, 2))
+    # sin^2 phi = 1 - c^2 ck^2 = s^2 + c^2 sk^2: the sum keeps its digits
+    # near phi = 0 and pi, where 1 - cos^2 phi cancels
+    sinphi = np.sqrt(s * s + (c * sk) ** 2)
+    phi = np.arctan2(sinphi, c * ck)
+    # where sin phi vanishes M is diagonal: take nhat along sigma3
+    flat = (sinphi < 1e-12)[..., None]
+    axis = np.stack([s * sk, s * ck, c * sk], axis=-1) / np.where(flat, 1.0, sinphi[..., None])
+    nhat = np.where(flat, [0.0, 0.0, 1.0], axis)
+    n1, n2, n3 = np.moveaxis(nhat, -1, 0)
+    # near nhat = -e3 both raw band vectors vanish: take the basis vectors
+    raw = (1.0 + n3 > 1e-12)[..., None]
+    vplus = np.where(raw, np.stack([1.0 + n3, n1 + 1j * n2], axis=-1), [0.0, 1.0])
+    vminus = np.where(raw, np.stack([-(n1 - 1j * n2), 1.0 + n3], axis=-1), [1.0, 0.0])
+    return ModeMatrix(matrix, phi, _unit(vplus), _unit(vminus), nhat)
+
+
+def step_matrix(config: LatticeConfig, k) -> ModeMatrix:
+    """The mode algebra of config at momenta k, a number or an array."""
+    return mode_algebra(config.theta, np.asarray(k) * config.dx)
 
 
 def _require_periodic(config: LatticeConfig) -> None:
@@ -120,53 +126,54 @@ def _require_periodic(config: LatticeConfig) -> None:
         raise ValueError("momentum modes need the periodic boundary")
 
 
-def _check_on_grid(config: LatticeConfig, k: float, offset: float) -> None:
+def _check_on_grid(config: LatticeConfig, k, offset: float) -> None:
+    k = np.atleast_1d(k)
     v = k * config.L * config.dx / (2 * math.pi) - offset
-    if abs(v - round(v)) > 1e-9:
-        raise ValueError(f"k={k} not on the offset-{offset} momentum grid")
-    if not -math.pi < k * config.dx <= math.pi + 1e-12:
-        raise ValueError(f"k={k} outside the Brillouin zone")
+    off = np.abs(v - np.round(v)) > 1e-9
+    if off.any():
+        raise ValueError(f"k={k[off][0]} not on the offset-{offset} momentum grid")
+    outside = ~((-math.pi < k * config.dx) & (k * config.dx <= math.pi + 1e-12))
+    if outside.any():
+        raise ValueError(f"k={k[outside][0]} outside the Brillouin zone")
 
 
-def mode_orbital(
-    config: LatticeConfig, k: float, band: Band, offset: float = 0.0
-) -> np.ndarray:
+def mode_orbital(config: LatticeConfig, k, band: Band, offset: float = 0.0) -> np.ndarray:
     """Site coefficients c of b^dag_{k,band} = sum_s c[s] a^dag_s, indexed by bit.
 
-    The plane-wave creator a^dag_{k,eps} puts exp(-i j k dx) on cell j; the
-    band mixes the two eps with the conjugated band vector, whose components
-    are (Plus, Minus). The positive-energy band rides the exp(+i phi)
-    eigenvector of M.
+    k is a number or an array of grid momenta; the orbitals of an array
+    stack along its shape. The plane-wave creator a^dag_{k,eps} puts
+    exp(-i j k dx) on cell j; the band mixes the two eps with the conjugated
+    band vector, whose components are (Plus, Minus). The positive-energy
+    band rides the exp(+i phi) eigenvector of M.
     """
     _require_periodic(config)
     _check_on_grid(config, k, offset)
     mode = step_matrix(config, k)
-    plus, minus = (mode.vminus if band is Band.PLUS else mode.vplus).conj()
-    phases = np.exp(-1j * np.arange(config.L) * k * config.dx)
-    coeffs = np.array([minus, plus])  # bit 2j is (j, Minus), bit 2j+1 (j, Plus)
+    # bit 2j is (j, Minus), bit 2j+1 (j, Plus)
+    coeffs = (mode.vminus if band is Band.PLUS else mode.vplus).conj()[..., ::-1]
     coeffs[np.abs(coeffs) < 1e-15] = 0
-    return np.outer(phases, coeffs).ravel()
+    phases = np.exp(-1j * np.arange(config.L) * np.asarray(k)[..., None] * config.dx)
+    return (phases[..., None] * coeffs[..., None, :]).reshape(np.shape(k) + (config.n_sites,))
 
 
 @dataclass
 class EnergyResult:
-    e_plus: float
-    dirac: float
-    phi: float  # the positive band's step eigenphase
+    e_plus: np.ndarray
+    dirac: np.ndarray
+    phi: np.ndarray  # the positive band's step eigenphase
 
 
-def energy(config: LatticeConfig, k: float) -> EnergyResult:
+def energy(config: LatticeConfig, k) -> EnergyResult:
+    """Lattice and relativistic energies at momenta k, a number or an array."""
     phi = step_matrix(config, k).phi
     m, c = config.mass, config.c
-    dirac = math.sqrt((k * c) ** 2 + (m * c * c) ** 2)
+    dirac = np.sqrt((np.asarray(k) * c) ** 2 + (m * c * c) ** 2)
     return EnergyResult(phi / config.dt, dirac, phi)
 
 
-def effective_hamiltonian(config: LatticeConfig, k: float) -> np.ndarray:
+def effective_hamiltonian(config: LatticeConfig, k) -> np.ndarray:
     """H(k) with exp(-i H dt) = M(k); long wavelengths give the Dirac form."""
-    mode = step_matrix(config, k)
-    n1, n2, n3 = mode.nhat
-    return (mode.phi / config.dt) * (n1 * SIGMA1 + n2 * SIGMA2 + n3 * SIGMA3)
+    return step_matrix(config, k).hamiltonian(config.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +279,11 @@ def expected_nparticle_phases(
     A mode (k, band) contributes -band_sign * phi_k to the eigenphase, i.e.
     occupied positive-energy modes rotate the state by exp(-i phi_k).
     """
-    grid = momentum_grid(config, offset)
-    phi = {k: step_matrix(config, k).phi for k in grid}
-    modes = [(k, s) for k in grid for s in (+1, -1)]
+    phi = step_matrix(config, momentum_grid(config, offset)).phi.tolist()
+    modes = [s * p for p in phi for s in (+1, -1)]
     phases = []
     for combo in itertools.combinations(modes, n):
-        total = -sum(s * phi[k] for k, s in combo)
+        total = -sum(combo)
         phases.append((total + math.pi) % (2 * math.pi) - math.pi)
     return np.sort(np.array(phases))
 
@@ -345,20 +351,14 @@ def slater_state(
     return words, amps
 
 
-def _minus_orbitals(config: LatticeConfig, offset: float) -> list[np.ndarray]:
-    """The negative-energy orbital of each grid momentum, in ascending k."""
-    return [
-        mode_orbital(config, k, Band.MINUS, offset)
-        for k in sorted(momentum_grid(config, offset))
-    ]
-
-
 def build_dirac_sea(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fill every negative-energy mode of the L-particle sector's grid; sorted (words, amps)."""
     _require_periodic(config)
     if config.L > MAX_SEA_CELLS:
         raise ValueError(f"build_dirac_sea needs L <= {MAX_SEA_CELLS}")
-    return slater_state(config, _minus_orbitals(config, parity_offset(config, config.L)))
+    offset = parity_offset(config, config.L)
+    minus = mode_orbital(config, momentum_grid(config, offset), Band.MINUS, offset)
+    return slater_state(config, list(minus))
 
 
 def eigenphase_of(
@@ -413,26 +413,28 @@ def dirac_sea_excitations(config: LatticeConfig) -> DiracSea:
     mode's phi_k / dt. At odd L it maps one grid onto the other, so
     sum_{1/2} phi = L pi - sum_0 phi and the gaps miss phi_k / dt.
 
-    Each of the three sectors is enumerated and each orbital built once, and
-    each of the 2L + 1 states is stepped once.
+    Each of the three sectors is enumerated once, each grid's orbitals are
+    built in one call, and each of the 2L + 1 states is stepped once.
     """
     words, amps = build_dirac_sea(config)
     modulus, sea_phase, norm = eigenphase_of(config, words, amps)
     norm_err = abs(norm - 1.0)
     other = parity_offset(config, config.L + 1)
-    minus = _minus_orbitals(config, other)
+    grid = momentum_grid(config, other)
+    minus = list(mode_orbital(config, grid, Band.MINUS, other))
+    plus = mode_orbital(config, grid, Band.PLUS, other)
+    phis = step_matrix(config, grid).phi.tolist()
     sectors = {n: _sector(config.n_sites, n) for n in (config.L + 1, config.L - 1)}
     excitations = []
-    for i, k in enumerate(sorted(momentum_grid(config, other))):
-        phi = step_matrix(config, k).phi
-        add_plus = minus + [mode_orbital(config, k, Band.PLUS, other)]
+    for i, (k, phi) in enumerate(zip(grid.tolist(), phis)):
+        add_plus = minus + [plus[i]]
         remove_minus = minus[:i] + minus[i + 1:]
         for kind, orbitals in (("add_plus", add_plus), ("remove_minus", remove_minus)):
             state = slater_state(config, orbitals, sectors[len(orbitals)])
             mod, ph, norm = eigenphase_of(config, *state)
             norm_err = max(norm_err, abs(norm - 1.0))
             gap = ((sea_phase - ph) % (2 * math.pi)) / config.dt
-            excitations.append(SeaExcitation(kind, float(k), gap, phi, mod))
+            excitations.append(SeaExcitation(kind, k, gap, phi, mod))
     return DiracSea(words, amps, modulus, sea_phase, excitations, norm_err)
 
 
@@ -442,21 +444,15 @@ def dirac_sea_excitations(config: LatticeConfig) -> DiracSea:
 
 def dispersion_rows(config: LatticeConfig) -> list[tuple[float, ...]]:
     """(k, kdx, phi, E_lattice, E_dirac, abs_err) per grid momentum."""
-    rows = []
-    for k in momentum_grid(config):
-        e = energy(config, k)
-        rows.append(
-            (float(k), float(k * config.dx), e.phi,
-             e.e_plus, e.dirac, abs(e.e_plus - e.dirac))
-        )
-    return rows
+    k = momentum_grid(config)
+    e = energy(config, k)
+    columns = (k, k * config.dx, e.phi, e.e_plus, e.dirac, np.abs(e.e_plus - e.dirac))
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def phi_convergence_slope(eps_values=(0.2, 0.1, 0.05, 0.025)) -> float:
-    """Log-log slope of |phi - sqrt(2) eps| for step_matrix's phi at theta = k dx = eps."""
-    errs = []
-    for eps in eps_values:
-        phi = step_matrix(LatticeConfig(L=2, theta=eps), eps).phi
-        errs.append(abs(phi - math.sqrt(2.0) * eps))
-    slope, _ = np.polyfit(np.log(np.asarray(eps_values)), np.log(np.asarray(errs)), 1)
+    """Log-log slope of |phi - sqrt(2) eps| for the mode algebra's phi at theta = k dx = eps."""
+    eps = np.asarray(eps_values, dtype=float)
+    errs = np.abs(mode_algebra(eps, eps).phi - math.sqrt(2.0) * eps)
+    slope, _ = np.polyfit(np.log(eps), np.log(errs), 1)
     return float(slope)

@@ -281,7 +281,7 @@ def test_11_nogo_csp():
 
 def test_12_shipped_configs_deterministic(tmp_path):
     configs = sorted((REPO_ROOT / "experiments").glob("*.json"))
-    assert len(configs) == 10
+    assert len(configs) == 11
     all_ok = True
     for cfgfile in configs:
         raw = load_config(cfgfile)
@@ -298,7 +298,7 @@ def test_12_shipped_configs_deterministic(tmp_path):
         all_ok = all_ok and ok1 and ok2 and identical
     report(
         12,
-        "all ten shipped configs pass and re-run byte-identically",
+        "all eleven shipped configs pass and re-run byte-identically",
         all_ok,
         f"{len(configs)} configs checked",
     )

@@ -76,6 +76,11 @@ REJECTION_WORDING = {
     "nogo_csp-expect_sat": "unknown key 'expect_sat'",
     "nogo_witness-size202": "witness lattice limited to 201 per side, got lattice_size 202",
     "nogo_witness-height202": "witness lattice limited to 201 per side, got height 202",
+    "dirac_limit-dx1e+300": "dx must lie in [1e-100, 1e+100], got 1e+300",
+    "dispersion_sweep-dt1e-320": "dt must lie in [1e-100, 1e+100], got 1e-320",
+    "dispersion_sweep-theta1e+300": "|theta| must be at most pi, got 1e+300",
+    "dirac_limit-eps0": "eps must lie in (0, 1], got 0.0",
+    "dirac_limit-nsamples100001": "nsamples must be <= 100000, got 100001",
 }
 
 
@@ -97,6 +102,22 @@ REJECTION_WORDING = {
         pytest.param({"lattice": {"L": 6, "Theta": 0.3}}, id="lattice-unknown-key"),
         pytest.param({"lattice": {"L": 6, "theta": "0.3"}}, id="theta-str"),
         pytest.param({"output_dir": 5}, id="output_dir-int"),
+        *(
+            pytest.param(
+                {"experiment": name, "lattice": {"L": 8, unit: value}, "params": {}},
+                id=f"{name}-{unit}{value!r}",
+            )
+            for name in ("dispersion_sweep", "dirac_limit")
+            for unit in ("dx", "dt")
+            for value in (1e300, 1e-320, 1.1e100, 0.9e-100)
+        ),
+        *(
+            pytest.param(
+                {"experiment": "dispersion_sweep", "lattice": {"L": 8, "theta": theta}},
+                id=f"dispersion_sweep-theta{theta!r}",
+            )
+            for theta in (1e300, -3.2)
+        ),
         pytest.param({"params": {"cell": 2.5}}, id="cell-float"),
         pytest.param({"params": {"cell": "x"}}, id="cell-str"),
         *(
@@ -122,7 +143,7 @@ REJECTION_WORDING = {
                 {"experiment": "dirac_sea", "lattice": {"L": L, "theta": theta}, "params": {}},
                 id=f"dirac_sea-massless-L{L}-theta{theta:g}",
             )
-            for L, theta in ((2, 0.0), (6, 0.0), (4, math.pi), (4, 1e-9))
+            for L, theta in ((2, 0.0), (6, 0.0), (4, math.pi), (4, 1e-13))
         ),
         pytest.param(
             {"experiment": "dirac_sea", "lattice": {"L": 10, "theta": 0.4}, "params": {}},
@@ -148,6 +169,12 @@ REJECTION_WORDING = {
                 ("dirac_limit", "nsamples-str", {"nsamples": "ten"}),
                 ("dirac_limit", "nsamples-negative", {"nsamples": -1}),
                 ("dirac_limit", "eps-str", {"eps": "small"}),
+                ("dirac_limit", "eps1e200", {"eps": 1e200}),
+                ("dirac_limit", "eps1.5", {"eps": 1.5}),
+                ("dirac_limit", "eps0", {"eps": 0}),
+                ("dirac_limit", "eps-negative", {"eps": -0.05}),
+                ("dirac_limit", "nsamples1e30", {"nsamples": 10**30}),
+                ("dirac_limit", "nsamples100001", {"nsamples": 100_001}),
                 ("nogo_witness", "height-str", {"height": "two"}),
                 ("nogo_witness", "min_distance-str", {"min_distance": "3"}),
                 ("nogo_csp", "1d-size-negative", {"dimension": 1, "lattice_size": -2}),
@@ -182,6 +209,42 @@ def test_validate_rejects_bad_configs(tmp_path, capsys, request, overrides):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert REJECTION_WORDING.get(request.node.callspec.id, "") in err
+
+
+@pytest.mark.parametrize("experiment", ["dispersion_sweep", "dirac_limit", "dirac_sea"])
+def test_unit_extremes_end_in_a_manifest(tmp_path, experiment):
+    # each corner of the accepted dx, dt and theta ranges runs to a JSON
+    # manifest: no traceback, no inf or nan written, and no overflow warning
+    # (pytest turns a RuntimeWarning into an error)
+    ends = (1 / cli.UNIT_SCALE, cli.UNIT_SCALE)
+    thetas = (0.3,) if experiment == "dirac_sea" else (math.pi, -1e-300)
+    params = {"eps": 1.0, "nsamples": 10} if experiment == "dirac_limit" else {}
+    for i, (dx, dt, theta) in enumerate(itertools.product(ends, ends, thetas)):
+        out = tmp_path / str(i)
+        p = make_config(
+            tmp_path, experiment=experiment, params=params, output_dir=str(out),
+            lattice={"L": 4, "dx": dx, "dt": dt, "theta": theta},
+        )
+        if main(["validate", str(p)]) == 2:
+            # a gap phi / dt below MIN_GAP reads as massless
+            assert experiment == "dirac_sea" and dt == cli.UNIT_SCALE
+            continue
+        assert main(["run", str(p), "--quiet"]) in (0, 1)
+        json.loads((out / "manifest.json").read_text())
+
+
+def test_dirac_sea_small_mass_runs(tmp_path):
+    # phi at k = 0 is theta up to rounding, so a gap of 1e-9 is a gap
+    p = make_config(tmp_path, experiment="dirac_sea", lattice={"L": 4, "theta": 1e-9}, params={})
+    assert main(["run", str(p), "--quiet"]) == 0
+    assert _checks(tmp_path / "out")["gaps_positive"]["measured"] == pytest.approx(1e-9)
+
+
+def test_nsamples_cap_is_accepted(tmp_path):
+    p = make_config(
+        tmp_path, experiment="dirac_limit", params={"nsamples": cli.MAX_SAMPLES, "eps": 1}
+    )
+    assert main(["validate", str(p)]) == 0
 
 
 def test_witness_height_null_is_square(tmp_path):

@@ -31,6 +31,12 @@ only `dirac_sea`'s stepped norm (`steps_keep_norm`) sees it. The open
 chain's last shift pair is checked only by `wavepacket_open`, whose packet
 reaches both edges.
 
+Every shipped config but `dirac_limit_units` has dx = dt = 1, where the
+mode algebra's k dx and H's 1 / dt leave a number as it is: H multiplied by
+dt, or k divided by dx, passes them all (test_unit_mutants_pass_at_unit_spacing).
+At dx = 0.5 and dt = 0.25, `dirac_limit_units` sees the first in
+exp(-i H dt) = M and the second in the energy deviation.
+
 Left out, as an equivalent mutant: `_ladder_arrays` taking the parity of
 the bits above the target instead of below. For a creator on an empty site
 the parity above equals the parity below times (-1)^N(w), with N(w) the
@@ -46,7 +52,7 @@ from pathlib import Path
 
 import pytest
 
-from fqca import cli, evolution, nogo
+from fqca import cli, evolution, nogo, spectral
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = {p.stem: p for p in sorted(REPO.glob("experiments/*.json"))}
@@ -111,6 +117,16 @@ MUTANTS = {
         "separation = np.add(*np.abs(src[:, p1] - src[:, p2]))",
         ("nogo_csp", "nogo_csp_2d_7x7"),
     ),
+    "hamiltonian_times_dt": (
+        spectral, "ModeMatrix",
+        "np.asarray(self.phi / dt)", "np.asarray(self.phi * dt)",
+        ("dirac_limit_units",),
+    ),
+    "k_over_dx": (
+        spectral, "step_matrix",
+        "np.asarray(k) * config.dx", "np.asarray(k) / config.dx",
+        ("dirac_limit_units",),
+    ),
     "witness_path_near_s2": (
         nogo, "find_witness_triple",
         "if t not in prev and chebyshev(t, s2) >= min_distance:", "if t not in prev:",
@@ -160,3 +176,12 @@ def test_mutant_fails_its_configs(tmp_path, fresh_layers, monkeypatch, mutant):
         rc, manifest = run(config, tmp_path / config)
         failed = [c["name"] for c in manifest["checks"] if not c["passed"]]
         assert rc == 1 and manifest["ok"] is False and failed, config
+
+
+@pytest.mark.parametrize("mutant", ["hamiltonian_times_dt", "k_over_dx"])
+def test_unit_mutants_pass_at_unit_spacing(tmp_path, fresh_layers, monkeypatch, mutant):
+    module, name, line, mutated, _ = MUTANTS[mutant]
+    mutate(monkeypatch, module, name, line, mutated)
+    for config in ("dirac_limit", "dispersion_sweep"):
+        rc, manifest = run(config, tmp_path / config)
+        assert rc == 0 and manifest["ok"] is True, config

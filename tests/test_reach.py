@@ -25,6 +25,10 @@ ALLOWED = {
         "the benchmark's spectra workload and test_08 check n-particle "
         "sector spectra against it; no experiment does yet"
     ),
+    "spectral.effective_hamiltonian": (
+        "H(k) of one config, which test_07 checks; dirac_limit draws a coin "
+        "angle per sample, so it takes H from mode_algebra's ModeMatrix"
+    ),
     "lattice.FockState.norm": (
         "the benchmark's sector_evolve workload checks its evolved state's "
         "norm with it; the Dirac sea normalizes on word arrays"

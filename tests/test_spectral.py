@@ -111,13 +111,14 @@ def test_energy_and_dispersion(theta):
 
 
 def test_dispersion_builds_each_mode_matrix_once(monkeypatch):
+    # one mode-algebra call for the whole grid, with the bits of one call per k
     cfg = LatticeConfig(L=32, theta=0.3)
-    build = spectral.step_matrix
+    build = spectral.mode_algebra
     calls = []
-    monkeypatch.setattr(spectral, "step_matrix", lambda c, k: calls.append(k) or build(c, k))
+    monkeypatch.setattr(spectral, "mode_algebra", lambda t, kdx: calls.append(kdx) or build(t, kdx))
     phis = [row[2] for row in dispersion_rows(cfg)]
-    assert len(calls) == cfg.L
-    assert phis == [build(cfg, k).phi for k in momentum_grid(cfg)]
+    assert len(calls) == 1 and calls[0].shape == (cfg.L,)
+    assert phis == [build(cfg.theta, k * cfg.dx).phi for k in momentum_grid(cfg)]
 
 
 def test_phi_example_value():
@@ -133,16 +134,16 @@ def test_convergence_slope_cubic():
     assert phi_convergence_slope() >= 2.9
 
 
-def test_convergence_slope_reads_step_matrix(monkeypatch):
-    # a second-order error in step_matrix's phi must pull the slope to about 2
-    exact = spectral.step_matrix
+def test_convergence_slope_reads_the_mode_algebra(monkeypatch):
+    # a second-order error in the mode algebra's phi must pull the slope to about 2
+    exact = spectral.mode_algebra
 
-    def second_order(config, k):
-        mode = exact(config, k)
-        mode.phi += 0.1 * (k * config.dx) ** 2
+    def second_order(theta, kdx):
+        mode = exact(theta, kdx)
+        mode.phi = mode.phi + 0.1 * np.asarray(kdx) ** 2
         return mode
 
-    monkeypatch.setattr(spectral, "step_matrix", second_order)
+    monkeypatch.setattr(spectral, "mode_algebra", second_order)
     assert phi_convergence_slope() < 2.9
 
 
@@ -305,12 +306,13 @@ def test_dirac_sea_builds_each_sector_and_orbital_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(spectral, name, counted(name))
     dirac_sea_excitations(cfg)
-    # three sectors (L - 1, L, L + 1 particles), the sea's L orbitals and the
-    # excitation grid's L Minus and L Plus ones, and each of 2L + 1 states stepped once
-    assert calls == {"_sector": 3, "mode_orbital": 3 * cfg.L, "step_keys": 2 * cfg.L + 1}
+    # three sectors (L - 1, L, L + 1 particles), one orbital call per grid and
+    # band (the sea's Minus, the excitation grid's Minus and Plus), and each
+    # of 2L + 1 states stepped once
+    assert calls == {"_sector": 3, "mode_orbital": 3, "step_keys": 2 * cfg.L + 1}
     # nothing is kept between calls
     dirac_sea_excitations(cfg)
-    assert calls == {"_sector": 6, "mode_orbital": 6 * cfg.L, "step_keys": 4 * cfg.L + 2}
+    assert calls == {"_sector": 6, "mode_orbital": 6, "step_keys": 4 * cfg.L + 2}
 
 
 def _sea_modes(cfg, offset, skip_minus=None, extra_plus=None):
