@@ -26,6 +26,8 @@ from .lattice import (
     Boundary,
     Eps,
     FockState,
+    MAX_CELLS,
+    MIN_CELLS,
     LatticeConfig,
     basis_from_particles,
     basis_state,
@@ -37,55 +39,77 @@ class ParseError(Exception):
 
 
 # Every key a lattice block or an experiment's params may set, as
-# key -> (kind, default). A kind is int, float (any finite number, stored as
-# a float), list (a list of numbers, kept as written), or a tuple of the
-# allowed strings. A default of ... marks a required key; a default of None
-# also admits null; a callable default is worked out from the lattice config.
+# key -> (kind, default, low, high). A kind is int, float (any finite number,
+# stored as a float), list (a list of numbers, kept as written), or a tuple of
+# the allowed strings. A default of ... marks a required key; a default of None
+# also admits null. A number, given or default, lies in [low, high], as does
+# each entry of a list; a string row has no range. A callable default or bound
+# is worked out from the lattice config.
+# dx and dt lie in UNITS and |theta| <= pi, so every quantity a run forms from
+# them (the mass theta dt / dx^2 and its square, the grid 2 pi n / (L dx),
+# phi / dt) stays a finite float
+UNITS = (1e-100, 1e100)
 LATTICE = {
-    "L": (int, ...),
-    "dx": (float, 1.0),
-    "dt": (float, 1.0),
-    "theta": (float, 0.0),
-    "boundary": (tuple(b.value for b in Boundary), "periodic"),
+    "L": (int, ..., MIN_CELLS, MAX_CELLS),
+    "dx": (float, 1.0, *UNITS),
+    "dt": (float, 1.0, *UNITS),
+    "theta": (float, 0.0, -math.pi, math.pi),
+    "boundary": (tuple(b.value for b in Boundary), "periodic", None, None),
 }
 # nogo footprint name -> its builder, which takes the internal-state count
 SPECS = {"full": nogo.full_spec, "trivial": nogo.trivial_spec}
+
+
+def _edge(cfg: LatticeConfig) -> int:
+    """Cells two_particle_scatter keeps clear of each edge: it uses cell-1..cell+1."""
+    return 1 if cfg.boundary is Boundary.OPEN else 0
+
+
 PARAMS = {
     "dispersion_sweep": {},
     "wavepacket": {
-        "cell": (int, lambda cfg: cfg.L // 2),
-        "eps": (("plus", "minus"), "plus"),
-        "nsteps": (int, lambda cfg: cfg.L // 2),
-        "compare_thetas": (list, lambda cfg: [cfg.theta]),
+        "cell": (int, lambda cfg: cfg.L // 2, 0, lambda cfg: cfg.L - 1),
+        "eps": (("plus", "minus"), "plus", None, None),
+        "nsteps": (int, lambda cfg: cfg.L // 2, 0, 1000),
+        "compare_thetas": (list, lambda cfg: [cfg.theta], *LATTICE["theta"][2:]),
     },
-    "two_particle_scatter": {"cell": (int, lambda cfg: cfg.L // 2 - 1)},
-    "dirac_limit": {"nsamples": (int, 100), "eps": (float, 0.05)},
-    "heisenberg_check": {"cell": (int, lambda cfg: cfg.L // 2)},
+    "two_particle_scatter": {
+        "cell": (int, lambda cfg: cfg.L // 2 - 1, _edge, lambda cfg: cfg.L - 1 - _edge(cfg)),
+    },
+    "dirac_limit": {
+        "nsamples": (int, 100, 1, 100_000),
+        # theta = k dx = eps is a long wavelength, at most 1; below about 4e-8
+        # the bound 0.2 eps^3 / dt on its energy falls under the rounding of phi
+        "eps": (float, 0.05, 1e-6, 1.0),
+    },
+    "heisenberg_check": {
+        "cell": (
+            int,
+            lambda cfg: cfg.L // 2,
+            lambda cfg: bulk_cells(cfg).start,
+            lambda cfg: bulk_cells(cfg).stop - 1,
+        ),
+    },
     "dirac_sea": {},
     "nogo_witness": {
-        "lattice_size": (int, 15),
-        "min_distance": (int, 3),
-        "height": (int, None),
-        "spec": (tuple(SPECS), "full"),
-        "num_eps": (int, 2),
+        "lattice_size": (int, 15, 1, nogo.MAX_WITNESS_SIDE),
+        "min_distance": (int, 3, 1, nogo.MAX_WITNESS_SIDE),
+        "height": (int, None, 1, nogo.MAX_WITNESS_SIDE),
+        "spec": (tuple(SPECS), "full", None, None),
+        "num_eps": (int, 2, 1, nogo.MAX_EPS),
     },
     "nogo_csp": {
-        "dimension": (int, 2),
-        "radius": (int, 1),
-        "lattice_size": (int, 5),
-        "spec": (tuple(SPECS), "full"),
+        "dimension": (int, 2, min(nogo.MAX_CSP_SIDE), max(nogo.MAX_CSP_SIDE)),
+        "radius": (int, 1, 0, nogo.MAX_RADIUS),
+        "lattice_size": (int, 5, nogo.MIN_CSP_SIDE, max(nogo.MAX_CSP_SIDE.values())),
+        "spec": (tuple(SPECS), "full", None, None),
     },
 }
 EXPERIMENTS = tuple(PARAMS)
-# lower bounds of params that count something
-MINIMUM = {"nsteps": 0, "nsamples": 1, "radius": 0, "height": 1, "min_distance": 1}
-# the most samples one dirac_limit run draws and checks as one batch
-MAX_SAMPLES = 100_000
-# dx and dt lie in [1 / UNIT_SCALE, UNIT_SCALE] and |theta| <= pi, so every
-# quantity a run forms from them (the mass theta dt / dx^2 and its square,
-# the grid 2 pi n / (L dx), phi / dt) stays a finite float
-UNIT_SCALE = 1e100
-# smallest excitation gap dirac_sea accepts, and its gaps_positive tolerance
+# the most entries a list param holds: each compare_thetas entry is one more
+# walk comparison of nsteps steps
+MAX_ENTRIES = 8
+# smallest excitation phase dirac_sea accepts, and its gaps_positive tolerance
 MIN_GAP = 1e-12
 
 
@@ -166,44 +190,10 @@ def load_config(path: str | Path) -> dict:
     for block in ("lattice", "params"):
         _require(isinstance(raw[block], dict), f"{p}: {block} must be an object")
     lat = _resolve(LATTICE, raw["lattice"], f"{p}: lattice", None)
-    try:
-        cfg = LatticeConfig(**{**lat, "boundary": Boundary(lat["boundary"])})
-    except ValueError as e:
-        raise ParseError(f"{p}: bad lattice block: {e}") from e
-    for unit in ("dx", "dt"):
-        _require(
-            1 / UNIT_SCALE <= lat[unit] <= UNIT_SCALE,
-            f"{p}: {unit} must lie in [{1 / UNIT_SCALE:g}, {UNIT_SCALE:g}], got {lat[unit]!r}",
-        )
-    _require(abs(cfg.theta) <= math.pi, f"{p}: |theta| must be at most pi, got {cfg.theta!r}")
+    cfg = LatticeConfig(**{**lat, "boundary": Boundary(lat["boundary"])})
     experiment = raw["experiment"]
     params = _resolve(PARAMS[experiment], raw["params"], f"{p}: {experiment}", cfg)
     raw["_config"], raw["_params"] = cfg, params
-    for key, low in MINIMUM.items():
-        _require(params.get(key) is None or params[key] >= low, f"{p}: {key} must be >= {low}")
-    if experiment == "dirac_limit":
-        _require(
-            params["nsamples"] <= MAX_SAMPLES,
-            f"{p}: nsamples must be <= {MAX_SAMPLES}, got {params['nsamples']}",
-        )
-        # theta = k dx = eps is a long wavelength: positive, and at most 1
-        _require(0 < params["eps"] <= 1, f"{p}: eps must lie in (0, 1], got {params['eps']!r}")
-    if "cell" in params:
-        _require(0 <= params["cell"] < cfg.L, f"{p}: cell={params['cell']} outside the lattice")
-    if experiment == "heisenberg_check":
-        cells = bulk_cells(cfg)
-        _require(
-            params["cell"] in cells,
-            f"{p}: heisenberg_check needs a bulk cell, "
-            f"{cells.start} <= cell <= {cells.stop - 1}, got {params['cell']}",
-        )
-    if experiment == "two_particle_scatter" and cfg.boundary is Boundary.OPEN:
-        uses = f"{p}: two_particle_scatter uses cells cell-1..cell+1, so the open chain"
-        _require(cfg.L >= 3, f"{uses} needs L >= 3, got L={cfg.L}")
-        _require(
-            1 <= params["cell"] <= cfg.L - 2,
-            f"{uses} needs 1 <= cell <= {cfg.L - 2}, got {params['cell']}",
-        )
     if experiment in ("dispersion_sweep", "dirac_sea"):
         _require(
             cfg.boundary is Boundary.PERIODIC,
@@ -215,15 +205,14 @@ def load_config(path: str | Path) -> dict:
         cap = spectral.MAX_SEA_CELLS
         _require(cfg.L <= cap, f"{p}: dirac_sea needs L <= {cap}, got L={cfg.L}")
         # phi = arccos|cos theta| is smallest at k = 0 and pi/dx, on the excitation grid
-        gap = spectral.step_matrix(cfg, np.array([0.0, math.pi / cfg.dx])).phi.min() / cfg.dt
-        _require(gap > MIN_GAP, f"{p}: dirac_sea is massless at theta={cfg.theta}: gap {gap:.3g}")
+        phi = spectral.step_matrix(cfg, np.array([0.0, math.pi / cfg.dx])).phi.min()
+        _require(phi > MIN_GAP, f"{p}: dirac_sea is massless at theta={cfg.theta}: phi {phi:.3g}")
     if experiment == "nogo_csp" and params["dimension"] == 1:
         _require("spec" not in raw["params"], f"{p}: nogo_csp takes no spec at dimension 1")
     try:
         if experiment == "nogo_csp":
             nogo.check_csp_size(params["dimension"], params["radius"], params["lattice_size"])
         if experiment == "nogo_witness":
-            _footprint(params, params["num_eps"])
             nogo.check_witness_size(
                 params["lattice_size"], params["min_distance"], params["height"]
             )
@@ -253,22 +242,31 @@ def _is_kind(value, kind) -> bool:
 
 
 def _resolve(table: dict, given: dict, where: str, cfg: LatticeConfig | None) -> dict:
-    """Check each key of `given` against `table` and fill in the defaults."""
+    """Check each key of `given` against `table`, fill in the defaults, and
+    check that each number lies in its row's range."""
     for key in given:
         _require(key in table, f"{where}: unknown key {key!r}; accepted: {sorted(table)}")
     out = {}
-    for key, (kind, default) in table.items():
-        if key not in given:
+    for key, (kind, default, low, high) in table.items():
+        at = f"{where}: {key}"
+        if key in given:
+            value = given[key]
+            _require(
+                _is_kind(value, kind) or (value is None and default is None),
+                f"{at} must be {_KIND_NAMES.get(kind) or f'one of {kind}'}, got {value!r}",
+            )
+            value = float(value) if kind is float else value
+        else:
             _require(default is not ..., f"{where}: missing field {key!r}")
-            out[key] = default(cfg) if callable(default) else default
-            continue
-        value = given[key]
-        _require(
-            _is_kind(value, kind) or (value is None and default is None),
-            f"{where}: {key} must be {_KIND_NAMES.get(kind) or f'one of {kind}'}, "
-            f"got {value!r}",
-        )
-        out[key] = float(value) if kind is float else value
+            value = default(cfg) if callable(default) else default
+        if low is not None and value is not None:
+            low, high = (b(cfg) if callable(b) else b for b in (low, high))
+            entries = value if kind is list else [value]
+            n = len(entries)
+            _require(n <= MAX_ENTRIES, f"{at} holds at most {MAX_ENTRIES} entries, got {n}")
+            for v in entries:
+                _require(low <= v <= high, f"{at} must lie in [{low!r}, {high!r}], got {v!r}")
+        out[key] = value
     return out
 
 
@@ -488,7 +486,7 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     sea = spectral.dirac_sea_excitations(cfg)
     excitations = sea.excitations
     rows = [
-        (e.kind, e.k, e.phi, e.gap, e.eigen_modulus, abs(e.gap - e.phi / cfg.dt))
+        (e.kind, e.k, e.phi, e.gap, e.eigen_modulus, abs(e.gap * cfg.dt - e.phi))
         for e in excitations
     ]
     write_csv(
@@ -505,7 +503,7 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
             1e-10,
         ),
         _check("gaps_match_phi", max(r[5] for r in rows), 1e-10),
-        _check("gaps_positive", min(e.gap for e in excitations), MIN_GAP, "min"),
+        _check("gaps_positive", min(e.gap for e in excitations) * cfg.dt, MIN_GAP, "min"),
         _check("steps_keep_norm", sea.norm_err, 1e-12),
     ]
     return {"sea_phase": sea.phase, "n_excitations": len(excitations)}, checks

@@ -20,7 +20,7 @@ PRUNE_THRESHOLD = 1e-14
 
 # Python ints are unbounded, so the word width is a sanity cap rather than a
 # hardware limit; 64 cells covers every supported workload.
-MAX_CELLS = 64
+MIN_CELLS, MAX_CELLS = 2, 64
 
 
 class Boundary(enum.Enum):
@@ -44,8 +44,8 @@ class LatticeConfig:
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValueError(f"L must be >= 2, got {self.L}")
+        if self.L < MIN_CELLS:
+            raise ValueError(f"L must be >= {MIN_CELLS}, got {self.L}")
         if self.L > MAX_CELLS:
             raise ValueError(f"L must be <= {MAX_CELLS}, got {self.L}")
         if self.dx <= 0 or self.dt <= 0:

@@ -46,6 +46,13 @@ CORNERS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 # the longest side find_witness_triple searches: _sites builds every site
 MAX_WITNESS_SIDE = 201
+# the most internal states a footprint spec has
+MAX_EPS = 4
+# sign_csp's instances: radius up to MAX_RADIUS, and per dimension a
+# lattice_size from MIN_CSP_SIDE up to that dimension's cap
+MAX_RADIUS = 2
+MIN_CSP_SIDE = 2
+MAX_CSP_SIDE = {1: 9, 2: 7}
 
 
 @dataclass(frozen=True)
@@ -62,8 +69,8 @@ class FootprintSpec:
     targets: dict
 
     def __post_init__(self):
-        if not 1 <= self.num_eps <= 4:
-            raise ValueError("internal-state count limited to 4")
+        if not 1 <= self.num_eps <= MAX_EPS:
+            raise ValueError(f"internal-state count limited to {MAX_EPS}")
 
     def corner_targets(self, eps: int, corner) -> frozenset:
         return self.targets[eps].get(corner, frozenset())
@@ -219,13 +226,13 @@ class CspResult:
 
 def check_csp_size(dimension: int, radius: int, lattice_size: int) -> None:
     """Raise unless sign_csp supports this instance."""
-    if lattice_size < 2:
-        raise ValueError("lattice_size must be >= 2: a smaller lattice has no pair of cells")
-    if radius > 2:
-        raise ValueError("radius <= 2 supported")
-    if dimension not in (1, 2):
+    if lattice_size < MIN_CSP_SIDE:
+        raise ValueError(f"lattice_size must be >= {MIN_CSP_SIDE}, so that a pair of cells fits")
+    if radius > MAX_RADIUS:
+        raise ValueError(f"radius <= {MAX_RADIUS} supported")
+    if dimension not in MAX_CSP_SIDE:
         raise ValueError("dimension must be 1 or 2")
-    cap = 9 if dimension == 1 else 7
+    cap = MAX_CSP_SIDE[dimension]
     if lattice_size > cap:
         raise ValueError(f"{dimension}D instance limited to {cap} per side")
 
@@ -257,19 +264,11 @@ def csp_satisfiable(dimension: int, radius: int, lattice_size: int, trivial: boo
 
 
 def check_witness_size(lattice_size: int, min_distance: int, height: int | None) -> None:
-    """Raise unless lattice_size is >= 1 and large enough to hold a witness.
+    """Raise unless lattice_size is large enough to hold a witness.
 
-    Neither lattice_size nor height may exceed MAX_WITNESS_SIDE. A height-1
-    lattice holds no witness at any size, so there every lattice_size from 1
-    to the cap passes.
+    A height-1 lattice holds no witness at any size, so there every
+    lattice_size passes.
     """
-    if lattice_size < 1:
-        raise ValueError("lattice_size must be >= 1")
-    for name, side in (("lattice_size", lattice_size), ("height", height)):
-        if side is not None and side > MAX_WITNESS_SIDE:
-            raise ValueError(
-                f"witness lattice limited to {MAX_WITNESS_SIDE} per side, got {name} {side}"
-            )
     smallest = min_witness_size(min_distance, height)
     if smallest is not None and lattice_size < smallest:
         raise ValueError(

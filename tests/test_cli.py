@@ -1,14 +1,17 @@
 """Config parsing, experiment runs, manifests and determinism."""
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fqca import cli, evolution
 from fqca.cli import (
@@ -25,7 +28,7 @@ from fqca.cli import (
 )
 from fqca.evolution import evolve
 from fqca.fermion import LadderOp, OpKind
-from fqca.lattice import Eps, FockState, LatticeConfig, bit_index
+from fqca.lattice import Boundary, Eps, FockState, LatticeConfig, bit_index
 from fqca.nogo import csp_satisfiable, full_spec, sign_csp, trivial_spec
 
 REPO = Path(__file__).resolve().parents[1]
@@ -70,17 +73,26 @@ def test_validate_ok(tmp_path, capsys):
 
 # what the error line of a rejected case must say, where exit 2 alone is not enough
 REJECTION_WORDING = {
-    "two_particle_scatter-open-L2": "the open chain needs L >= 3, got L=2",
+    "two_particle_scatter-open-L2": "cell must lie in [1, 0], got 1",
     "dirac_sea-L10": "dirac_sea needs L <= 8, got L=10",
     "nogo_witness-height1-expect_found": "unknown key 'expect_found'",
     "nogo_csp-expect_sat": "unknown key 'expect_sat'",
-    "nogo_witness-size202": "witness lattice limited to 201 per side, got lattice_size 202",
-    "nogo_witness-height202": "witness lattice limited to 201 per side, got height 202",
+    "nogo_witness-size202": "lattice_size must lie in [1, 201], got 202",
+    "nogo_witness-height202": "height must lie in [1, 201], got 202",
     "dirac_limit-dx1e+300": "dx must lie in [1e-100, 1e+100], got 1e+300",
     "dispersion_sweep-dt1e-320": "dt must lie in [1e-100, 1e+100], got 1e-320",
-    "dispersion_sweep-theta1e+300": "|theta| must be at most pi, got 1e+300",
-    "dirac_limit-eps0": "eps must lie in (0, 1], got 0.0",
-    "dirac_limit-nsamples100001": "nsamples must be <= 100000, got 100001",
+    "dispersion_sweep-theta1e+300": (
+        "theta must lie in [-3.141592653589793, 3.141592653589793], got 1e+300"
+    ),
+    "dirac_limit-eps0": "eps must lie in [1e-06, 1.0], got 0.0",
+    "dirac_limit-eps1e-08": "eps must lie in [1e-06, 1.0], got 1e-08",
+    "dirac_limit-nsamples100001": "nsamples must lie in [1, 100000], got 100001",
+    "wavepacket-nsteps1001": "nsteps must lie in [0, 1000], got 1001",
+    "wavepacket-compare_thetas1e+300": (
+        "compare_thetas must lie in [-3.141592653589793, 3.141592653589793], got 1e+300"
+    ),
+    "wavepacket-compare_thetas-9": "compare_thetas holds at most 8 entries, got 9",
+    "dirac_sea-massless-L4-theta3.14159-dt1e-05": "dirac_sea is massless at theta=3.14",
 }
 
 
@@ -145,6 +157,18 @@ REJECTION_WORDING = {
             )
             for L, theta in ((2, 0.0), (6, 0.0), (4, math.pi), (4, 1e-13))
         ),
+        *(
+            # phi at k = pi/dx is about 1e-16, whatever dt
+            pytest.param(
+                {
+                    "experiment": "dirac_sea",
+                    "lattice": {"L": L, "theta": theta, "dt": 1e-5},
+                    "params": {},
+                },
+                id=f"dirac_sea-massless-L{L}-theta{theta:g}-dt1e-05",
+            )
+            for L, theta in ((4, math.pi), (4, -math.pi), (6, -math.pi))
+        ),
         pytest.param(
             {"experiment": "dirac_sea", "lattice": {"L": 10, "theta": 0.4}, "params": {}},
             id="dirac_sea-L10",
@@ -166,6 +190,11 @@ REJECTION_WORDING = {
                 ("nogo_csp", "spec-Full", {"spec": "Full"}),
                 ("wavepacket", "nsteps-true", {"nsteps": True}),
                 ("wavepacket", "compare_thetas-number", {"compare_thetas": 0.3}),
+                ("wavepacket", "nsteps1001", {"nsteps": 1001}),
+                ("wavepacket", "compare_thetas1e+300", {"compare_thetas": [0.3, 1e300]}),
+                ("wavepacket", "compare_thetas-9", {"compare_thetas": [0.1] * 9}),
+                ("wavepacket", "compare_thetas-200", {"compare_thetas": [0.1] * 200}),
+                ("wavepacket", "compare_thetas-pi+", {"compare_thetas": [3.2]}),
                 ("dirac_limit", "nsamples-str", {"nsamples": "ten"}),
                 ("dirac_limit", "nsamples-negative", {"nsamples": -1}),
                 ("dirac_limit", "eps-str", {"eps": "small"}),
@@ -173,6 +202,7 @@ REJECTION_WORDING = {
                 ("dirac_limit", "eps1.5", {"eps": 1.5}),
                 ("dirac_limit", "eps0", {"eps": 0}),
                 ("dirac_limit", "eps-negative", {"eps": -0.05}),
+                ("dirac_limit", "eps1e-08", {"eps": 1e-8}),
                 ("dirac_limit", "nsamples1e30", {"nsamples": 10**30}),
                 ("dirac_limit", "nsamples100001", {"nsamples": 100_001}),
                 ("nogo_witness", "height-str", {"height": "two"}),
@@ -213,10 +243,11 @@ def test_validate_rejects_bad_configs(tmp_path, capsys, request, overrides):
 
 @pytest.mark.parametrize("experiment", ["dispersion_sweep", "dirac_limit", "dirac_sea"])
 def test_unit_extremes_end_in_a_manifest(tmp_path, experiment):
-    # each corner of the accepted dx, dt and theta ranges runs to a JSON
-    # manifest: no traceback, no inf or nan written, and no overflow warning
-    # (pytest turns a RuntimeWarning into an error)
-    ends = (1 / cli.UNIT_SCALE, cli.UNIT_SCALE)
+    # each corner of the accepted dx, dt and theta ranges validates and runs to
+    # a passing manifest: no traceback, no inf or nan written, and no overflow
+    # warning (pytest turns a RuntimeWarning into an error). The sea's checks
+    # read phases, so its verdict does not depend on dt.
+    ends = cli.UNITS
     thetas = (0.3,) if experiment == "dirac_sea" else (math.pi, -1e-300)
     params = {"eps": 1.0, "nsamples": 10} if experiment == "dirac_limit" else {}
     for i, (dx, dt, theta) in enumerate(itertools.product(ends, ends, thetas)):
@@ -225,12 +256,96 @@ def test_unit_extremes_end_in_a_manifest(tmp_path, experiment):
             tmp_path, experiment=experiment, params=params, output_dir=str(out),
             lattice={"L": 4, "dx": dx, "dt": dt, "theta": theta},
         )
-        if main(["validate", str(p)]) == 2:
-            # a gap phi / dt below MIN_GAP reads as massless
-            assert experiment == "dirac_sea" and dt == cli.UNIT_SCALE
+        assert main(["validate", str(p)]) == 0
+        assert main(["run", str(p), "--quiet"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["ok"] is True
+
+
+def _near(kind, low, high):
+    """Values of kind inside [low, high], at its ends, and just past them."""
+    if kind is int:
+        # an empty cell range (low > high) draws only rejected values
+        inside = st.integers(min(low, high), max(low, high))
+        return inside | st.sampled_from([low - 1, low, high, high + 1])
+    past = [math.nextafter(low, -math.inf), math.nextafter(high, math.inf)]
+    return st.floats(low, high) | st.sampled_from([low, high, *past])
+
+
+def _block(draw, table: dict, cfg) -> dict:
+    """A lattice or params block: each optional key is left out or drawn near its row's range."""
+    block = {}
+    for key, (kind, default, low, high) in table.items():
+        if default is not ... and draw(st.booleans()):
             continue
-        assert main(["run", str(p), "--quiet"]) in (0, 1)
-        json.loads((out / "manifest.json").read_text())
+        if low is None:
+            block[key] = draw(st.sampled_from(kind))
+            continue
+        low, high = (b(cfg) if callable(b) else b for b in (low, high))
+        value = _near(float if kind is list else kind, low, high)
+        if kind is list:
+            value = st.lists(value, max_size=cli.MAX_ENTRIES + 1)
+        block[key] = draw(st.none() | value if default is None else value)
+    return block
+
+
+@st.composite
+def configs(draw) -> dict:
+    """A config drawn from the bounds table: its ranges, their ends and just past them."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    lattice = _block(draw, cli.LATTICE, None)
+    # the cell bounds read L and the boundary; an L past its range is rejected anyway
+    low, high = cli.LATTICE["L"][2:]
+    cfg = LatticeConfig(
+        min(max(lattice["L"], low), high), boundary=Boundary(lattice.get("boundary", "periodic"))
+    )
+    params = _block(draw, cli.PARAMS[experiment], cfg)
+    return {"experiment": experiment, "lattice": lattice, "params": params}
+
+
+def _sweep_case(experiment, params=None, **lattice):
+    return {"experiment": experiment, "lattice": {"L": 4, **lattice}, "params": params or {}}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(configs())
+# dirac_sea at small dt, whose gaps are right to a few ulp of phase
+@example(_sweep_case("dirac_sea", L=6, theta=0.4, dt=1e-5))
+@example(_sweep_case("dirac_sea", L=8, theta=0.4, dt=2e-6))
+# massless seas at theta = +-pi, whose phases wrapped
+@example(_sweep_case("dirac_sea", theta=math.pi, dt=1e-5))
+@example(_sweep_case("dirac_sea", theta=-math.pi, dt=1.2e-5))
+@example(_sweep_case("dirac_sea", L=6, theta=-math.pi, dt=1e-5))
+# eps below the floor, where 0.2 eps^3 / dt falls under the rounding of phi
+@example(_sweep_case("dirac_limit", {"eps": 1e-8}))
+@example(_sweep_case("dirac_limit", {"eps": 1e-6}, dx=0.5, dt=0.25))
+# the wavepacket caps, and a compare_thetas entry past theta's range
+@example(_sweep_case("wavepacket", {"compare_thetas": [1e300]}))
+@example(_sweep_case("wavepacket", {"nsteps": 1000, "compare_thetas": [0.1] * 8}))
+@example(_sweep_case("wavepacket", {"nsteps": 10_000}, L=64))
+# the slow corners: the largest sea and a 201-wide witness
+@example(_sweep_case("dirac_sea", L=8, theta=0.4))
+@example(_sweep_case("nogo_witness", {"lattice_size": 201, "min_distance": 1}))
+@example(json.loads((REPO / "perfbench/configs/nogo_csp_1d_9.json").read_text()))
+@example(json.loads((REPO / "perfbench/configs/nogo_csp_2d_7x7.json").read_text()))
+@example(json.loads((REPO / "perfbench/configs/nogo_witness_height1.json").read_text()))
+def test_accepted_configs_pass(tmp_path_factory, config):
+    # every config validate accepts runs to a passing manifest with no
+    # warning; every one it rejects exits 2 with an error line, not a traceback
+    d = tmp_path_factory.mktemp("sweep")
+    p = d / "config.json"
+    p.write_text(json.dumps({"seed": 1, **config, "output_dir": str(d / "out")}))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["validate", str(p)])
+        run = main(["run", str(p), "--quiet"])
+    if code == 0:
+        assert run == 0
+        assert json.loads((d / "out" / "manifest.json").read_text())["ok"] is True
+    else:
+        assert code == run == 2
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
 def test_dirac_sea_small_mass_runs(tmp_path):
@@ -241,9 +356,8 @@ def test_dirac_sea_small_mass_runs(tmp_path):
 
 
 def test_nsamples_cap_is_accepted(tmp_path):
-    p = make_config(
-        tmp_path, experiment="dirac_limit", params={"nsamples": cli.MAX_SAMPLES, "eps": 1}
-    )
+    cap = cli.PARAMS["dirac_limit"]["nsamples"][3]
+    p = make_config(tmp_path, experiment="dirac_limit", params={"nsamples": cap, "eps": 1})
     assert main(["validate", str(p)]) == 0
 
 
