@@ -261,6 +261,9 @@ def _resolve(table: dict, given: dict, where: str, cfg: LatticeConfig | None) ->
             value = default(cfg) if callable(default) else default
         if low is not None and value is not None:
             low, high = (b(cfg) if callable(b) else b for b in (low, high))
+            if low > high:  # only a row bounded by the lattice, so with a cfg, can be empty
+                lattice = f"L={cfg.L} ({cfg.boundary.value})"
+                raise ParseError(f"{where}: the lattice {lattice} is too small for any {key}")
             entries = value if kind is list else [value]
             n = len(entries)
             _require(n <= MAX_ENTRIES, f"{at} holds at most {MAX_ENTRIES} entries, got {n}")

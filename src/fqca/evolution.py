@@ -15,7 +15,9 @@ and creation operators conjugate to cos/sin combinations with a +sin on the
 relations.
 
 The engine holds a state as one sorted array of keys and a complex
-amplitude array; a key is a basis word. step_keys steps many states in one
+amplitude array; a key is a basis word. A FockState holds such arrays,
+so step and evolve hand its words and a copy of its amps to the engine
+and wrap the sorted result as they are. step_keys steps many states in one
 pass, each key carrying its state's index above the 2L word bits, so states
 never mix. Both layers share one sign rule (_signed): a word picks up
 diag[3] once per doubly occupied pair, which is diag[3] to the parity of
@@ -85,7 +87,6 @@ from .lattice import (
     PRUNE_THRESHOLD,
     _bit_count,
     _bit_parity,
-    word_dtype,
 )
 
 
@@ -214,9 +215,10 @@ def _plan(keys, layer: _Layer):
     one = t(1)
     pairs = t(layer.pair_bits)
     v = keys & t((1 << layer.nbits) - 1)  # the word, read in the pair frame
-    odd = _odd(v & (v >> one) & pairs)
+    p2 = v >> one  # bit 2j: pair j's p2 is occupied
+    odd = _odd(v & p2 & pairs)
     # bit 2j of x: pair j holds one particle
-    x = (v ^ (v >> one)) & pairs
+    x = (v ^ p2) & pairs
     if len(keys) > ORBIT_CUTOFF:
         plan = _orbit_plan(keys, odd, v, x, layer)
         if plan is not None:
@@ -395,12 +397,8 @@ def _run_keys(keys, amps, layers: Sequence[_Layer]):
 
 def _run(state: FockState, layers: Sequence[_Layer]) -> FockState:
     """Apply the layers in order to one state."""
-    t = word_dtype(state.config.n_sites).type
-    keys = np.fromiter(state.amplitudes, t, len(state.amplitudes))
-    amps = np.fromiter(state.amplitudes.values(), complex, len(state.amplitudes))
-    order = keys.argsort()
-    keys, amps = _run_keys(keys[order], amps[order], layers)
-    return FockState(state.config, dict(zip(keys.tolist(), amps.tolist())))
+    keys, amps = _run_keys(state.words, state.amps.copy(), layers)
+    return FockState.from_sorted(state.config, keys, amps)
 
 
 def step(state: FockState, bosonic: bool = False) -> FockState:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,18 +118,46 @@ def basis_from_particles(config: LatticeConfig, particles) -> int:
     return word
 
 
-@dataclass
 class FockState:
-    """Sparse map from basis word to complex amplitude.
+    """A sparse state: sorted basis words and their complex amplitudes.
 
-    Functions that act on a state return a new one; instances are not
-    mutated once built, so states may be shared freely across threads.
+    words holds unique basis words in ascending order, in the word_dtype of
+    the config's 2L bits, and amps the amplitude of each. Built from a
+    mapping of word to amplitude, a state keeps every entry, zeros and
+    amplitudes at or below PRUNE_THRESHOLD included; the engine prunes as
+    it steps. Both arrays are read-only and functions that act on a state
+    return a new one, so states may be shared freely across threads.
     """
 
-    config: LatticeConfig
-    amplitudes: dict[int, complex] = field(default_factory=dict)
+    def __init__(self, config: LatticeConfig, amplitudes: Mapping[int, complex]):
+        words = np.fromiter(amplitudes, word_dtype(config.n_sites), len(amplitudes))
+        amps = np.fromiter(amplitudes.values(), complex, len(amplitudes))
+        order = words.argsort()
+        self._hold(config, words[order], amps[order])
+
+    @classmethod
+    def from_sorted(cls, config: LatticeConfig, words: np.ndarray, amps: np.ndarray) -> "FockState":
+        """The state on words, which must be sorted and unique; holds both arrays as they are."""
+        state = cls.__new__(cls)
+        state._hold(config, words, amps)
+        return state
+
+    def _hold(self, config: LatticeConfig, words: np.ndarray, amps: np.ndarray) -> None:
+        words.flags.writeable = amps.flags.writeable = False
+        self.config, self.words, self.amps = config, words, amps
+
+    @cached_property
+    def amplitudes(self) -> dict[int, complex]:
+        """The state as a dict from word to amplitude, in ascending word order.
+
+        Built on first read and kept; callers must not change it.
+        """
+        return dict(zip(self.words.tolist(), self.amps.tolist()))
 
     def norm(self) -> float:
+        # Python's abs, summed in ascending word order, where np.abs can
+        # differ in the last bit; over the dict, whose Python complexes a
+        # caller that also reads it then builds only once
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
 

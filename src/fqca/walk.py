@@ -29,9 +29,6 @@ class WalkState:
         psi[cell, R if eps is Eps.PLUS else L_] = 1.0
         return cls(config, psi)
 
-    def probabilities(self) -> np.ndarray:
-        return np.sum(np.abs(self.spinors) ** 2, axis=1)
-
 
 def walk_step(state: WalkState) -> WalkState:
     """Shift R right / L left, then rotate the coin by theta.
@@ -65,14 +62,14 @@ def walk_step(state: WalkState) -> WalkState:
 
 def _qca_one_particle_spinors(state) -> np.ndarray:
     """Project a one-particle FockState onto the walk's (L, 2) layout."""
-    amps = state.amplitudes
+    words = state.words.tolist()
     # a word's one set bit, or -1 for a word with any other number of them
-    bits = np.array([w.bit_length() - 1 if w.bit_count() == 1 else -1 for w in amps], np.intp)
+    bits = np.array([w.bit_length() - 1 if w.bit_count() == 1 else -1 for w in words], np.intp)
     if (bits < 0).any():
         raise ValueError("state is not in the one-particle sector")
     psi = np.zeros((state.config.L, 2), dtype=complex)
     # bit 2j + 1 is (cell j, Plus) and bit 2j is (cell j, Minus)
-    psi[bits >> 1, np.where(bits & 1, R, L_)] = np.fromiter(amps.values(), complex, len(amps))
+    psi[bits >> 1, np.where(bits & 1, R, L_)] = state.amps
     return psi
 
 
@@ -83,13 +80,12 @@ def compare_one_particle(
     cell, eps = init
     walk = WalkState.localized(config, cell, Eps(eps))
     qca = basis_state(config, [(cell, Eps(eps))])
-    worst = 0.0
-    for _ in range(nsteps):
+    diff = np.empty((nsteps, config.L, 2), dtype=complex)
+    for t in range(nsteps):
         walk = walk_step(walk)
         qca = qca_step(qca)
-        dev = float(np.max(np.abs(walk.spinors - _qca_one_particle_spinors(qca))))
-        worst = max(worst, dev)
-    return worst
+        diff[t] = walk.spinors - _qca_one_particle_spinors(qca)
+    return float(np.abs(diff).max(initial=0.0))
 
 
 def wavepacket_trace(
@@ -97,10 +93,11 @@ def wavepacket_trace(
 ) -> list[tuple[int, int, float]]:
     """(step, cell, prob) rows for a localized start, for light-cone plots."""
     state = WalkState.localized(config, init[0], Eps(init[1]))
-    rows = []
-    for t in range(nsteps + 1):
-        for cell, p in enumerate(state.probabilities()):
-            rows.append((t, cell, float(p)))
-        if t < nsteps:
-            state = walk_step(state)
-    return rows
+    spinors = np.empty((nsteps + 1, config.L, 2), dtype=complex)
+    spinors[0] = state.spinors
+    for t in range(1, nsteps + 1):
+        state = walk_step(state)
+        spinors[t] = state.spinors
+    # each cell's |R|^2 + |L|^2, for every step in one pass
+    probs = np.sum(np.abs(spinors) ** 2, axis=2).tolist()
+    return [(t, cell, p) for t, row in enumerate(probs) for cell, p in enumerate(row)]

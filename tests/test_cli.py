@@ -73,7 +73,8 @@ def test_validate_ok(tmp_path, capsys):
 
 # what the error line of a rejected case must say, where exit 2 alone is not enough
 REJECTION_WORDING = {
-    "two_particle_scatter-open-L2": "cell must lie in [1, 0], got 1",
+    "two_particle_scatter-open-L2": "the lattice L=2 (open) is too small for any cell",
+    "heisenberg_check-periodic-L6": "the lattice L=6 (periodic) is too small for any cell",
     "dirac_sea-L10": "dirac_sea needs L <= 8, got L=10",
     "nogo_witness-height1-expect_found": "unknown key 'expect_found'",
     "nogo_csp-expect_sat": "unknown key 'expect_sat'",
@@ -229,6 +230,10 @@ REJECTION_WORDING = {
         pytest.param(
             {"lattice": {"L": 2, "theta": 0.3, "boundary": "open"}, "params": {"cell": 1}},
             id="two_particle_scatter-open-L2",
+        ),
+        pytest.param(
+            {"experiment": "heisenberg_check", "lattice": {"L": 6, "theta": 0.3}, "params": {}},
+            id="heisenberg_check-periodic-L6",
         ),
     ],
 )

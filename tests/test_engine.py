@@ -6,11 +6,14 @@ and below the pruning threshold, for L = 2..6 and for L = 32 and 40, where
 words fill and outgrow 64 bits; on words that doubly occupy up to five
 shift pairs, the ring's seam among them; on words that fill coin pairs
 around their lone particles, or hold no lone particle; and on every word
-at L = 2 and 3 under the layers that only relabel words. Batches of states run through
-one step_keys pass and must equal stepping each state alone. Coin inputs
-just below, at and above ORBIT_CUTOFF, whole Fock spaces and sectors among
-them, check both coin paths, and with the cutoff and the fill bound lifted
-every random input, the empty one included, runs in the orbit layout.
+at L = 2 and 3 under the layers that only relabel words. Random states and
+one dict in descending word order must build states that hold every entry
+in sorted read-only arrays, which stepping leaves unchanged. Batches of
+states run through one step_keys pass and must equal stepping each state
+alone. Coin inputs just below, at and above ORBIT_CUTOFF, whole Fock spaces
+and sectors among them, check both coin paths, and with the cutoff and the
+fill bound lifted every random input, the empty one included, runs in the
+orbit layout.
 Full sectors, which the step maps onto themselves, evolve on one plan per
 layer and must equal chained steps; a support that keeps its size but not
 its words builds a new plan for every layer application.
@@ -84,14 +87,40 @@ def words(cfg: LatticeConfig):
     return bits.map(lambda bs: sum(1 << b for b in bs))
 
 
+def unsorted(cfg: LatticeConfig) -> dict:
+    """A dict in descending word order, of 3, 2, 1 and 0 particles, that
+    holds a signed zero and a sub-threshold amplitude."""
+    top = 1 << (cfg.n_sites - 1)
+    return {
+        top | 0b11: complex(0.5, -0.0),
+        top | 1: 0.5 * PRUNE_THRESHOLD,
+        0b10: -1.0,
+        0: complex(-0.0, 0.25),
+    }
+
+
 def states(cfg: LatticeConfig):
-    amps = st.dictionaries(words(cfg), AMPLITUDES, max_size=6)
-    return amps.map(lambda a: FockState(cfg, a))
+    amps = st.one_of(st.dictionaries(words(cfg), AMPLITUDES, max_size=6), st.just(unsorted(cfg)))
+    return amps.map(lambda a: built(cfg, a))
 
 
 def exact(state: FockState) -> dict:
     """Amplitudes with the sign of every zero part spelled out."""
     return {w: repr(complex(a)) for w, a in state.amplitudes.items()}
+
+
+def built(cfg: LatticeConfig, amps: dict) -> FockState:
+    """FockState(cfg, amps), checked to hold every entry of amps, in sorted read-only arrays."""
+    state = FockState(cfg, amps)
+    assert exact(state) == {w: repr(complex(a)) for w, a in amps.items()}
+    assert state.words.tolist() == sorted(amps)
+    assert not (state.words.flags.writeable or state.amps.flags.writeable)
+    return state
+
+
+def held(state: FockState) -> tuple:
+    """A state's words and the bytes of its amplitudes, to show that stepping left them alone."""
+    return state.words.tolist(), state.amps.tobytes()
 
 
 def apply_shift(state: FockState, bosonic: bool = False) -> FockState:
@@ -134,6 +163,7 @@ def step_batch(cfg: LatticeConfig, batch: list[FockState], bosonic: bool = False
 @given(st.data(), configs(), st.booleans())
 def test_layers_equal_reference(data, cfg, bosonic):
     state = data.draw(states(cfg))
+    before = held(state)
     for engine, reference in (
         (step, dict_engine.step),
         (apply_shift, dict_engine.apply_shift),
@@ -143,6 +173,7 @@ def test_layers_equal_reference(data, cfg, bosonic):
         got = engine(state, bosonic)
         assert got.amplitudes == want.amplitudes
         assert exact(got) == exact(want)
+    assert held(state) == before
 
 
 @settings(deadline=None, max_examples=100)
@@ -151,10 +182,12 @@ def test_evolve_equals_repeated_reference_steps(data, cfg, bosonic, nsteps):
     # a sparse support grows and may fill its sector, so evolve builds plans
     # and, once the support stops changing, reuses them
     state = data.draw(states(cfg))
+    before = held(state)
     want = state
     for _ in range(nsteps):
         want = dict_engine.step(want, bosonic)
     assert exact(evolve(state, nsteps, bosonic)) == exact(want)
+    assert held(state) == before
 
 
 @settings(deadline=None, max_examples=100)

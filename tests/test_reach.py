@@ -7,6 +7,7 @@ in a `src/fqca` module was called. A function that only tests call belongs
 in `tests/`.
 """
 
+import functools
 import importlib
 import inspect
 import json
@@ -50,6 +51,8 @@ def defined_functions() -> dict:
                 obj = obj.__func__
             elif isinstance(obj, property):
                 obj = obj.fget
+            elif isinstance(obj, functools.cached_property):
+                obj = obj.func
             obj = inspect.unwrap(obj)  # the function under an lru_cache
             # dataclass-made methods and imported names live in other files
             if inspect.isfunction(obj) and obj.__code__.co_filename == str(path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fqca import walk
 from fqca.lattice import Boundary, Eps, FockState, LatticeConfig
 from fqca.spectral import SIGMA2, SIGMA3, step_matrix
 from fqca.walk import (
@@ -30,6 +31,11 @@ def dirac_generator(config: LatticeConfig, k: float) -> np.ndarray:
     """Continuum generator i(k c sigma_3 - m c^2 sigma_2), hbar = 1."""
     c, m = config.c, config.mass
     return 1j * (k * c * SIGMA3 - m * c * c * SIGMA2)
+
+
+def probabilities(state: WalkState) -> np.ndarray:
+    """Each cell's |R|^2 + |L|^2."""
+    return np.sum(np.abs(state.spinors) ** 2, axis=1)
 
 
 def roll_walk_step(state: WalkState) -> np.ndarray:
@@ -86,7 +92,7 @@ def test_localized_and_norm():
     cfg = LatticeConfig(L=8, theta=0.2)
     w = WalkState.localized(cfg, 3, Eps.PLUS)
     assert np.linalg.norm(w.spinors) == pytest.approx(1.0)
-    assert w.probabilities()[3] == pytest.approx(1.0)
+    assert probabilities(w)[3] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.OPEN])
@@ -105,7 +111,7 @@ def test_ballistic_transport_at_theta_zero():
     w = WalkState.localized(cfg, 4, Eps.PLUS)
     for _ in range(5):
         w = walk_step(w)
-    assert w.probabilities()[9] == pytest.approx(1.0)
+    assert probabilities(w)[9] == pytest.approx(1.0)
 
 
 def test_momentum_step_eigenphases():
@@ -146,6 +152,14 @@ def test_walk_matches_automaton(theta):
 def test_walk_matches_automaton_open_boundary():
     cfg = LatticeConfig(L=10, theta=0.4, boundary=Boundary.OPEN)
     assert compare_one_particle(cfg, (1, Eps.MINUS), 15) < 1e-12
+
+
+def test_walk_vs_automaton_reports_nan(monkeypatch):
+    # a NaN deviation must fail the check, not be passed over as smaller than 0
+    cfg = LatticeConfig(L=8, theta=0.3)
+    real = walk.walk_step
+    monkeypatch.setattr(walk, "walk_step", lambda s: WalkState(s.config, real(s).spinors * np.nan))
+    assert math.isnan(compare_one_particle(cfg, (4, Eps.PLUS), 3))
 
 
 def test_wavepacket_trace_shape_and_norm():
