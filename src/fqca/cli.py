@@ -269,6 +269,8 @@ def _resolve(table: dict, given: dict, where: str, cfg: LatticeConfig | None) ->
             _require(n <= MAX_ENTRIES, f"{at} holds at most {MAX_ENTRIES} entries, got {n}")
             for v in entries:
                 _require(low <= v <= high, f"{at} must lie in [{low!r}, {high!r}], got {v!r}")
+            # equal entries (0, 0.0 and -0.0 too) would repeat one run under one check name
+            _require(len(set(entries)) == n, f"{at} repeats an entry: {value!r}")
         out[key] = value
     return out
 
@@ -306,17 +308,14 @@ def run_dispersion_sweep(cfg: LatticeConfig, params: dict, rng, outdir: Path):
         ["k", "kdx", "phi", "E_lattice", "E_dirac", "abs_err"],
         rows,
     )
-    checks = []
     phases = spectral.n_particle_eigenphases(cfg, 1)
-    expected = np.sort(
-        np.concatenate(
-            [[-r[2] for r in rows], [r[2] for r in rows]]
-        )
-    )
+    expected = spectral.expected_nparticle_phases(cfg, 1, spectral.parity_offset(cfg, 1))
     dev = spectral.circular_multiset_distance(phases, expected)
-    checks.append(_check("one_particle_eigenphases", dev, 1e-10))
     slope = spectral.phi_convergence_slope()
-    checks.append(_check("dispersion_convergence_slope", slope, 2.9, "min"))
+    checks = [
+        _check("one_particle_eigenphases", dev, 1e-10),
+        _check("dispersion_convergence_slope", slope, 2.9, "min"),
+    ]
     extras = {
         "max_abs_err": max(r[5] for r in rows),
         "convergence_slope": slope,
@@ -327,17 +326,15 @@ def run_dispersion_sweep(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 def run_wavepacket(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     cell, nsteps = params["cell"], params["nsteps"]
     eps = Eps.PLUS if params["eps"] == "plus" else Eps.MINUS
-    rows = walk.wavepacket_trace(cfg, (cell, eps), nsteps)
-    write_csv(outdir / "wavepacket.csv", ["step", "cell", "prob"], rows)
-    norm_dev = 0.0
-    leak = 0.0
-    dist = [cfg.distance(c, cell) for c in range(cfg.L)]
-    for t in range(nsteps + 1):
-        probs = [p for (_, _, p) in rows[t * cfg.L:(t + 1) * cfg.L]]
-        norm_dev = max(norm_dev, abs(sum(probs) - 1.0))
-        for d, p in zip(dist, probs):
-            if d > t:
-                leak += p
+    probs = walk.wavepacket_trace(cfg, (cell, eps), nsteps)
+    write_csv(
+        outdir / "wavepacket.csv", ["step", "cell", "prob"],
+        ((t, c, p) for t, row in enumerate(probs.tolist()) for c, p in enumerate(row)),
+    )
+    norm_dev = np.abs(probs.sum(axis=1) - 1.0).max()
+    # a cell more than t cells from the start lies outside step t's light cone
+    dist = np.array([cfg.distance(c, cell) for c in range(cfg.L)])
+    leak = probs[dist > np.arange(nsteps + 1)[:, None]].sum()
     checks = [
         _check("norm_conservation", norm_dev, 1e-12),
         _check("light_cone_leak", leak, 1e-12),
@@ -430,32 +427,22 @@ def run_dirac_limit(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 
 def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     cell = params["cell"]
-    c, s = math.cos(cfg.theta), math.sin(cfg.theta)
-    expected = {
-        Eps.PLUS: {(cell + 1, Eps.PLUS): c, (cell + 1, Eps.MINUS): s},
-        Eps.MINUS: {(cell - 1, Eps.MINUS): c, (cell - 1, Eps.PLUS): -s},
-    }
     rows = []
     checks = []
-    images = []
+    fits = np.zeros((2, cfg.L, 2), dtype=complex)  # each image's coefficients, on the walk's layout
     residuals = []
-    for eps in (Eps.PLUS, Eps.MINUS):
+    for fit, eps in zip(fits, (Eps.PLUS, Eps.MINUS)):
         terms, residual = heisenberg_image(cfg, LadderOp(OpKind.CREATE, cell, eps))
         residuals.append(residual)
-        fitted = {(op.cell, op.eps): coeff for coeff, op in terms}
-        images.append(fitted)
-        dev = 0.0
-        want = expected[eps]
-        for key in set(fitted) | set(want):
-            dev = max(dev, abs(fitted.get(key, 0.0) - want.get(key, 0.0)))
-        for (c2, e2), coeff in sorted(fitted.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-            rows.append(
-                (eps.name.lower(), c2, e2.name.lower(), coeff.real, coeff.imag)
-            )
+        for coeff, op in sorted(terms, key=lambda term: (term[1].cell, term[1].eps)):
+            fit[op.cell, walk.R if op.eps is Eps.PLUS else walk.L_] = coeff
+            rows.append((eps.name.lower(), op.cell, op.eps.name.lower(), coeff.real, coeff.imag))
+        # U a^dag U^dag moves a^dag as the walk moves a particle from the same site
+        want = walk.walk_step(cfg, walk.localized(cfg, cell, eps))
+        dev = np.abs(fit - want).max()
         checks.append(_check(f"image_coefficients_{eps.name.lower()}", dev, 1e-12))
     # the images c^p keep the anticommutators: G_pq = sum_s conj(c^p_s) c^q_s is I
-    sites = sorted(set().union(*images))
-    coeffs = np.array([[img.get(site, 0.0) for site in sites] for img in images])
+    coeffs = fits.reshape(2, -1)
     gram = coeffs.conj() @ coeffs.T
     checks.append(_check("image_anticommutators", np.max(np.abs(gram - np.eye(2))), 1e-12))
     checks.append(_check("image_linear", max(residuals), 1e-10))

@@ -171,11 +171,6 @@ def energy(config: LatticeConfig, k) -> EnergyResult:
     return EnergyResult(phi / config.dt, dirac, phi)
 
 
-def effective_hamiltonian(config: LatticeConfig, k) -> np.ndarray:
-    """H(k) with exp(-i H dt) = M(k); long wavelengths give the Dirac form."""
-    return step_matrix(config, k).hamiltonian(config.dt)
-
-
 # ---------------------------------------------------------------------------
 # sector spectra, one translation block at a time
 
@@ -450,9 +445,13 @@ def dispersion_rows(config: LatticeConfig) -> list[tuple[float, ...]]:
     return list(zip(*(c.tolist() for c in columns)))
 
 
-def phi_convergence_slope(eps_values=(0.2, 0.1, 0.05, 0.025)) -> float:
+# theta = k dx = eps at which phi_convergence_slope samples phi
+SLOPE_EPS = (0.2, 0.1, 0.05, 0.025)
+
+
+def phi_convergence_slope() -> float:
     """Log-log slope of |phi - sqrt(2) eps| for the mode algebra's phi at theta = k dx = eps."""
-    eps = np.asarray(eps_values, dtype=float)
+    eps = np.asarray(SLOPE_EPS, dtype=float)
     errs = np.abs(mode_algebra(eps, eps).phi - math.sqrt(2.0) * eps)
     slope, _ = np.polyfit(np.log(eps), np.log(errs), 1)
     return float(slope)

@@ -8,8 +8,6 @@ Plus <-> R and Minus <-> L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evolution import step as qca_step
@@ -18,46 +16,39 @@ from .lattice import Boundary, Eps, LatticeConfig, basis_state
 R, L_ = 0, 1  # spinor component indices
 
 
-@dataclass
-class WalkState:
-    config: LatticeConfig
-    spinors: np.ndarray  # shape (L, 2) complex
-
-    @classmethod
-    def localized(cls, config: LatticeConfig, cell: int, eps: Eps) -> "WalkState":
-        psi = np.zeros((config.L, 2), dtype=complex)
-        psi[cell, R if eps is Eps.PLUS else L_] = 1.0
-        return cls(config, psi)
+def localized(config: LatticeConfig, cell: int, eps: Eps) -> np.ndarray:
+    """The spinors of one particle at (cell, eps)."""
+    psi = np.zeros((config.L, 2), dtype=complex)
+    psi[cell, R if eps is Eps.PLUS else L_] = 1.0
+    return psi
 
 
-def walk_step(state: WalkState) -> WalkState:
+def walk_step(config: LatticeConfig, psi: np.ndarray) -> np.ndarray:
     """Shift R right / L left, then rotate the coin by theta.
 
     Under the open boundary the edge components that cannot move stay put on
     their own sublattice side, which is exactly how the automaton's uncoupled
     seam sites behave.
     """
-    cfg = state.config
-    psi = state.spinors
-    n = cfg.L
+    n = config.L
     # chi_minus collects what sits on a cell's Minus side after the shift,
     # chi_plus its Plus side.
     chi_minus = np.empty(n, dtype=complex)
     chi_plus = np.empty(n, dtype=complex)
     chi_minus[1:] = psi[:-1, R]
     chi_plus[:-1] = psi[1:, L_]
-    if cfg.boundary is Boundary.PERIODIC:
+    if config.boundary is Boundary.PERIODIC:
         chi_minus[0] = psi[n - 1, R]
         chi_plus[n - 1] = psi[0, L_]
     else:
         # + 0j turns -0.0 parts into 0.0, as adding onto a zero start does
         chi_plus[n - 1] = psi[n - 1, R] + 0j   # right edge: R stays, on the Plus side
         chi_minus[0] = psi[0, L_] + 0j         # left edge: L stays, on the Minus side
-    c, s = np.cos(cfg.theta), np.sin(cfg.theta)
+    c, s = np.cos(config.theta), np.sin(config.theta)
     out = np.empty_like(psi)
     out[:, R] = c * chi_minus - s * chi_plus
     out[:, L_] = s * chi_minus + c * chi_plus
-    return WalkState(cfg, out)
+    return out
 
 
 def _qca_one_particle_spinors(state) -> np.ndarray:
@@ -78,26 +69,22 @@ def compare_one_particle(
 ) -> float:
     """Max amplitude deviation between walk and automaton over nsteps."""
     cell, eps = init
-    walk = WalkState.localized(config, cell, Eps(eps))
+    psi = localized(config, cell, Eps(eps))
     qca = basis_state(config, [(cell, Eps(eps))])
     diff = np.empty((nsteps, config.L, 2), dtype=complex)
     for t in range(nsteps):
-        walk = walk_step(walk)
+        psi = walk_step(config, psi)
         qca = qca_step(qca)
-        diff[t] = walk.spinors - _qca_one_particle_spinors(qca)
+        diff[t] = psi - _qca_one_particle_spinors(qca)
     return float(np.abs(diff).max(initial=0.0))
 
 
 def wavepacket_trace(
     config: LatticeConfig, init: tuple[int, Eps], nsteps: int
-) -> list[tuple[int, int, float]]:
-    """(step, cell, prob) rows for a localized start, for light-cone plots."""
-    state = WalkState.localized(config, init[0], Eps(init[1]))
+) -> np.ndarray:
+    """Each cell's |R|^2 + |L|^2 at steps 0..nsteps from a localized start, (nsteps + 1, L)."""
     spinors = np.empty((nsteps + 1, config.L, 2), dtype=complex)
-    spinors[0] = state.spinors
+    spinors[0] = localized(config, init[0], Eps(init[1]))
     for t in range(1, nsteps + 1):
-        state = walk_step(state)
-        spinors[t] = state.spinors
-    # each cell's |R|^2 + |L|^2, for every step in one pass
-    probs = np.sum(np.abs(spinors) ** 2, axis=2).tolist()
-    return [(t, cell, p) for t, row in enumerate(probs) for cell, p in enumerate(row)]
+        spinors[t] = walk_step(config, spinors[t - 1])
+    return np.sum(np.abs(spinors) ** 2, axis=2)

@@ -178,7 +178,7 @@ def test_07_effective_hamiltonian():
         theta = float(rng.uniform(-1.3, 1.3))
         k = float(rng.uniform(-math.pi, math.pi))
         cfg = LatticeConfig(L=4, theta=theta)
-        H = spectral.effective_hamiltonian(cfg, k)
+        H = spectral.step_matrix(cfg, k).hamiltonian(cfg.dt)
         w, v = np.linalg.eigh(H)
         expH = v @ np.diag(np.exp(-1j * w * cfg.dt)) @ v.conj().T
         worst = max(

@@ -93,6 +93,8 @@ REJECTION_WORDING = {
         "compare_thetas must lie in [-3.141592653589793, 3.141592653589793], got 1e+300"
     ),
     "wavepacket-compare_thetas-9": "compare_thetas holds at most 8 entries, got 9",
+    "wavepacket-compare_thetas-200": "compare_thetas holds at most 8 entries, got 200",
+    "wavepacket-compare_thetas-repeated": "compare_thetas repeats an entry: [0.1, 0.1, 0, 0.0]",
     "dirac_sea-massless-L4-theta3.14159-dt1e-05": "dirac_sea is massless at theta=3.14",
 }
 
@@ -196,6 +198,8 @@ REJECTION_WORDING = {
                 ("wavepacket", "compare_thetas-9", {"compare_thetas": [0.1] * 9}),
                 ("wavepacket", "compare_thetas-200", {"compare_thetas": [0.1] * 200}),
                 ("wavepacket", "compare_thetas-pi+", {"compare_thetas": [3.2]}),
+                ("wavepacket", "compare_thetas-repeated", {"compare_thetas": [0.1, 0.1, 0, 0.0]}),
+                ("wavepacket", "compare_thetas-signed-zeros", {"compare_thetas": [0.0, -0.0]}),
                 ("dirac_limit", "nsamples-str", {"nsamples": "ten"}),
                 ("dirac_limit", "nsamples-negative", {"nsamples": -1}),
                 ("dirac_limit", "eps-str", {"eps": "small"}),
@@ -325,7 +329,7 @@ def _sweep_case(experiment, params=None, **lattice):
 @example(_sweep_case("dirac_limit", {"eps": 1e-6}, dx=0.5, dt=0.25))
 # the wavepacket caps, and a compare_thetas entry past theta's range
 @example(_sweep_case("wavepacket", {"compare_thetas": [1e300]}))
-@example(_sweep_case("wavepacket", {"nsteps": 1000, "compare_thetas": [0.1] * 8}))
+@example(_sweep_case("wavepacket", {"nsteps": 1000, "compare_thetas": [i / 10 for i in range(8)]}))
 @example(_sweep_case("wavepacket", {"nsteps": 10_000}, L=64))
 # the slow corners: the largest sea and a 201-wide witness
 @example(_sweep_case("dirac_sea", L=8, theta=0.4))

@@ -37,6 +37,11 @@ dt, or k divided by dx, passes them all (test_unit_mutants_pass_at_unit_spacing)
 At dx = 0.5 and dt = 0.25, `dirac_limit_units` sees the first in
 exp(-i H dt) = M and the second in the energy deviation.
 
+A walk whose coin turns the other way is as unitary as the right one, so
+only the checks that hold the automaton against it see it: the wavepackets'
+walk comparisons, and `heisenberg_check`, whose expected image of a creator
+is one walk step from the creator's site.
+
 Left out, as an equivalent mutant: `_ladder_arrays` taking the parity of
 the bits above the target instead of below. For a creator on an empty site
 the parity above equals the parity below times (-1)^N(w), with N(w) the
@@ -52,7 +57,7 @@ from pathlib import Path
 
 import pytest
 
-from fqca import cli, evolution, nogo, spectral
+from fqca import cli, evolution, nogo, spectral, walk
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = {p.stem: p for p in sorted(REPO.glob("experiments/*.json"))}
@@ -126,6 +131,12 @@ MUTANTS = {
         spectral, "step_matrix",
         "np.asarray(k) * config.dx", "np.asarray(k) / config.dx",
         ("dirac_limit_units",),
+    ),
+    "walk_coin_theta_negated": (
+        walk, "walk_step",
+        "c, s = np.cos(config.theta), np.sin(config.theta)",
+        "c, s = np.cos(config.theta), np.sin(-config.theta)",
+        ("wavepacket", "wavepacket_open", "heisenberg_check"),
     ),
     "witness_path_near_s2": (
         nogo, "find_witness_triple",

@@ -22,14 +22,6 @@ REPO = SRC.parents[1]
 
 # qualified name -> why `fqca run` need not reach it
 ALLOWED = {
-    "spectral.expected_nparticle_phases": (
-        "the benchmark's spectra workload and test_08 check n-particle "
-        "sector spectra against it; no experiment does yet"
-    ),
-    "spectral.effective_hamiltonian": (
-        "H(k) of one config, which test_07 checks; dirac_limit draws a coin "
-        "angle per sample, so it takes H from mode_algebra's ModeMatrix"
-    ),
     "lattice.FockState.norm": (
         "the benchmark's sector_evolve workload checks its evolved state's "
         "norm with it; the Dirac sea normalizes on word arrays"

@@ -21,7 +21,6 @@ from fqca.spectral import (
     circular_multiset_distance,
     dirac_sea_excitations,
     dispersion_rows,
-    effective_hamiltonian,
     eigenphase_of,
     energy,
     expected_nparticle_phases,
@@ -154,7 +153,7 @@ def test_effective_hamiltonian_exponentiates_to_step():
         theta = rng.uniform(-1.3, 1.3)
         k = rng.uniform(-math.pi, math.pi)
         cfg = LatticeConfig(L=4, theta=theta)
-        H = effective_hamiltonian(cfg, k)
+        H = step_matrix(cfg, k).hamiltonian(cfg.dt)
         assert np.allclose(H, H.conj().T, atol=1e-13)
         w, v = np.linalg.eigh(H)
         expH = v @ np.diag(np.exp(-1j * w * cfg.dt)) @ v.conj().T
@@ -165,11 +164,11 @@ def test_effective_hamiltonian_exponentiates_to_step():
 def test_effective_hamiltonian_special_points():
     # k=0, small theta: pure mass term
     cfg = LatticeConfig(L=4, theta=0.05)
-    assert np.allclose(effective_hamiltonian(cfg, 0.0), 0.05 * SIGMA2, atol=1e-12)
+    assert np.allclose(step_matrix(cfg, 0.0).hamiltonian(cfg.dt), 0.05 * SIGMA2, atol=1e-12)
     # theta=0: pure kinetic term
     cfg0 = LatticeConfig(L=4, theta=0.0)
     k = 0.3
-    assert np.allclose(effective_hamiltonian(cfg0, k), k * SIGMA3, atol=1e-12)
+    assert np.allclose(step_matrix(cfg0, k).hamiltonian(cfg0.dt), k * SIGMA3, atol=1e-12)
 
 
 def test_one_particle_eigenphases_match_dispersion():

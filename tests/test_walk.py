@@ -11,9 +11,9 @@ from fqca.spectral import SIGMA2, SIGMA3, step_matrix
 from fqca.walk import (
     R,
     L_,
-    WalkState,
     _qca_one_particle_spinors,
     compare_one_particle,
+    localized,
     walk_step,
     wavepacket_trace,
 )
@@ -33,14 +33,14 @@ def dirac_generator(config: LatticeConfig, k: float) -> np.ndarray:
     return 1j * (k * c * SIGMA3 - m * c * c * SIGMA2)
 
 
-def probabilities(state: WalkState) -> np.ndarray:
+def probabilities(psi: np.ndarray) -> np.ndarray:
     """Each cell's |R|^2 + |L|^2."""
-    return np.sum(np.abs(state.spinors) ** 2, axis=1)
+    return np.sum(np.abs(psi) ** 2, axis=1)
 
 
-def roll_walk_step(state: WalkState) -> np.ndarray:
+def roll_walk_step(cfg: LatticeConfig, psi: np.ndarray) -> np.ndarray:
     """walk_step's spinors as np.roll into zeroed arrays computed them."""
-    cfg, psi, n = state.config, state.spinors, state.config.L
+    n = cfg.L
     chi_minus = np.zeros(n, dtype=complex)
     chi_plus = np.zeros(n, dtype=complex)
     if cfg.boundary is Boundary.PERIODIC:
@@ -70,12 +70,11 @@ def test_walk_step_equals_roll_formulation(boundary, L, theta):
     zeros.real = np.copysign(0.0, rng.normal(size=(L, 2)))
     zeros.imag = np.copysign(0.0, rng.normal(size=(L, 2)))
     for psi in (normal, zeros):
-        state = WalkState(cfg, psi)
         for _ in range(3):
-            new, old = walk_step(state).spinors, roll_walk_step(state)
+            new, old = walk_step(cfg, psi), roll_walk_step(cfg, psi)
             assert np.array_equal(new, old)
             assert new.tobytes() == old.tobytes()
-            state = WalkState(cfg, new)
+            psi = new
 
 
 def test_spinors_reject_states_outside_the_one_particle_sector():
@@ -90,9 +89,9 @@ def test_spinors_reject_states_outside_the_one_particle_sector():
 
 def test_localized_and_norm():
     cfg = LatticeConfig(L=8, theta=0.2)
-    w = WalkState.localized(cfg, 3, Eps.PLUS)
-    assert np.linalg.norm(w.spinors) == pytest.approx(1.0)
-    assert probabilities(w)[3] == pytest.approx(1.0)
+    psi = localized(cfg, 3, Eps.PLUS)
+    assert np.linalg.norm(psi) == pytest.approx(1.0)
+    assert probabilities(psi)[3] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.PERIODIC, Boundary.OPEN])
@@ -102,16 +101,16 @@ def test_walk_step_unitary(boundary, theta):
     rng = np.random.default_rng(3)
     psi = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
     psi /= np.linalg.norm(psi)
-    out = walk_step(WalkState(cfg, psi))
-    assert np.linalg.norm(out.spinors) == pytest.approx(1.0, abs=1e-13)
+    out = walk_step(cfg, psi)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_ballistic_transport_at_theta_zero():
     cfg = LatticeConfig(L=16, theta=0.0)
-    w = WalkState.localized(cfg, 4, Eps.PLUS)
+    psi = localized(cfg, 4, Eps.PLUS)
     for _ in range(5):
-        w = walk_step(w)
-    assert probabilities(w)[9] == pytest.approx(1.0)
+        psi = walk_step(cfg, psi)
+    assert probabilities(psi)[9] == pytest.approx(1.0)
 
 
 def test_momentum_step_eigenphases():
@@ -158,14 +157,13 @@ def test_walk_vs_automaton_reports_nan(monkeypatch):
     # a NaN deviation must fail the check, not be passed over as smaller than 0
     cfg = LatticeConfig(L=8, theta=0.3)
     real = walk.walk_step
-    monkeypatch.setattr(walk, "walk_step", lambda s: WalkState(s.config, real(s).spinors * np.nan))
+    monkeypatch.setattr(walk, "walk_step", lambda cfg, psi: real(cfg, psi) * np.nan)
     assert math.isnan(compare_one_particle(cfg, (4, Eps.PLUS), 3))
 
 
 def test_wavepacket_trace_shape_and_norm():
     cfg = LatticeConfig(L=8, theta=0.3)
-    rows = wavepacket_trace(cfg, (4, Eps.PLUS), 3)
-    assert len(rows) == 4 * 8
+    probs = wavepacket_trace(cfg, (4, Eps.PLUS), 3)
+    assert probs.shape == (4, 8)
     for t in range(4):
-        total = sum(p for (tt, _, p) in rows if tt == t)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert probs[t].sum() == pytest.approx(1.0, abs=1e-12)
