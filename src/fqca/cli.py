@@ -1,9 +1,9 @@
 """Experiment runner: JSON config in, CSV/JSON products plus a manifest out.
 
 Commands: `run <config.json>`, `validate <config.json>`, `list-experiments`.
-Every output file is deterministic for a fixed config and seed: floats are
-printed with 17 significant digits, JSON keys are sorted, and the only RNG in
-play is seeded from the config.
+Every output file is deterministic for a fixed config and seed: the json
+module and `str` write it, so each float is its shortest round-trip text, JSON
+keys are sorted, and the only RNG in play is seeded from the config.
 """
 
 from __future__ import annotations
@@ -117,43 +117,15 @@ MIN_GAP = 1e-12
 # deterministic serialization
 
 
-def fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
-def _jsonable(obj):
-    """obj as JSON text with sorted keys and floats at 17 significant digits."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        return fmt(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_jsonable(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return (
-            "{"
-            + ", ".join(f"{json.dumps(str(k))}: {_jsonable(v)}" for k, v in items)
-            + "}"
-        )
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
 def dump_json(obj) -> str:
-    return _jsonable(obj) + "\n"
+    """obj as JSON text: sorted keys, each float as its shortest round-trip repr."""
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows as CSV: a float as %.17g (as fmt does), anything else as str."""
+    """Write rows as CSV, each field as its str (a float's shortest round-trip repr)."""
     lines = [",".join(header)]
-    formats = {}  # column types of a row -> its %-format
-    for row in rows:
-        row = tuple(row)
-        kinds = tuple(map(type, row))
-        f = formats.get(kinds)
-        if f is None:
-            f = formats[kinds] = ",".join("%.17g" if issubclass(k, float) else "%s" for k in kinds)
-        lines.append(f % row)
+    lines += (",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -219,11 +191,6 @@ def load_config(path: str | Path) -> dict:
     except ValueError as e:
         raise ParseError(f"{p}: {e}") from e
     return raw
-
-
-def _footprint(params: dict, num_eps: int) -> nogo.FootprintSpec:
-    """The nogo footprint that params["spec"] names, with num_eps internal states."""
-    return SPECS[params["spec"]](num_eps)
 
 
 _KIND_NAMES = {int: "an integer", float: "a number", list: "a list of numbers"}
@@ -435,7 +402,7 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
         terms, residual = heisenberg_image(cfg, LadderOp(OpKind.CREATE, cell, eps))
         residuals.append(residual)
         for coeff, op in sorted(terms, key=lambda term: (term[1].cell, term[1].eps)):
-            fit[op.cell, walk.R if op.eps is Eps.PLUS else walk.L_] = coeff
+            fit[op.cell, op.eps] = coeff
             rows.append((eps.name.lower(), op.cell, op.eps.name.lower(), coeff.real, coeff.imag))
         # U a^dag U^dag moves a^dag as the walk moves a particle from the same site
         want = walk.walk_step(cfg, walk.localized(cfg, cell, eps))
@@ -458,20 +425,6 @@ def run_heisenberg_check(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     return {"cell": cell, "theta": cfg.theta}, checks
 
 
-def _state_json(cfg: LatticeConfig, words: np.ndarray, amps: np.ndarray) -> str:
-    """dump_json of a state's {"L", "amplitudes"} object, one format pass per amplitude.
-
-    Each entry gives the word's "bits" with site (0,-) printed first and
-    its amplitude's "re" and "im", in ascending word order.
-    """
-    bits = f"0{cfg.n_sites}b"
-    entries = ", ".join(
-        '{"bits": "%s", "im": %s, "re": %s}' % (format(w, bits)[::-1], fmt(a.imag), fmt(a.real))
-        for w, a in zip(words.tolist(), amps.tolist())
-    )
-    return '{"L": %d, "amplitudes": [%s]}\n' % (cfg.L, entries)
-
-
 def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     sea = spectral.dirac_sea_excitations(cfg)
     excitations = sea.excitations
@@ -484,7 +437,12 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
         ["kind", "k", "phi", "gap", "eigen_modulus", "abs_err"],
         rows,
     )
-    (outdir / "sea_state.json").write_text(_state_json(cfg, sea.words, sea.amps))
+    bits = f"0{cfg.n_sites}b"  # a word's bits with site (0,-) printed first
+    amplitudes = [
+        {"bits": format(w, bits)[::-1], "im": a.imag, "re": a.real}
+        for w, a in zip(sea.words.tolist(), sea.amps.tolist())
+    ]
+    (outdir / "sea_state.json").write_text(dump_json({"L": cfg.L, "amplitudes": amplitudes}))
     checks = [
         _check("sea_is_eigenstate", abs(sea.modulus - 1.0), 1e-10),
         _check(
@@ -502,7 +460,7 @@ def run_dirac_sea(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 def run_nogo_witness(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     lattice_size, min_distance = params["lattice_size"], params["min_distance"]
     height = params["height"]
-    spec = _footprint(params, params["num_eps"])
+    spec = SPECS[params["spec"]](params["num_eps"])
     bounds = nogo.LatticeBounds(lattice_size, lattice_size if height is None else height)
     triple = nogo.find_witness_triple(spec, bounds, min_distance)
     obj = {"type": "witness", "sites": None}
@@ -564,9 +522,7 @@ def _certificate_faults(
 
 def run_nogo_csp(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     dimension, radius, size = params["dimension"], params["radius"], params["lattice_size"]
-    spec = None
-    if dimension == 2:
-        spec = _footprint(params, 2)
+    spec = SPECS[params["spec"]](2) if dimension == 2 else None
     result = nogo.sign_csp(dimension, radius, spec, size)
     obj = result.to_json_obj()
     (outdir / "csp.json").write_text(dump_json(obj))
@@ -622,8 +578,8 @@ def run_experiment(raw: dict, output_dir: str | None = None, quiet: bool = False
         for c in checks:
             print(
                 f"[{'PASS' if c['passed'] else 'FAIL'}] {raw['experiment']}."
-                f"{c['name']}: measured {fmt(c['measured'])}"
-                f" vs {c['direction']} {fmt(c['tolerance'])}"
+                f"{c['name']}: measured {c['measured']!r}"
+                f" vs {c['direction']} {c['tolerance']!r}"
             )
         print(f"wrote {outdir / 'manifest.json'}")
     return 0 if ok else 1

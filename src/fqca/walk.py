@@ -1,9 +1,10 @@
 """Dense single-particle quantum walk, the oracle for the one-particle sector.
 
-Implemented on its own data layout (an (L, 2) spinor array, column 0 = R,
-column 1 = L) with no shared evolution code, so agreement with the automaton
+Implemented on its own data layout (an (L, 2) spinor array, column 0 = L,
+column 1 = R) with no shared evolution code, so agreement with the automaton
 is evidence rather than tautology. The identification used project-wide is
-Plus <-> R and Minus <-> L.
+Plus <-> R and Minus <-> L, so a site's column is int(eps) and the flattened
+array is indexed by its `lattice.bit_index`.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ import numpy as np
 from .evolution import step as qca_step
 from .lattice import Boundary, Eps, LatticeConfig, basis_state
 
-R, L_ = 0, 1  # spinor component indices
+L_, R = int(Eps.MINUS), int(Eps.PLUS)  # spinor component indices
 
 
 def localized(config: LatticeConfig, cell: int, eps: Eps) -> np.ndarray:
     """The spinors of one particle at (cell, eps)."""
     psi = np.zeros((config.L, 2), dtype=complex)
-    psi[cell, R if eps is Eps.PLUS else L_] = 1.0
+    psi[cell, eps] = 1.0
     return psi
 
 
@@ -59,8 +60,7 @@ def _qca_one_particle_spinors(state) -> np.ndarray:
     if (bits < 0).any():
         raise ValueError("state is not in the one-particle sector")
     psi = np.zeros((state.config.L, 2), dtype=complex)
-    # bit 2j + 1 is (cell j, Plus) and bit 2j is (cell j, Minus)
-    psi[bits >> 1, np.where(bits & 1, R, L_)] = state.amps
+    psi.reshape(-1)[bits] = state.amps  # bit 2 cell + eps is psi[cell, eps]
     return psi
 
 

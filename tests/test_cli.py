@@ -21,7 +21,6 @@ from fqca.cli import (
     _light_cone_leak,
     config_hash,
     dump_json,
-    fmt,
     load_config,
     main,
     write_csv,
@@ -48,9 +47,27 @@ def make_config(tmp_path, **overrides):
     return p
 
 
-def test_fmt_is_17_significant_digits():
-    assert fmt(1 / 3) == "0.33333333333333331"
-    assert fmt(1.0) == "1"
+# floats whose text is easy to get wrong: signed zero, the least subnormal,
+# exponent form on each side, and the values JSON has no literal for
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 1 / 3, float("nan"), float("inf"), -float("inf")
+]
+
+
+def _same_float(text: str, value) -> bool:
+    """text parses back to value bit for bit (any NaN to a NaN)."""
+    back = float(text)
+    if math.isnan(value):
+        return math.isnan(back)
+    return np.float64(back).tobytes() == np.float64(value).tobytes()
+
+
+def test_dump_json_floats_round_trip():
+    values = EDGE_FLOATS + [np.float64(v) for v in EDGE_FLOATS]
+    back = json.loads(dump_json({"v": values}), parse_float=str, parse_constant=str)["v"]
+    assert len(back) == len(values)
+    assert all(_same_float(t, v) for t, v in zip(back, values))
+    assert dump_json([1 / 3, 1.0, np.float64(-0.0)]) == "[0.3333333333333333, 1.0, -0.0]\n"
 
 
 def test_dump_json_sorted_and_deterministic():
@@ -480,6 +497,23 @@ def test_failing_check_exits_nonzero(tmp_path, monkeypatch):
     assert not _checks(tmp_path / "out")["satisfiability_matches_expectation"]["passed"]
 
 
+def test_nan_measurement_leaves_a_readable_manifest(tmp_path, monkeypatch):
+    # a NaN walk (as in test_walk_vs_automaton_reports_nan) fails its checks,
+    # and the manifest that records the NaN is still JSON that json.loads reads
+    p = make_config(
+        tmp_path,
+        experiment="wavepacket",
+        lattice={"L": 8, "theta": 0.3},
+        params={"cell": 4, "nsteps": 3},
+    )
+    real = cli.walk.walk_step
+    monkeypatch.setattr(cli.walk, "walk_step", lambda cfg, psi: real(cfg, psi) * np.nan)
+    assert main(["run", str(p), "--quiet"]) == 1
+    checks = _checks(tmp_path / "out")
+    for name in ("norm_conservation", "walk_vs_automaton_theta_0.3"):
+        assert not checks[name]["passed"] and math.isnan(checks[name]["measured"])
+
+
 def test_resource_cap_reported(tmp_path, capsys):
     p = make_config(
         tmp_path,
@@ -676,14 +710,6 @@ def test_heisenberg_edge_cell_rejected(tmp_path, boundary, cell):
     assert main(["run", str(p), "--quiet"]) == 2
 
 
-def per_field_csv(path: Path, header: list[str], rows) -> None:
-    """write_csv as it formatted every field on its own."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
-
-
 MIXED_ROWS = [
     (0, 1, 0.5),
     [1, 2, np.float64(0.1)],
@@ -696,11 +722,21 @@ MIXED_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("rows", [MIXED_ROWS, []], ids=["mixed", "empty"])
-def test_write_csv_matches_per_field_writer(tmp_path, rows):
-    write_csv(tmp_path / "new.csv", ["a", "b", "c"], rows)
-    per_field_csv(tmp_path / "old.csv", ["a", "b", "c"], rows)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+def assert_csv_round_trips(path: Path, header: list[str], rows) -> None:
+    """path holds header and rows, each field as its str; each float (a Python
+    float or an np.float64) parses back from that text bit for bit."""
+    rows = [tuple(row) for row in rows]
+    lines = path.read_bytes().decode().split("\n")
+    assert lines == [",".join(header), *(",".join(map(str, row)) for row in rows), ""]
+    floats = [v for row in rows for v in row if isinstance(v, float)]
+    assert all(_same_float(str(v), v) for v in floats)
+
+
+@pytest.mark.parametrize("rows", [MIXED_ROWS, [EDGE_FLOATS], []], ids=["mixed", "edge", "empty"])
+def test_write_csv_round_trips(tmp_path, rows):
+    header = ["a", "b", "c"]
+    write_csv(tmp_path / "out.csv", header, rows)
+    assert_csv_round_trips(tmp_path / "out.csv", header, rows)
 
 
 FIELDS = st.one_of(
@@ -713,8 +749,7 @@ FIELDS = st.one_of(
 
 
 @given(st.lists(st.lists(FIELDS, max_size=4), max_size=6))
-def test_write_csv_matches_per_field_writer_on_random_rows(tmp_path_factory, rows):
-    d = tmp_path_factory.mktemp("csv")
-    write_csv(d / "new.csv", ["h"], rows)
-    per_field_csv(d / "old.csv", ["h"], rows)
-    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+def test_write_csv_round_trips_on_random_rows(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_csv(path, ["h"], rows)
+    assert_csv_round_trips(path, ["h"], rows)

@@ -381,7 +381,7 @@ def _bits(values) -> list[int]:
 
 @pytest.mark.parametrize("theta", [0.3, 0.4, -0.9, 1.1])
 @pytest.mark.parametrize("L", [2, 4, 6, 8])
-def test_sea_equals_dict_reference(monkeypatch, L, theta):
+def test_sea_equals_dict_reference(tmp_path, monkeypatch, L, theta):
     # the array path makes the dict path's states, phases and file bit for bit
     cfg = LatticeConfig(L=L, theta=theta)
     stepped = []
@@ -399,7 +399,10 @@ def test_sea_equals_dict_reference(monkeypatch, L, theta):
     for (words, amps), ref in zip(stepped, [ref_sea, *ref_states], strict=True):
         assert words.tolist() == list(ref.amplitudes)
         assert _bits(amps) == _bits(list(ref.amplitudes.values()))
-    assert cli._state_json(cfg, sea.words, sea.amps) == sea_reference.sea_json(ref_sea)
+    # the run writes the sea built above, not one built again
+    monkeypatch.setattr(spectral, "dirac_sea_excitations", lambda c: sea)
+    cli.run_dirac_sea(cfg, {}, None, tmp_path)
+    assert (tmp_path / "sea_state.json").read_text() == sea_reference.sea_json(ref_sea)
 
 
 def test_circular_multiset_distance():
