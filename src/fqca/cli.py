@@ -1,6 +1,11 @@
 """Experiment runner: JSON config in, CSV/JSON products plus a manifest out.
 
 Commands: `run <config.json>`, `validate <config.json>`, `list-experiments`.
+A config is read as JSON bytes (UTF-8, or UTF-16/32 by JSON's own detection,
+never the locale's codec) and checked against the bounds tables TOP, LATTICE
+and PARAMS. A config that cannot be read or is rejected raises OSError or
+ValueError from `load_config`, which `main` prints as one `error:` line naming
+the file, with exit status 2.
 Every output file is deterministic for a fixed config and seed: the json
 module and `str` write it, so each float is its shortest round-trip text, JSON
 keys are sorted, and the only RNG in play is seeded from the config.
@@ -9,6 +14,7 @@ keys are sorted, and the only RNG in play is seeded from the config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -34,17 +40,14 @@ from .lattice import (
 )
 
 
-class ParseError(Exception):
-    """Malformed or out-of-bounds experiment configuration."""
-
-
-# Every key a lattice block or an experiment's params may set, as
-# key -> (kind, default, low, high). A kind is int, float (any finite number,
-# stored as a float), list (a list of numbers, kept as written), or a tuple of
-# the allowed strings. A default of ... marks a required key; a default of None
-# also admits null. A number, given or default, lies in [low, high], as does
-# each entry of a list; a string row has no range. A callable default or bound
-# is worked out from the lattice config.
+# Every key a config's top level, its lattice block or an experiment's params
+# may set, as key -> (kind, default, low, high). A kind is int, float (any
+# finite number, stored as a float), list (a list of numbers, kept as written),
+# str, dict (a JSON object), or a tuple of the allowed strings. A default of
+# ... marks a required key; a default of None also admits null. A number,
+# given or default, lies in [low, high], as does each entry of a list, which
+# holds 1 to MAX_ENTRIES of them; a string or object row has no range. A
+# callable default or bound is worked out from the lattice config.
 # dx and dt lie in UNITS and |theta| <= pi, so every quantity a run forms from
 # them (the mass theta dt / dx^2 and its square, the grid 2 pi n / (L dx),
 # phi / dt) stays a finite float
@@ -70,7 +73,7 @@ PARAMS = {
     "wavepacket": {
         "cell": (int, lambda cfg: cfg.L // 2, 0, lambda cfg: cfg.L - 1),
         "eps": (("plus", "minus"), "plus", None, None),
-        "nsteps": (int, lambda cfg: cfg.L // 2, 0, 1000),
+        "nsteps": (int, lambda cfg: cfg.L // 2, 1, 1000),
         "compare_thetas": (list, lambda cfg: [cfg.theta], *LATTICE["theta"][2:]),
     },
     "two_particle_scatter": {
@@ -106,6 +109,13 @@ PARAMS = {
     },
 }
 EXPERIMENTS = tuple(PARAMS)
+TOP = {
+    "experiment": (EXPERIMENTS, ..., None, None),
+    "lattice": (dict, ..., None, None),
+    "params": (dict, {}, None, None),
+    "output_dir": (str, ..., None, None),
+    "seed": (int, ..., 0, math.inf),
+}
 # the most entries a list param holds: each compare_thetas entry is one more
 # walk comparison of nsteps steps
 MAX_ENTRIES = 8
@@ -135,65 +145,50 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
-        raise ParseError(msg)
+        raise ValueError(msg)
 
 
 def load_config(path: str | Path) -> dict:
-    p = Path(path)
+    """The config at path, checked against TOP, LATTICE and PARAMS; raises
+    OSError if it cannot be read and ValueError if it is not a valid config."""
     try:
-        raw = json.loads(p.read_text())
-    except OSError as e:
-        raise ParseError(f"cannot read config {p}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{p}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    _require(isinstance(raw, dict), f"{p}: top level must be an object")
-    for fieldname in ("experiment", "lattice", "output_dir", "seed"):
-        _require(fieldname in raw, f"{p}: missing required field '{fieldname}'")
-    _require(
-        raw["experiment"] in EXPERIMENTS,
-        f"{p}: unknown experiment {raw['experiment']!r}; see list-experiments",
-    )
-    _require(
-        _is_kind(raw["seed"], int) and raw["seed"] >= 0,
-        f"{p}: seed must be a non-negative integer",
-    )
-    _require(isinstance(raw["output_dir"], str), f"{p}: output_dir must be a string")
+        raw = json.loads(Path(path).read_bytes())
+    except RecursionError as e:
+        raise ValueError("JSON nested too deeply") from e
+    _require(isinstance(raw, dict), "top level must be an object")
     raw.setdefault("params", {})
-    for block in ("lattice", "params"):
-        _require(isinstance(raw[block], dict), f"{p}: {block} must be an object")
-    lat = _resolve(LATTICE, raw["lattice"], f"{p}: lattice", None)
+    _resolve(TOP, raw, "", None)
+    lat = _resolve(LATTICE, raw["lattice"], "lattice: ", None)
     cfg = LatticeConfig(**{**lat, "boundary": Boundary(lat["boundary"])})
     experiment = raw["experiment"]
-    params = _resolve(PARAMS[experiment], raw["params"], f"{p}: {experiment}", cfg)
+    params = _resolve(PARAMS[experiment], raw["params"], f"{experiment}: ", cfg)
     raw["_config"], raw["_params"] = cfg, params
     if experiment in ("dispersion_sweep", "dirac_sea"):
-        _require(
-            cfg.boundary is Boundary.PERIODIC,
-            f"{p}: {experiment} needs the periodic boundary",
-        )
+        _require(cfg.boundary is Boundary.PERIODIC, f"{experiment} needs the periodic boundary")
     if experiment == "dirac_sea":
         # at odd L the sea's grid mirrors its excitations', so gaps miss phi/dt
-        _require(cfg.L % 2 == 0, f"{p}: dirac_sea needs an even L")
+        _require(cfg.L % 2 == 0, "dirac_sea needs an even L")
         cap = spectral.MAX_SEA_CELLS
-        _require(cfg.L <= cap, f"{p}: dirac_sea needs L <= {cap}, got L={cfg.L}")
+        _require(cfg.L <= cap, f"dirac_sea needs L <= {cap}, got L={cfg.L}")
         # phi = arccos|cos theta| is smallest at k = 0 and pi/dx, on the excitation grid
         phi = spectral.step_matrix(cfg, np.array([0.0, math.pi / cfg.dx])).phi.min()
-        _require(phi > MIN_GAP, f"{p}: dirac_sea is massless at theta={cfg.theta}: phi {phi:.3g}")
-    if experiment == "nogo_csp" and params["dimension"] == 1:
-        _require("spec" not in raw["params"], f"{p}: nogo_csp takes no spec at dimension 1")
-    try:
-        if experiment == "nogo_csp":
-            nogo.check_csp_size(params["dimension"], params["radius"], params["lattice_size"])
-        if experiment == "nogo_witness":
-            nogo.check_witness_size(
-                params["lattice_size"], params["min_distance"], params["height"]
-            )
-    except ValueError as e:
-        raise ParseError(f"{p}: {e}") from e
+        _require(phi > MIN_GAP, f"dirac_sea is massless at theta={cfg.theta}: phi {phi:.3g}")
+    if experiment == "nogo_csp":
+        if params["dimension"] == 1:
+            _require("spec" not in raw["params"], "nogo_csp takes no spec at dimension 1")
+        nogo.check_csp_size(params["dimension"], params["radius"], params["lattice_size"])
+    if experiment == "nogo_witness":
+        nogo.check_witness_size(params["lattice_size"], params["min_distance"], params["height"])
     return raw
 
 
-_KIND_NAMES = {int: "an integer", float: "a number", list: "a list of numbers"}
+_KIND_NAMES = {
+    int: "an integer",
+    float: "a number",
+    list: "a list of numbers",
+    str: "a string",
+    dict: "an object",
+}
 
 
 def _is_kind(value, kind) -> bool:
@@ -210,12 +205,13 @@ def _is_kind(value, kind) -> bool:
 
 def _resolve(table: dict, given: dict, where: str, cfg: LatticeConfig | None) -> dict:
     """Check each key of `given` against `table`, fill in the defaults, and
-    check that each number lies in its row's range."""
+    check that each number lies in its row's range. Each message starts with
+    the prefix `where`."""
     for key in given:
-        _require(key in table, f"{where}: unknown key {key!r}; accepted: {sorted(table)}")
+        _require(key in table, f"{where}unknown key {key!r}; accepted: {sorted(table)}")
     out = {}
     for key, (kind, default, low, high) in table.items():
-        at = f"{where}: {key}"
+        at = f"{where}{key}"
         if key in given:
             value = given[key]
             _require(
@@ -224,16 +220,17 @@ def _resolve(table: dict, given: dict, where: str, cfg: LatticeConfig | None) ->
             )
             value = float(value) if kind is float else value
         else:
-            _require(default is not ..., f"{where}: missing field {key!r}")
+            _require(default is not ..., f"{where}missing field {key!r}")
             value = default(cfg) if callable(default) else default
         if low is not None and value is not None:
             low, high = (b(cfg) if callable(b) else b for b in (low, high))
             if low > high:  # only a row bounded by the lattice, so with a cfg, can be empty
                 lattice = f"L={cfg.L} ({cfg.boundary.value})"
-                raise ParseError(f"{where}: the lattice {lattice} is too small for any {key}")
+                raise ValueError(f"{where}the lattice {lattice} is too small for any {key}")
             entries = value if kind is list else [value]
             n = len(entries)
             _require(n <= MAX_ENTRIES, f"{at} holds at most {MAX_ENTRIES} entries, got {n}")
+            _require(n > 0, f"{at} needs at least one entry")
             for v in entries:
                 _require(low <= v <= high, f"{at} must lie in [{low!r}, {high!r}], got {v!r}")
             # equal entries (0, 0.0 and -0.0 too) would repeat one run under one check name
@@ -383,7 +380,7 @@ def run_dirac_limit(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     checks = [_check("exp_of_hamiltonian_matches_step", dev.max(), 1e-12)]
     # energy deviation from the relativistic dispersion at theta = k dx = eps;
     # third order in eps, hence the cubic tolerance
-    small = LatticeConfig(cfg.L, cfg.dx, cfg.dt, eps, cfg.boundary)
+    small = replace(cfg, theta=eps)
     k_small = eps / cfg.dx
     e = spectral.energy(small, k_small)
     checks.append(
@@ -562,13 +559,7 @@ def run_experiment(raw: dict, output_dir: str | None = None, quiet: bool = False
         "config_sha256": config_hash(raw),
         "experiment": raw["experiment"],
         "seed": raw["seed"],
-        "lattice": {
-            "L": cfg.L,
-            "dx": cfg.dx,
-            "dt": cfg.dt,
-            "theta": cfg.theta,
-            "boundary": cfg.boundary.value,
-        },
+        "lattice": {**dataclasses.asdict(cfg), "boundary": cfg.boundary.value},
         "parameters": extras,
         "checks": checks,
         "ok": ok,
@@ -606,17 +597,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         raw = load_config(args.config)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, ValueError) as e:
+        print(f"error: {args.config}: {getattr(e, 'strerror', None) or e}", file=sys.stderr)
         return 2
     if args.command == "validate":
         print(f"ok: {args.config} ({raw['experiment']})")
         return 0
     try:
         return run_experiment(raw, args.output_dir, args.quiet)
-    except OSError as e:
+    # a name the file system's encoding cannot hold fails as UnicodeEncodeError
+    except (OSError, UnicodeEncodeError) as e:
         outdir = args.output_dir or raw["output_dir"]
-        print(f"error: cannot write {outdir}: {e.strerror or e}", file=sys.stderr)
+        print(f"error: cannot write {outdir}: {getattr(e, 'strerror', None) or e}", file=sys.stderr)
         return 2
 
 

@@ -5,6 +5,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +19,6 @@ from hypothesis import example, given, settings, strategies as st
 from fqca import cli, evolution
 from fqca.cli import (
     EXPERIMENTS,
-    ParseError,
     _certificate_faults,
     _light_cone_leak,
     config_hash,
@@ -105,7 +107,10 @@ REJECTION_WORDING = {
     "dirac_limit-eps0": "eps must lie in [1e-06, 1.0], got 0.0",
     "dirac_limit-eps1e-08": "eps must lie in [1e-06, 1.0], got 1e-08",
     "dirac_limit-nsamples100001": "nsamples must lie in [1, 100000], got 100001",
-    "wavepacket-nsteps1001": "nsteps must lie in [0, 1000], got 1001",
+    "wavepacket-nsteps1001": "nsteps must lie in [1, 1000], got 1001",
+    "wavepacket-nsteps0": "nsteps must lie in [1, 1000], got 0",
+    "wavepacket-compare_thetas-empty": "compare_thetas needs at least one entry",
+    "top-unknown-key": "unknown key 'colour'",
     "wavepacket-compare_thetas1e+300": (
         "compare_thetas must lie in [-3.141592653589793, 3.141592653589793], got 1e+300"
     ),
@@ -134,6 +139,7 @@ REJECTION_WORDING = {
         pytest.param({"lattice": {"L": 6, "Theta": 0.3}}, id="lattice-unknown-key"),
         pytest.param({"lattice": {"L": 6, "theta": "0.3"}}, id="theta-str"),
         pytest.param({"output_dir": 5}, id="output_dir-int"),
+        pytest.param({"colour": "red"}, id="top-unknown-key"),
         *(
             pytest.param(
                 {"experiment": name, "lattice": {"L": 8, unit: value}, "params": {}},
@@ -211,6 +217,8 @@ REJECTION_WORDING = {
                 ("wavepacket", "nsteps-true", {"nsteps": True}),
                 ("wavepacket", "compare_thetas-number", {"compare_thetas": 0.3}),
                 ("wavepacket", "nsteps1001", {"nsteps": 1001}),
+                ("wavepacket", "nsteps0", {"nsteps": 0}),
+                ("wavepacket", "compare_thetas-empty", {"compare_thetas": []}),
                 ("wavepacket", "compare_thetas1e+300", {"compare_thetas": [0.3, 1e300]}),
                 ("wavepacket", "compare_thetas-9", {"compare_thetas": [0.1] * 9}),
                 ("wavepacket", "compare_thetas-200", {"compare_thetas": [0.1] * 200}),
@@ -436,15 +444,105 @@ def test_witness_path_valid_reads_the_config_distance(tmp_path, monkeypatch):
 def test_malformed_json_reports_line(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"experiment": \n oops}')
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ValueError) as exc:
         load_config(p)
     assert "line" in str(exc.value)
+
+
+def _config_bytes(tmp_path, **overrides) -> bytes:
+    """A valid wavepacket config without params, with overrides, as UTF-8 JSON."""
+    cfg = {
+        "experiment": "wavepacket",
+        "lattice": {"L": 8, "theta": 0.3},
+        "output_dir": str(tmp_path / "out"),
+        "seed": 7,
+        **overrides,
+    }
+    return json.dumps(cfg, ensure_ascii=False).encode()
+
+
+@pytest.mark.parametrize(
+    "data, wording",
+    [
+        # a misspelled params block would otherwise run the default nsteps
+        pytest.param(
+            lambda d: _config_bytes(d, param={"nsteps": 1000}), "unknown key 'param'",
+            id="params-misspelled",
+        ),
+        pytest.param(
+            lambda d: _config_bytes(d, output_dir="café").decode().encode("latin-1"),
+            "'utf-8' codec can't decode", id="latin-1",
+        ),
+        pytest.param(lambda d: b"[" * 100_000, "JSON nested too deeply", id="nested-100000"),
+        pytest.param(
+            lambda d: b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply", id="nested-closed"
+        ),
+    ],
+)
+def test_rejected_config_file_exits_two(tmp_path, capsys, data, wording):
+    p = tmp_path / "config.json"
+    p.write_bytes(data(tmp_path))
+    assert main(["validate", str(p)]) == 2
+    assert main(["run", str(p), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}: ") and "Traceback" not in err
+    assert wording in err
+
+
+def test_missing_config_file_exits_two(tmp_path, capsys):
+    p = tmp_path / "absent.json"
+    assert main(["validate", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {p}: No such file or directory\n"
+
+
+def test_utf8_bom_is_accepted(tmp_path):
+    # RFC 8259 lets a parser ignore a leading byte order mark
+    p = tmp_path / "config.json"
+    p.write_bytes(b"\xef\xbb\xbf" + _config_bytes(tmp_path))
+    assert main(["validate", str(p)]) == 0
+
+
+def test_config_without_params_keeps_its_hash(tmp_path):
+    # load_config adds the empty params block, which the hash has always covered
+    p = tmp_path / "config.json"
+    p.write_bytes(_config_bytes(tmp_path, output_dir="out"))
+    digest = "f041347374c2616865a5e5702091a27b8a69292cfc2edb45e574c52a3c3fb63e"
+    assert config_hash(load_config(p)) == digest
+    p.write_bytes(_config_bytes(tmp_path, output_dir="out", params={}))
+    assert config_hash(load_config(p)) == digest
+
+
+def test_c_locale_reads_a_utf8_config(tmp_path):
+    # with UTF-8 mode and locale coercion off, the C locale's codec is ASCII:
+    # the config is still read as UTF-8 JSON, and an output_dir the file
+    # system's codec cannot name is an error line, not a traceback
+    env = {
+        **os.environ,
+        "PYTHONUTF8": "0",
+        "PYTHONCOERCECLOCALE": "0",
+        "LC_ALL": "C",
+        "PYTHONPATH": str(REPO / "src"),
+    }
+    p = tmp_path / "config.json"
+    p.write_bytes(_config_bytes(tmp_path, output_dir=str(tmp_path / "café")))
+
+    def fqca(*args):
+        cmd = [sys.executable, "-m", "fqca.cli", *args]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+    assert fqca("validate", str(p)).returncode == 0
+    out = tmp_path / "ascii"
+    assert fqca("run", str(p), "--quiet", "--output-dir", str(out)).returncode == 0
+    assert json.loads((out / "manifest.json").read_text())["ok"] is True
+    run = fqca("run", str(p), "--quiet")
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: cannot write ") and "Traceback" not in run.stderr
 
 
 def test_missing_field(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"experiment": "wavepacket"}))
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ValueError) as exc:
         load_config(p)
     assert "lattice" in str(exc.value)
 
@@ -539,7 +637,7 @@ def test_csp_satisfiable_is_sign_csp_answer(tmp_path):
         p = make_config(tmp_path, experiment="nogo_csp", params=params)
         try:
             load_config(p)
-        except ParseError:
+        except ValueError:
             continue
         accepted += 1
         trivial = dimension == 2 and spec == "trivial"
@@ -726,8 +824,9 @@ def assert_csv_round_trips(path: Path, header: list[str], rows) -> None:
     """path holds header and rows, each field as its str; each float (a Python
     float or an np.float64) parses back from that text bit for bit."""
     rows = [tuple(row) for row in rows]
-    lines = path.read_bytes().decode().split("\n")
-    assert lines == [",".join(header), *(",".join(map(str, row)) for row in rows), ""]
+    # compared whole: a text field may itself hold a newline
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
+    assert path.read_bytes().decode() == "\n".join(lines) + "\n"
     floats = [v for row in rows for v in row if isinstance(v, float)]
     assert all(_same_float(str(v), v) for v in floats)
 
@@ -749,6 +848,7 @@ FIELDS = st.one_of(
 
 
 @given(st.lists(st.lists(FIELDS, max_size=4), max_size=6))
+@example([["\n"]])
 def test_write_csv_round_trips_on_random_rows(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     write_csv(path, ["h"], rows)
