@@ -4,8 +4,8 @@ The automaton evolves occupation states on a ring or open chain of L cells,
 each with two internal sites, by one shift-then-coin unitary per time step.
 Modules cover the basis words and the sparse `FockState` that the public
 `step` and `evolve` take and return (`lattice`), the gate evolution on sorted
-word arrays (`evolution`), fermionic ladder operators and the Heisenberg fit
-(`fermion`), momentum modes, dispersion and the Dirac sea (`spectral`), an
+word arrays (`evolution`), fermionic ladder operators and the closed-form
+Heisenberg check (`fermion`), momentum modes, dispersion and the Dirac sea (`spectral`), an
 independent one-particle quantum-walk oracle (`walk`), and a mechanized
 obstruction to extending the local sign rules to two dimensions (`nogo`).
 `cli` exposes the experiment runner installed as the `fqca` command.

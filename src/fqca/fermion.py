@@ -3,8 +3,9 @@
 The sign of a ladder operator acting on a basis word is (-1)^m with m the
 number of occupied sites strictly preceding the target in canonical order,
 i.e. a masked popcount of the lower bits. Ladders act on whole arrays of
-words at once, and the Heisenberg fit steps all of its states in one pass
-of the array engine.
+words at once. The Heisenberg check holds the engine against a closed-form
+image of a ladder, one walk step from its site, and steps all of its
+states in one pass of the array engine.
 """
 
 from __future__ import annotations
@@ -61,79 +62,64 @@ def _ladder_arrays(config: LatticeConfig, op: LadderOp, words: np.ndarray, amps:
     return w[keep] ^ bit, a[keep], pos[keep]
 
 
-def _bulk_span_words(config: LatticeConfig, center: int, max_n: int) -> list[int]:
-    # all words with <= max_n particles on cells within distance 2 of center
-    cells = [c for c in range(center - 2, center + 3) if 0 <= c < config.L]
+def _span_words(config: LatticeConfig, center: int) -> list[int]:
+    # all words with <= 3 particles on cells within distance 2 of center,
+    # clipped at the open chain's edges and taken mod L on the ring
+    L, ring = config.L, config.boundary is Boundary.PERIODIC
+    cells = sorted({c % L for c in range(center - 2, center + 3) if ring or 0 <= c < L})
     bits = [bit_index(c, e) for c in cells for e in (Eps.MINUS, Eps.PLUS)]
-    words = [0]
-    for n in range(1, max_n + 1):
-        for combo in itertools.combinations(bits, n):
-            w = 0
-            for b in combo:
-                w |= 1 << b
-            words.append(w)
-    return words
-
-
-def bulk_cells(config: LatticeConfig) -> range:
-    """Cells whose Heisenberg image heisenberg_image can fit.
-
-    The spanning words reach two cells out, so an open chain needs that
-    much room. On the ring the fit must also keep every spanning word off
-    the seam, where wrap-around reordering makes the image parity-dependent.
-    """
-    margin = 2 if config.boundary is Boundary.OPEN else 3
-    return range(margin, config.L - margin)
+    combos = itertools.chain.from_iterable(itertools.combinations(bits, n) for n in range(4))
+    return [sum(1 << b for b in combo) for combo in combos]
 
 
 def heisenberg_image(
-    config: LatticeConfig, op: LadderOp, bosonic: bool = False
-) -> tuple[list[tuple[complex, LadderOp]], float]:
-    """Numerically fit U op U^dag as a combination of nearest-cell ladders.
+    config: LatticeConfig, op: LadderOp, image: np.ndarray, bosonic: bool = False
+) -> float:
+    """How far the engine's U op U^dag is from the image sum_t image[t] op_t.
 
-    Applies both sides of the conjugation identity to a spanning set of
-    few-particle basis states near the target cell and solves the resulting
-    least-squares problem. Returns the fit's (coeff, ladder) terms and its
-    residual, the norm of what no linear combination reproduces: near zero
-    when the image is linear, as the -1 gate phases make it, and far from
-    zero when it is not, as under the bosonic phases.
+    image is an (L, 2) array on the walk's layout, and op_t is the ladder
+    of op's kind at site t. For a creator, image is the walk's column for
+    op's site (one walk step from it); for an annihilator, its conjugate.
+    For each spanning word w (at most 3 particles on cells within 2 of
+    op's), applies both sides of
+
+        U op|w> = sigma(w) sum_t image[t] op_t U|w>
+
+    in one engine pass, and returns the norm of their difference over all
+    the words. It is near zero when the step is the free-fermion step the
+    image describes, and far from zero under the bosonic phases. On the
+    open chain sigma = 1. On the ring the seam's Jordan-Wigner string makes
+    the image parity-dependent: sigma(w) = (-1)^(w_0 + w_{2L-1}), read from
+    the seam-crossing sites before the step, times (-1)^N(w) when op's own
+    site crosses the seam (bit 0 or 2L-1), N(w) the particle number.
     """
-    cells = bulk_cells(config)
-    if op.cell not in cells:
-        edge = "boundary" if config.boundary is Boundary.OPEN else "seam"
-        raise ValueError(f"bulk cell required: distance >= {cells.start} from the {edge}")
-
-    candidates = [
-        LadderOp(op.kind, (op.cell + d) % config.L, e)
-        for d in (-1, 1)
-        for e in (Eps.MINUS, Eps.PLUS)
-    ]
-    # one engine pass: for the i-th spanning word w, op|w> is state 2i and
-    # |w> is state 2i+1, and a key holds its state above the 2L word bits
     nbits = config.n_sites
-    span = _bulk_span_words(config, op.cell, max_n=3)
+    span = _span_words(config, op.cell)
+    twist = [0] * len(span)
+    if config.boundary is Boundary.PERIODIC:
+        seam = 1 | 1 << (nbits - 1)
+        crossing = bit_index(op.cell, op.eps) in (0, nbits - 1)
+        twist = [((w & seam).bit_count() + crossing * w.bit_count()) & 1 for w in span]
+    # one engine pass: for the i-th spanning word w, +-op|w> is state 2i and
+    # |w> is state 2i+1, and a key holds its state above the 2L word bits
     t = word_dtype(nbits + (2 * len(span) - 1).bit_length()).type
     odd = t(1 << nbits)
     words = np.array(span, dtype=t) | (np.arange(len(span), dtype=t) << t(nbits + 1))
     ones = np.ones(len(span), dtype=complex)
-    op_words, op_amps, _ = _ladder_arrays(config, op, words, ones)
+    op_words, op_amps, _ = _ladder_arrays(config, op, words, np.where(twist, -ones, ones))
     keys = np.concatenate([op_words, words | odd])
     order = np.argsort(keys)
     amps = np.concatenate([op_amps, ones])[order]
     keys, amps = step_keys(config, keys[order], amps, bosonic)
 
-    # a row is a key of state 2i; it stands for (i, word)
+    # the difference, keyed by (i, word), summed in site order after the left side
     evolved = (keys & odd) != 0
-    lhs, lhs_amps = keys[~evolved], amps[~evolved]
-    cols = [_ladder_arrays(config, c, keys[evolved] ^ odd, amps[evolved])[:2] for c in candidates]
-    # rows in (state, word) order, so the fit never depends on input order
-    rows = np.sort(np.concatenate([lhs, *(k for k, _ in cols)]))
-    rows = rows[np.append(True, rows[1:] != rows[:-1])]
-    A = np.zeros((len(rows), len(candidates)), dtype=complex)
-    for ci, (k, a) in enumerate(cols):
-        A[np.searchsorted(rows, k), ci] = a
-    y = np.zeros(len(rows), dtype=complex)
-    y[np.searchsorted(rows, lhs)] = lhs_amps
-    coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
-    terms = [(complex(c), cand) for c, cand in zip(coeffs, candidates) if abs(c) > 1e-12]
-    return terms, float(np.linalg.norm(A @ coeffs - y))
+    parts = [(keys[~evolved], amps[~evolved])]
+    for site in np.flatnonzero(image).tolist():
+        ladder = LadderOp(op.kind, site // 2, Eps(site % 2))
+        k, a, _ = _ladder_arrays(config, ladder, keys[evolved] ^ odd, amps[evolved])
+        parts.append((k, -image.flat[site] * a))
+    rows, at = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    diff = np.zeros(len(rows), dtype=complex)
+    np.add.at(diff, at, np.concatenate([a for _, a in parts]))
+    return float(np.linalg.norm(diff))

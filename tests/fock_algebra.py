@@ -82,7 +82,7 @@ def combination(config: LatticeConfig, terms) -> FockState:
 
 
 def apply_combination(terms, state: FockState) -> FockState:
-    """sum_i coeff_i op_i|state> over (coeff, ladder) terms, such as a fitted image."""
+    """sum_i coeff_i op_i|state> over (coeff, ladder) terms, such as a Heisenberg image."""
     return combination(state.config, [(c, apply_ladder(state, op)) for c, op in terms])
 
 

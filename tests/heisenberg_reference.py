@@ -1,11 +1,11 @@
-"""Reference ladder operators and Heisenberg fit: one Python dict per state.
+"""Reference ladder operators and Heisenberg residual: one Python dict per state.
 
-This is how fqca applied ladder operators and fitted Heisenberg images
-before both ran on word arrays, kept only as a test oracle. A ladder loops
-over the words of a state, with one popcount per word for its sign. The fit
-steps op|w> and |w> for each spanning word with `step`, one state at a
-time, and fills its least-squares matrix row by row from dicts keyed by
-(state, word).
+The ladder is how fqca applied ladder operators before they ran on word
+arrays: it loops over the words of a state, with one popcount per word for
+its sign. The residual is `fermion.heisenberg_image`'s closed form over
+dicts: it steps op|w> and |w> for each spanning word with `step`, one state
+at a time, and sums both sides of the image's identity in a dict keyed by
+(state, word). Both are kept only as test oracles.
 """
 
 import itertools
@@ -14,12 +14,7 @@ import numpy as np
 
 from fock_algebra import prune
 from fqca.evolution import step
-from fqca.fermion import (
-    LadderOp,
-    OpKind,
-    _bulk_span_words,
-    bulk_cells,
-)
+from fqca.fermion import LadderOp, OpKind
 from fqca.lattice import (
     Boundary,
     Eps,
@@ -59,41 +54,29 @@ def dense_ladder(config: LatticeConfig, op: LadderOp, words: list[int]) -> np.nd
 
 
 def heisenberg_image(
-    config: LatticeConfig, op: LadderOp, bosonic: bool = False
-) -> tuple[list[tuple[complex, LadderOp]], float]:
-    cells = bulk_cells(config)
-    if op.cell not in cells:
-        edge = "boundary" if config.boundary is Boundary.OPEN else "seam"
-        raise ValueError(f"bulk cell required: distance >= {cells.start} from the {edge}")
-
-    candidates = [
-        LadderOp(op.kind, (op.cell + d) % config.L, e)
-        for d in (-1, 1)
-        for e in (Eps.MINUS, Eps.PLUS)
+    config: LatticeConfig, op: LadderOp, image: np.ndarray, bosonic: bool = False
+) -> float:
+    # the spanning words in fermion's order, so both norms sum in one order
+    L, nbits = config.L, config.n_sites
+    ring = config.boundary is Boundary.PERIODIC
+    cells = sorted({c % L for c in range(op.cell - 2, op.cell + 3) if ring or 0 <= c < L})
+    bits = [bit_index(c, e) for c in cells for e in Eps]
+    combos = itertools.chain.from_iterable(itertools.combinations(bits, n) for n in range(4))
+    words = [sum(1 << b for b in combo) for combo in combos]
+    seam = 1 | 1 << (nbits - 1)
+    crossing = ring and bit_index(op.cell, op.eps) in (0, nbits - 1)
+    terms = [
+        (c, LadderOp(op.kind, cell, Eps(eps))) for (cell, eps), c in np.ndenumerate(image) if c
     ]
-    # op|w> and |w> for each spanning word w, in turn
-    words = _bulk_span_words(config, op.cell, max_n=3)
-    pairs = ((apply_ladder(psi, op), psi) for psi in (FockState(config, {w: 1.0}) for w in words))
-    images = (step(psi, bosonic) for psi in itertools.chain.from_iterable(pairs))
-
-    lhs_entries: dict[tuple[int, int], complex] = {}
-    col_entries: list[dict[tuple[int, int], complex]] = [{} for _ in candidates]
-    for si, (lhs, evolved) in enumerate(zip(images, images)):  # consecutive pairs
+    diff: dict[tuple[int, int], complex] = {}
+    for i, w in enumerate(words):
+        # sigma(w), times (-1)^N(w) for a seam-crossing op, on the ring only
+        odd = ring and ((w & seam).bit_count() + crossing * w.bit_count()) % 2
+        lhs = step(apply_ladder(FockState(config, {w: -1.0 if odd else 1.0}), op), bosonic)
         for w2, a in lhs.amplitudes.items():
-            lhs_entries[(si, w2)] = a
-        for ci, cand in enumerate(candidates):
-            img = apply_ladder(evolved, cand)
-            for w2, a in img.amplitudes.items():
-                col_entries[ci][(si, w2)] = a
-
-    # rows in (state, word) order, so the fit never depends on dict order
-    rows = sorted(set(lhs_entries).union(*col_entries))
-    A = np.zeros((len(rows), len(candidates)), dtype=complex)
-    y = np.zeros(len(rows), dtype=complex)
-    for ri, key in enumerate(rows):
-        y[ri] = lhs_entries.get(key, 0.0)
-        for ci in range(len(candidates)):
-            A[ri, ci] = col_entries[ci].get(key, 0.0)
-    coeffs, *_ = np.linalg.lstsq(A, y, rcond=None)
-    residual = float(np.linalg.norm(A @ coeffs - y))
-    return [(complex(c), cand) for c, cand in zip(coeffs, candidates) if abs(c) > 1e-12], residual
+            diff[(i, w2)] = a
+        evolved = step(FockState(config, {w: 1.0}), bosonic)
+        for c, ladder in terms:
+            for w2, a in apply_ladder(evolved, ladder).amplitudes.items():
+                diff[(i, w2)] = diff.get((i, w2), 0.0) + -c * a
+    return float(np.linalg.norm(np.array([diff[key] for key in sorted(diff)], dtype=complex)))

@@ -1,6 +1,7 @@
 """Config parsing, experiment runs, manifests and determinism."""
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -28,7 +29,6 @@ from fqca.cli import (
     write_csv,
 )
 from fqca.evolution import evolve
-from fqca.fermion import LadderOp, OpKind
 from fqca.lattice import Boundary, Eps, FockState, LatticeConfig, bit_index
 from fqca.nogo import csp_satisfiable, full_spec, sign_csp, trivial_spec
 
@@ -93,7 +93,6 @@ def test_validate_ok(tmp_path, capsys):
 # what the error line of a rejected case must say, where exit 2 alone is not enough
 REJECTION_WORDING = {
     "two_particle_scatter-open-L2": "the lattice L=2 (open) is too small for any cell",
-    "heisenberg_check-periodic-L6": "the lattice L=6 (periodic) is too small for any cell",
     "dirac_sea-L10": "dirac_sea needs L <= 8, got L=10",
     "nogo_witness-height1-expect_found": "unknown key 'expect_found'",
     "nogo_csp-expect_sat": "unknown key 'expect_sat'",
@@ -116,6 +115,11 @@ REJECTION_WORDING = {
     ),
     "wavepacket-compare_thetas-9": "compare_thetas holds at most 8 entries, got 9",
     "wavepacket-compare_thetas-200": "compare_thetas holds at most 8 entries, got 200",
+    # a rejected value is cut to a few entries and levels, however large
+    "wavepacket-compare_thetas-10000": (
+        "compare_thetas must be a list of numbers, got [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, ...]\n"
+    ),
+    "seed-nested-800": "seed must be an integer, got [[[[[[[...]]]]]]]\n",
     "wavepacket-compare_thetas-repeated": "compare_thetas repeats an entry: [0.1, 0.1, 0, 0.0]",
     "dirac_sea-massless-L4-theta3.14159-dt1e-05": "dirac_sea is massless at theta=3.14",
 }
@@ -130,6 +134,9 @@ REJECTION_WORDING = {
         {"lattice": {"L": 6, "boundary": "moebius"}},
         {"params": {"cell": 99}},
         pytest.param({"seed": -1}, id="seed-negative"),
+        pytest.param(
+            {"seed": functools.reduce(lambda v, _: [v], range(799), [])}, id="seed-nested-800"
+        ),
         pytest.param({"lattice": {"L": 6.7}}, id="L-float"),
         pytest.param({"lattice": {"L": "8"}}, id="L-str"),
         pytest.param({"lattice": {"L": 65}}, id="L65"),
@@ -222,6 +229,7 @@ REJECTION_WORDING = {
                 ("wavepacket", "compare_thetas1e+300", {"compare_thetas": [0.3, 1e300]}),
                 ("wavepacket", "compare_thetas-9", {"compare_thetas": [0.1] * 9}),
                 ("wavepacket", "compare_thetas-200", {"compare_thetas": [0.1] * 200}),
+                ("wavepacket", "compare_thetas-10000", {"compare_thetas": [0.1] * 9999 + ["x"]}),
                 ("wavepacket", "compare_thetas-pi+", {"compare_thetas": [3.2]}),
                 ("wavepacket", "compare_thetas-repeated", {"compare_thetas": [0.1, 0.1, 0, 0.0]}),
                 ("wavepacket", "compare_thetas-signed-zeros", {"compare_thetas": [0.0, -0.0]}),
@@ -259,10 +267,6 @@ REJECTION_WORDING = {
         pytest.param(
             {"lattice": {"L": 2, "theta": 0.3, "boundary": "open"}, "params": {"cell": 1}},
             id="two_particle_scatter-open-L2",
-        ),
-        pytest.param(
-            {"experiment": "heisenberg_check", "lattice": {"L": 6, "theta": 0.3}, "params": {}},
-            id="heisenberg_check-periodic-L6",
         ),
     ],
 )
@@ -755,24 +759,11 @@ def test_heisenberg_check_on_64_cells(tmp_path):
         params={"cell": 32},
     )
     assert main(["run", str(p), "--quiet"]) == 0
-    assert _checks(tmp_path / "out")["image_anticommutators"]["passed"]
+    assert _checks(tmp_path / "out")["image_residual_plus"]["passed"]
 
 
-def test_image_anticommutators_check_fails_on_equal_images(tmp_path, monkeypatch):
-    # two equal images give G = [[1, 1], [1, 1]]
-    p = make_config(
-        tmp_path, experiment="heisenberg_check", lattice={"L": 8, "theta": 0.3}, params={"cell": 4}
-    )
-    fit = cli.heisenberg_image
-    plus = LadderOp(OpKind.CREATE, 4, Eps.PLUS)
-    monkeypatch.setattr(cli, "heisenberg_image", lambda cfg, op, **kw: fit(cfg, plus, **kw))
-    assert main(["run", str(p), "--quiet"]) == 1
-    anti = _checks(tmp_path / "out")["image_anticommutators"]
-    assert not anti["passed"] and anti["measured"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_image_linear_check_fails_on_a_broken_coin(tmp_path, monkeypatch):
-    # a coin that leaves a filled cell unsigned makes the fermionic fit nonlinear;
+def test_image_residual_check_fails_on_a_broken_coin(tmp_path, monkeypatch):
+    # a coin that leaves a filled cell unsigned breaks the fermionic image;
     # the run must write a failing manifest, not end in a traceback
     p = make_config(
         tmp_path, experiment="heisenberg_check", lattice={"L": 8, "theta": 0.3}, params={"cell": 4}
@@ -792,20 +783,34 @@ def test_image_linear_check_fails_on_a_broken_coin(tmp_path, monkeypatch):
         evolution._step_layers.cache_clear()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["ok"] is False
-    linear = _checks(tmp_path / "out")["image_linear"]
-    assert not linear["passed"] and linear["measured"] > linear["tolerance"] == 1e-10
+    for eps in ("plus", "minus"):
+        residual = _checks(tmp_path / "out")[f"image_residual_{eps}"]
+        assert not residual["passed"] and residual["measured"] > residual["tolerance"] == 1e-12
 
 
-@pytest.mark.parametrize("boundary, cell", [("open", 1), ("open", 6), ("periodic", 2)])
-def test_heisenberg_edge_cell_rejected(tmp_path, boundary, cell):
-    p = make_config(
-        tmp_path,
-        experiment="heisenberg_check",
-        lattice={"L": 8, "theta": 0.3, "boundary": boundary},
-        params={"cell": cell},
-    )
-    assert main(["validate", str(p)]) == 2
-    assert main(["run", str(p), "--quiet"]) == 2
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_heisenberg_edge_cells_run(tmp_path, boundary):
+    # every cell of either boundary runs and passes, the edges and the seam
+    # included; a cell off the lattice is rejected
+    for cell in (0, 7):
+        p = make_config(
+            tmp_path,
+            experiment="heisenberg_check",
+            lattice={"L": 8, "theta": 0.3, "boundary": boundary},
+            params={"cell": cell},
+            output_dir=str(tmp_path / str(cell)),
+        )
+        assert main(["validate", str(p)]) == 0
+        assert main(["run", str(p), "--quiet"]) == 0
+    for cell in (-1, 8):
+        p = make_config(
+            tmp_path,
+            experiment="heisenberg_check",
+            lattice={"L": 8, "theta": 0.3, "boundary": boundary},
+            params={"cell": cell},
+        )
+        assert main(["validate", str(p)]) == 2
+        assert main(["run", str(p), "--quiet"]) == 2
 
 
 MIXED_ROWS = [

@@ -1,11 +1,14 @@
 """Ladder operators: signs, anticommutation, Heisenberg images.
 
-The array ladder and the Heisenberg fit are checked against the dict-based
-loops they replaced, kept in heisenberg_reference.py, exactly (==, and down
-to the sign of a zero part).
+The array ladder and the Heisenberg residual are checked against the
+dict-based loops they replaced, kept in heisenberg_reference.py, exactly
+(==, and for the ladder down to the sign of a zero part). The residual
+holds the engine against the closed-form image of a ladder, one walk step
+from its site, at every cell of either boundary.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from fock_algebra import (
     vacuum,
 )
 from test_engine import AMPLITUDES, exact
+from fqca import walk
 from fqca.evolution import step
 from fqca.fermion import LadderOp, OpKind, heisenberg_image
 from fqca.lattice import (
@@ -110,43 +114,43 @@ def test_anticommutator_sector_truncation_shape():
     assert np.allclose(m, np.eye(5), atol=1e-14)
 
 
-def linear_image(cfg, op) -> dict:
-    """heisenberg_image's fitted coefficients by (cell, eps), for a fit that is linear."""
-    terms, residual = heisenberg_image(cfg, op)
-    assert residual <= 1e-10
-    return {(t.cell, t.eps): coeff for coeff, t in terms}
+def walk_image(cfg, op) -> np.ndarray:
+    """The image heisenberg_image checks op against: one walk step from op's
+    site, conjugated for an annihilator."""
+    column = walk.walk_step(cfg, walk.localized(cfg, op.cell, op.eps))
+    return column if op.kind is OpKind.CREATE else column.conj()
+
+
+def table(cfg, cell, eps) -> np.ndarray:
+    """The image of a^dag at a bulk cell, written out by hand on the walk's layout."""
+    c, s = math.cos(cfg.theta), math.sin(cfg.theta)
+    image = np.zeros((cfg.L, 2), dtype=complex)
+    if eps is Eps.PLUS:
+        image[cell + 1] = s, c  # (cell + 1, minus), (cell + 1, plus)
+    else:
+        image[cell - 1] = c, -s
+    return image
 
 
 @pytest.mark.parametrize("theta", [0.1, 0.3])
 def test_heisenberg_image_coefficients(theta):
+    # the hand-written (cos, +-sin) table is the image of each creator and
+    # annihilator, and it is the walk's column; a table with sin negated is not
     cfg = LatticeConfig(L=8, theta=theta, boundary=Boundary.OPEN)
-    c, s = math.cos(theta), math.sin(theta)
-    coeffs = linear_image(cfg, cr(4, Eps.PLUS))
-    assert coeffs[(5, Eps.PLUS)] == pytest.approx(c, abs=1e-12)
-    assert coeffs[(5, Eps.MINUS)] == pytest.approx(s, abs=1e-12)
-    coeffs = linear_image(cfg, cr(4, Eps.MINUS))
-    assert coeffs[(3, Eps.MINUS)] == pytest.approx(c, abs=1e-12)
-    assert coeffs[(3, Eps.PLUS)] == pytest.approx(-s, abs=1e-12)
+    for eps in Eps:
+        image = table(cfg, 4, eps)
+        assert np.allclose(walk_image(cfg, cr(4, eps)), image, rtol=0, atol=1e-15)
+        for op in (cr(4, eps), an(4, eps)):
+            assert heisenberg_image(cfg, op, image) <= 1e-12
+            assert heisenberg_image(cfg, op, table(replace(cfg, theta=-theta), 4, eps)) > 1e-3
 
 
-def test_heisenberg_image_annihilator():
-    theta = 0.3
-    cfg = LatticeConfig(L=8, theta=theta, boundary=Boundary.OPEN)
-    coeffs = linear_image(cfg, an(4, Eps.PLUS))
-    assert coeffs[(5, Eps.PLUS)] == pytest.approx(math.cos(theta), abs=1e-12)
-    assert coeffs[(5, Eps.MINUS)] == pytest.approx(math.sin(theta), abs=1e-12)
-
-
-def test_heisenberg_image_periodic_bulk():
-    cfg = LatticeConfig(L=8, theta=0.2)
-    total = sum(abs(coeff) ** 2 for coeff in linear_image(cfg, cr(4, Eps.PLUS)).values())
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_heisenberg_rejects_boundary_cells():
-    cfg = LatticeConfig(L=8, theta=0.2, boundary=Boundary.OPEN)
-    with pytest.raises(ValueError, match="bulk cell required: distance >= 2 from the boundary"):
-        heisenberg_image(cfg, cr(0, Eps.PLUS))
+def test_heisenberg_image_off_the_lattice():
+    for boundary in Boundary:
+        cfg = LatticeConfig(L=8, theta=0.2, boundary=boundary)
+        for cell in (-1, 8):
+            with pytest.raises(ValueError, match=f"cell {cell} outside lattice"):
+                heisenberg_image(cfg, cr(cell, Eps.PLUS), np.zeros((8, 2), dtype=complex))
 
 
 def _case(L, theta, boundary, op):
@@ -157,24 +161,49 @@ def _case(L, theta, boundary, op):
 
 @pytest.mark.parametrize(
     "cfg, op",
-    # the shipped heisenberg_check lattice, every kind and eps
+    # the shipped heisenberg_check lattices, every kind and eps
     [_case(8, 0.3, Boundary.OPEN, LadderOp(k, 4, e)) for k in OpKind for e in Eps]
+    + [_case(6, 0.3, Boundary.PERIODIC, LadderOp(k, 0, e)) for k in OpKind for e in Eps]
     + [
         _case(8, 0.1, Boundary.OPEN, cr(4, Eps.MINUS)),
         _case(8, -0.9, Boundary.OPEN, an(4, Eps.PLUS)),
+        _case(8, 0.3, Boundary.OPEN, an(0, Eps.MINUS)),
         _case(8, 0.3, Boundary.PERIODIC, cr(4, Eps.PLUS)),
-        # 128-bit words: the fit runs on object arrays
+        # the ring's seam-crossing sites, and cells within 2 of the seam
+        _case(8, 0.3, Boundary.PERIODIC, an(7, Eps.PLUS)),
+        _case(8, -0.9, Boundary.PERIODIC, cr(1, Eps.MINUS)),
+        _case(2, 0.3, Boundary.PERIODIC, an(1, Eps.MINUS)),
+        # 128-bit words: the residual runs on object arrays
         _case(64, 0.3, Boundary.OPEN, cr(40, Eps.MINUS)),
+        _case(64, 0.3, Boundary.PERIODIC, an(63, Eps.PLUS)),
     ],
 )
 def test_heisenberg_image_matches_dict_reference(cfg, op):
-    # a sign error that negates every ladder alike leaves a fit unchanged;
-    # test_apply_ladder_equals_reference_loop catches that one
+    # a sign error that negates every ladder alike leaves the residual
+    # unchanged; test_apply_ladder_equals_reference_loop catches that one
+    image = walk_image(cfg, op)
     for bosonic in (False, True):
-        terms, residual = heisenberg_image(cfg, op, bosonic=bosonic)
+        residual = heisenberg_image(cfg, op, image, bosonic=bosonic)
         assert isinstance(residual, float)
-        assert residual > 1e-3 if bosonic else residual <= 1e-10
-        assert (terms, residual) == heisenberg_reference.heisenberg_image(cfg, op, bosonic)
+        assert residual > 1e-3 if bosonic else residual <= 1e-12
+        assert residual == heisenberg_reference.heisenberg_image(cfg, op, image, bosonic)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    L=st.integers(2, 12),
+    boundary=st.sampled_from(list(Boundary)),
+    theta=st.floats(-math.pi, math.pi),
+)
+def test_heisenberg_residual_at_every_cell(L, boundary, theta):
+    # the closed form holds at every cell of either boundary, seam and edges
+    # included; with the bosonic phases no cell's image is linear
+    cfg = LatticeConfig(L=L, theta=theta, boundary=boundary)
+    for cell in range(L):
+        for op in (LadderOp(k, cell, e) for k in OpKind for e in Eps):
+            image = walk_image(cfg, op)
+            assert heisenberg_image(cfg, op, image) <= 1e-13
+            assert heisenberg_image(cfg, op, image, bosonic=True) >= 1
 
 
 @st.composite
@@ -217,18 +246,13 @@ def test_dense_ladder_equals_loop_built_matrix(L):
                 assert np.array_equal(dense_ladder(cfg, op), want)
 
 
-def test_bosonic_phase_breaks_linearity():
-    cfg = LatticeConfig(L=8, theta=0.3, boundary=Boundary.OPEN)
-    _, residual = heisenberg_image(cfg, cr(4, Eps.PLUS), bosonic=True)
-    assert residual > 1e-3
-
-
 def test_image_reproduces_evolution_on_two_particle_state():
     # conjugation identity applied to an entangled two-particle state
     cfg = LatticeConfig(L=8, theta=0.4, boundary=Boundary.OPEN)
     psi = basis_state(cfg, [(3, Eps.MINUS), (5, Eps.PLUS)])
     op = cr(4, Eps.PLUS)
     lhs = step(apply_ladder(psi, op))
-    terms, _ = heisenberg_image(cfg, op)
+    image = walk_image(cfg, op)
+    terms = [(c, cr(cell, Eps(eps))) for (cell, eps), c in np.ndenumerate(image) if c]
     rhs = apply_combination(terms, step(psi))
     assert distance(lhs, rhs) < 1e-12

@@ -39,14 +39,21 @@ exp(-i H dt) = M and the second in the energy deviation.
 
 A walk whose coin turns the other way is as unitary as the right one, so
 only the checks that hold the automaton against it see it: the wavepackets'
-walk comparisons, and `heisenberg_check`, whose expected image of a creator
-is one walk step from the creator's site.
+walk comparisons, and `heisenberg_check`, whose image of a creator is one
+walk step from the creator's site.
+
+The ring's seam twist in `fermion.heisenberg_image` has two halves. The
+sign sigma(w) of the seam-crossing sites' occupations is seen only by a
+cell whose spanning words reach the seam, and the column sign (-1)^N(w)
+only at cell 0 or L - 1, whose sites cross it. Of the shipped configs only
+`heisenberg_check_ring` (L = 6, cell 0) has such a cell; the open chain of
+`heisenberg_check` has no seam.
 
 Left out, as an equivalent mutant: `_ladder_arrays` taking the parity of
 the bits above the target instead of below. For a creator on an empty site
 the parity above equals the parity below times (-1)^N(w), with N(w) the
-particle number of the word. The step conserves N, so both sides of every
-row of the Heisenberg fit pick up the same sign and every manifest passes.
+particle number of the word. The step conserves N, so both sides of the
+Heisenberg residual pick up the same sign and every manifest passes.
 """
 
 import __future__
@@ -57,13 +64,13 @@ from pathlib import Path
 
 import pytest
 
-from fqca import cli, evolution, nogo, spectral, walk
+from fqca import cli, evolution, fermion, nogo, spectral, walk
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = {p.stem: p for p in sorted(REPO.glob("experiments/*.json"))}
 CONFIGS.update((p.stem, p) for p in sorted(REPO.glob("perfbench/configs/*.json")))
 
-ENGINE_FAILS = ("dirac_sea", "heisenberg_check", "two_particle_scatter")
+ENGINE_FAILS = ("dirac_sea", "heisenberg_check", "heisenberg_check_ring", "two_particle_scatter")
 
 # name -> (module, function, line as written, mutated line, configs that must fail)
 MUTANTS = {
@@ -92,7 +99,7 @@ MUTANTS = {
         evolution, "_shift_layer",
         "npairs = cfg.L if cfg.boundary is Boundary.PERIODIC else cfg.L - 1",
         "npairs = cfg.L - 1",
-        ("dirac_sea", "dispersion_sweep", "wavepacket"),
+        ("dirac_sea", "dispersion_sweep", "heisenberg_check_ring", "wavepacket"),
     ),
     "orbit_round_diag_swapped": (
         evolution, "_orbit_plan",
@@ -136,7 +143,18 @@ MUTANTS = {
         walk, "walk_step",
         "c, s = np.cos(config.theta), np.sin(config.theta)",
         "c, s = np.cos(config.theta), np.sin(-config.theta)",
-        ("wavepacket", "wavepacket_open", "heisenberg_check"),
+        ("wavepacket", "wavepacket_open", "heisenberg_check", "heisenberg_check_ring"),
+    ),
+    # each half of the ring's seam twist dropped alone
+    "heisenberg_seam_sigma_dropped": (
+        fermion, "heisenberg_image",
+        "(w & seam).bit_count() + crossing", "crossing",
+        ("heisenberg_check_ring",),
+    ),
+    "heisenberg_seam_column_sign_dropped": (
+        fermion, "heisenberg_image",
+        "crossing = bit_index(op.cell, op.eps) in (0, nbits - 1)", "crossing = False",
+        ("heisenberg_check_ring",),
     ),
     "witness_path_near_s2": (
         nogo, "find_witness_triple",
