@@ -297,9 +297,14 @@ def run_wavepacket(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     # a cell more than t cells from the start lies outside step t's light cone
     dist = np.array([cfg.distance(c, cell) for c in range(cfg.L)])
     leak = probs[dist > np.arange(nsteps + 1)[:, None]].sum()
+    # one step moves the whole packet one cell the way its label points, read
+    # from the param itself; at an open chain's edge it stays on its cell
+    target = cell + {"plus": 1, "minus": -1}[params["eps"]]
+    target = target % cfg.L if cfg.boundary is Boundary.PERIODIC else min(max(target, 0), cfg.L - 1)
     checks = [
         _check("norm_conservation", norm_dev, 1e-12),
         _check("light_cone_leak", leak, 1e-12),
+        _check("first_step_cell", 1.0 - probs[1, target], 1e-12),
     ]
     # cross-validate the dense walk against the automaton's one-particle
     # sector at each requested coin angle
@@ -342,8 +347,9 @@ def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path
     meet = [(left, Eps.PLUS), (right, Eps.MINUS)]
     meeting = step(basis_state(cfg, meet))
     amp = meeting.amplitudes.get(basis_from_particles(cfg, [(x, Eps.MINUS), (x, Eps.PLUS)]), 0.0)
-    rows.append(("head_on_meeting", float(amp.real), float(amp.imag), -1.0))
-    checks.append(_check("crossing_phase_minus_one", abs(amp - (-1.0)), 1e-14))
+    head_on = -1.0
+    rows.append(("head_on_meeting", float(amp.real), float(amp.imag), head_on))
+    checks.append(_check("crossing_phase_minus_one", abs(amp - head_on), 1e-14))
     gates = (coin_matrix(cfg.theta), shift_matrix())
     unitarity = max(np.max(np.abs(g.conj().T @ g - np.eye(4))) for g in gates)
     checks.append(_check("gates_unitary", unitarity, 1e-14))
@@ -474,28 +480,23 @@ def run_nogo_witness(cfg: LatticeConfig, params: dict, rng, outdir: Path):
 
 
 def _certificate_faults(
-    entries: list[dict], radius: int, size: int, spec: nogo.FootprintSpec | None
+    entries: list[dict], dimension: int, radius: int, spec: nogo.FootprintSpec, size: int
 ) -> int:
     """How many UNSAT certificate entries fail a re-check from their own fields.
 
     An entry holds when its sources and its images are each more than radius
     apart, its separation is the sources' distance, each image is one move
-    from its source on the size-wide lattice, and the images reverse the
-    sources' (j, i, eps) order. A move is a diagonal step to a label that
-    spec allows at that corner, or with spec None (1D) a step right for
-    label 1 and left for label 0, to either label. The distance and the
-    moves are worked out here, not by nogo's own helpers.
+    from its source on the size-wide lattice (height 1 in 1D), and the
+    images reverse the sources' (j, i, eps) order. A move is a step to a
+    label that spec's table allows for that displacement. The distance and
+    the moves are worked out here, not by nogo's own helpers.
     """
-    height = 1 if spec is None else size
+    height = 1 if dimension == 1 else size
     dist = lambda a, b: max(abs(a["i"] - b["i"]), abs(a["j"] - b["j"]))
     order = lambda s: (s["j"], s["i"], s["eps"])
 
     def moves(s, t) -> bool:
-        di, dj = t["i"] - s["i"], t["j"] - s["j"]
-        if spec is not None:
-            labels = spec.corner_targets(s["eps"], (di, dj)) if abs(di) == abs(dj) == 1 else ()
-        else:
-            labels = (0, 1) if (di, dj) == (1 if s["eps"] else -1, 0) else ()
+        labels = spec.corner_targets(s["eps"], (t["i"] - s["i"], t["j"] - s["j"]))
         return t["eps"] in labels and 0 <= t["i"] < size and 0 <= t["j"] < height
 
     def holds(entry: dict) -> bool:
@@ -514,14 +515,14 @@ def _certificate_faults(
 
 def run_nogo_csp(cfg: LatticeConfig, params: dict, rng, outdir: Path):
     dimension, radius, size = params["dimension"], params["radius"], params["lattice_size"]
-    spec = SPECS[params["spec"]](2) if dimension == 2 else None
+    spec = SPECS[params["spec"]](2) if dimension == 2 else nogo.CHAIN_SPEC
     result = nogo.sign_csp(dimension, radius, spec, size)
     obj = result.to_json_obj()
     (outdir / "csp.json").write_text(dump_json(obj))
     want = nogo.csp_satisfiable(dimension, radius, size, params["spec"] == "trivial")
     checks = [_check("satisfiability_matches_expectation", result.sat, want, "eq")]
     if not result.sat:
-        faults = _certificate_faults(obj["violated_constraints"], radius, size, spec)
+        faults = _certificate_faults(obj["violated_constraints"], dimension, radius, spec, size)
         checks.append(_check("certificate_verified", faults, 0))
     return {
         "dimension": dimension,

@@ -10,7 +10,8 @@ Two independent checks:
 - A constraint problem over +/-1 phases attached to pairs of single-step
   particle moves that come within a configurable radius of each other. Each
   two-particle state and evolution branch demands the phase product equal
-  the fermionic reordering sign. The 1D instance is satisfiable and
+  the fermionic reordering sign. Both dimensions read their moves from a
+  FootprintSpec. The 1D instance (CHAIN_SPEC) is satisfiable and
   reproduces the -1-on-crossing rule of the automaton gates; the generic 2D
   instance is unsatisfiable. A local pair's sign is forced by its translation
   class, so UNSAT has one certificate: far-separated pairs whose order flips.
@@ -59,10 +60,10 @@ MAX_CSP_SIDE = {1: 9, 2: 7}
 class FootprintSpec:
     """Support pattern of the one-step move coefficients.
 
-    targets[eps][(c1, c2)] is the frozenset of internal states reachable at
-    corner (c1, c2) from a particle in state eps. Every corner must be
-    reachable for the dynamics to count as nontrivial, except in specs built
-    deliberately trivial.
+    targets[eps][(di, dj)] is the frozenset of internal states reachable by
+    the step (di, dj) from a particle in state eps. In 2D the steps are the
+    diagonal CORNERS, and every corner must be reachable for the dynamics
+    to count as nontrivial, except in specs built deliberately trivial.
     """
 
     num_eps: int
@@ -90,6 +91,12 @@ def trivial_spec(num_eps: int = 2) -> FootprintSpec:
     )
 
 
+# one-step moves of the 1D automaton on a height-1 lattice: Plus (label 1)
+# hops right, Minus (label 0) left, and either may flip its label (the theta
+# branches)
+CHAIN_SPEC = FootprintSpec(2, {1: {(1, 0): frozenset({0, 1})}, 0: {(-1, 0): frozenset({0, 1})}})
+
+
 @dataclass(frozen=True)
 class LatticeBounds:
     width: int
@@ -107,9 +114,9 @@ def _sites(bounds: LatticeBounds, num_eps: int) -> list[Site2D]:
 
 def footprint(s: Site2D, spec: FootprintSpec, bounds: LatticeBounds) -> set[Site2D]:
     out = set()
-    for c1, c2 in CORNERS:
-        for eps2 in spec.corner_targets(s.eps, (c1, c2)):
-            t = Site2D(s.i + c1, s.j + c2, eps2)
+    for (di, dj), labels in spec.targets[s.eps].items():
+        for eps2 in labels:
+            t = Site2D(s.i + di, s.j + dj, eps2)
             if bounds.contains(t):
                 out.add(t)
     return out
@@ -156,8 +163,8 @@ def find_witness_triple(
     min_distance from s2. Each s1 gets one breadth-first search, resumed for
     each s3 until it is reached or the search runs dry; a site's parent is
     fixed when the site is first reached, so resuming finds the path a fresh
-    search from s1 would. Moves never change the parity of i+j, so an s3 of
-    the other parity is skipped.
+    search from s1 would. spec's moves are the diagonal CORNERS, which never
+    change the parity of i+j, so an s3 of the other parity is skipped.
     """
     ci, cj = bounds.width // 2, bounds.height // 2
     all_sites = _sites(bounds, spec.num_eps)
@@ -196,14 +203,6 @@ def _normalize_pair(s1: Site2D, t1: Site2D, s2: Site2D, t2: Site2D):
     di, dj = min(s1.i, s2.i), min(s1.j, s2.j)
     tup = lambda s, t: (s.i - di, s.j - dj, s.eps, t.i - di, t.j - dj, t.eps)
     return tuple(sorted((tup(s1, t1), tup(s2, t2))))
-
-
-# one-step moves of the 1D automaton: Plus hops right, Minus hops left, and
-# either may flip its label (the theta branches)
-STANDARD_1D_MOVES = {
-    1: ((1, 1), (1, 0)),    # Plus -> (x+1, Plus) or (x+1, Minus)
-    0: ((-1, 0), (-1, 1)),  # Minus -> (x-1, Minus) or (x-1, Plus)
-}
 
 
 @dataclass
@@ -277,9 +276,7 @@ def check_witness_size(lattice_size: int, min_distance: int, height: int | None)
         )
 
 
-def sign_csp(
-    dimension: int, radius: int, spec: FootprintSpec | None = None, lattice_size: int = 5
-) -> CspResult:
+def sign_csp(dimension: int, radius: int, spec: FootprintSpec, lattice_size: int = 5) -> CspResult:
     """Search for a local pairwise phase rule matching all reordering signs.
 
     A pair of moves is local when the two particles come within Chebyshev
@@ -287,25 +284,21 @@ def sign_csp(
     phase variable. Every nonlocal pair whose image order flips is a
     violated constraint, and any such pair certifies UNSAT.
 
+    The moves are spec's in either dimension (CHAIN_SPEC for the 1D
+    automaton); dimension sets only the lattice height (1, or square in 2D)
+    and the size cap.
+
     Each (site pair, move, move) candidate is one entry of a (pair, m1, m2)
     array whose C order is the enumeration order (site pairs in combinations
-    order, then each site's moves as listed), kept among equal separations.
-    Distances are taken per axis: a pair's separation is the larger of its
+    order, then each site's moves in footprint's order), kept among equal
+    separations. Distances are taken per axis: a pair's separation is the larger of its
     two axis gaps, and its images are within radius when both of their axis
     gaps are, so no array of image distances is built.
     """
     check_csp_size(dimension, radius, lattice_size)
     bounds = LatticeBounds(lattice_size, 1 if dimension == 1 else lattice_size)
-    if dimension == 1:
-        num_eps = 2
-        hops = lambda s: (Site2D(s.i + di, 0, e) for di, e in STANDARD_1D_MOVES[s.eps])
-        moves_of = lambda s: [t for t in hops(s) if bounds.contains(t)]
-    else:
-        spec = spec or full_spec(2)
-        num_eps = spec.num_eps
-        moves_of = lambda s: list(footprint(s, spec, bounds))
-    sites = _sites(bounds, num_eps)
-    moves = [moves_of(s) for s in sites]
+    sites = _sites(bounds, spec.num_eps)
+    moves = [list(footprint(s, spec, bounds)) for s in sites]
 
     # padded (axis, site, move) tables: destination coordinate, and the
     # destination's order key (j, i, eps) as one integer, -1 on padding; the
@@ -316,7 +309,7 @@ def sign_csp(
     for a, row in enumerate(moves):
         for b, t in enumerate(row):
             dst[:, a, b] = t.i, t.j
-            key[a, b] = (t.j * lattice_size + t.i) * num_eps + t.eps
+            key[a, b] = (t.j * lattice_size + t.i) * spec.num_eps + t.eps
     src = np.array([[s.i for s in sites], [s.j for s in sites]], np.int8)
 
     p1, p2 = np.triu_indices(len(sites), 1)

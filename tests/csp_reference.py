@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass
 
 from fqca.nogo import (
-    STANDARD_1D_MOVES,
     CspResult,
     FootprintSpec,
     LatticeBounds,
@@ -19,8 +18,11 @@ from fqca.nogo import (
     chebyshev,
     check_csp_size,
     footprint,
-    full_spec,
 )
+
+# the 1D automaton's moves, written out here rather than read from nogo:
+# Plus (label 1) hops right, Minus (label 0) left, either to both labels
+CHAIN_1D = FootprintSpec(2, {1: {(1, 0): frozenset({0, 1})}, 0: {(-1, 0): frozenset({0, 1})}})
 
 
 @dataclass(frozen=True)
@@ -40,14 +42,7 @@ def _normalize_pair(m1: Move, m2: Move):
     return tuple(sorted((tup(m1), tup(m2))))
 
 
-def _moves_1d(spec_1d: dict, s: Site2D, width: int):
-    for di, eps2 in spec_1d.get(s.eps, ()):  # pragma: no branch
-        t = Site2D(s.i + di, 0, eps2)
-        if 0 <= t.i < width:
-            yield Move(s, t)
-
-
-def _moves_2d(spec: FootprintSpec, s: Site2D, bounds: LatticeBounds):
+def _moves(spec: FootprintSpec, s: Site2D, bounds: LatticeBounds):
     for t in footprint(s, spec, bounds):
         yield Move(s, t)
 
@@ -64,33 +59,21 @@ def _required_sign(src1: Site2D, src2: Site2D, dst1: Site2D, dst2: Site2D) -> in
     return -1 if before != after else 1
 
 
-def sign_csp(
-    dimension: int,
-    radius: int,
-    spec: FootprintSpec | None = None,
-    lattice_size: int = 5,
-) -> CspResult:
+def sign_csp(dimension: int, radius: int, spec: FootprintSpec, lattice_size: int = 5) -> CspResult:
     check_csp_size(dimension, radius, lattice_size)
-    if dimension == 1:
-        sites = [Site2D(i, 0, e) for i in range(lattice_size) for e in (0, 1)]
-        moves_of = lambda s: list(_moves_1d(STANDARD_1D_MOVES, s, lattice_size))
-    else:
-        if spec is None:
-            spec = full_spec(2)
-        bounds = LatticeBounds(lattice_size, lattice_size)
-        sites = [
-            Site2D(i, j, e)
-            for i in range(lattice_size)
-            for j in range(lattice_size)
-            for e in range(spec.num_eps)
-        ]
-        moves_of = lambda s: list(_moves_2d(spec, s, bounds))
+    bounds = LatticeBounds(lattice_size, 1 if dimension == 1 else lattice_size)
+    sites = [
+        Site2D(i, j, e)
+        for i in range(bounds.width)
+        for j in range(bounds.height)
+        for e in range(spec.num_eps)
+    ]
 
     constraints: dict = {}
     violated = []
     total = 0
     for s1, s2 in itertools.combinations(sorted(sites, key=Site2D.order_key), 2):
-        for m1, m2 in itertools.product(moves_of(s1), moves_of(s2)):
+        for m1, m2 in itertools.product(_moves(spec, s1, bounds), _moves(spec, s2, bounds)):
             if m1.dst == m2.dst:
                 continue  # Pauli-blocked branch
             total += 1

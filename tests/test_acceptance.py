@@ -255,7 +255,7 @@ def test_10_nogo_witness():
 
 
 def test_11_nogo_csp():
-    one_d = nogo.sign_csp(dimension=1, radius=1, lattice_size=6)
+    one_d = nogo.sign_csp(dimension=1, radius=1, spec=nogo.CHAIN_SPEC, lattice_size=6)
 
     def crosses(key):
         a, b = key
@@ -266,7 +266,7 @@ def test_11_nogo_csp():
     rule_ok = one_d.sat and all(
         val == (-1 if crosses(key) else 1) for key, val in one_d.assignment.items()
     )
-    two_d = nogo.sign_csp(dimension=2, radius=1, lattice_size=5)
+    two_d = nogo.sign_csp(dimension=2, radius=1, spec=nogo.full_spec(2), lattice_size=5)
     trivial = nogo.sign_csp(
         dimension=2, radius=1, spec=nogo.trivial_spec(2), lattice_size=5
     )
@@ -281,7 +281,7 @@ def test_11_nogo_csp():
 
 def test_12_shipped_configs_deterministic(tmp_path):
     configs = sorted((REPO_ROOT / "experiments").glob("*.json"))
-    assert len(configs) == 12
+    assert len(configs) == 14
     all_ok = True
     for cfgfile in configs:
         raw = load_config(cfgfile)
@@ -298,7 +298,7 @@ def test_12_shipped_configs_deterministic(tmp_path):
         all_ok = all_ok and ok1 and ok2 and identical
     report(
         12,
-        "all twelve shipped configs pass and re-run byte-identically",
+        "all fourteen shipped configs pass and re-run byte-identically",
         all_ok,
         f"{len(configs)} configs checked",
     )

@@ -30,7 +30,7 @@ from fqca.cli import (
 )
 from fqca.evolution import evolve
 from fqca.lattice import Boundary, Eps, FockState, LatticeConfig, bit_index
-from fqca.nogo import csp_satisfiable, full_spec, sign_csp, trivial_spec
+from fqca.nogo import CHAIN_SPEC, csp_satisfiable, full_spec, sign_csp, trivial_spec
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -646,10 +646,10 @@ def test_csp_satisfiable_is_sign_csp_answer(tmp_path):
         accepted += 1
         trivial = dimension == 2 and spec == "trivial"
         got = csp_satisfiable(dimension, radius, size, trivial)
-        footprint = None if dimension == 1 else trivial_spec(2) if trivial else full_spec(2)
+        footprint = CHAIN_SPEC if dimension == 1 else trivial_spec(2) if trivial else full_spec(2)
         result = sign_csp(dimension, radius, footprint, size)
         assert got is result.sat, params
-        assert _certificate_faults(result.violated, radius, size, footprint) == 0, params
+        assert _certificate_faults(result.violated, dimension, radius, footprint, size) == 0, params
     # radius 0-2; 1D sizes 2-9 with no spec; 2D sizes 2-7 with spec full, trivial or left out
     assert accepted == 3 * 8 + 3 * 6 * 3
 
@@ -677,9 +677,10 @@ def _moved(site, di=0, dj=0, eps=None):
 def test_certificate_faults_counts_each_broken_entry(corrupt):
     result = sign_csp(2, 1, full_spec(2), 5)
     entries = result.violated
-    assert len(entries) == 10 and _certificate_faults(entries, 1, 5, full_spec(2)) == 0
-    assert _certificate_faults([corrupt(entries[0])] + entries[1:], 1, 5, full_spec(2)) == 1
-    assert _certificate_faults([corrupt(e) for e in entries], 1, 5, full_spec(2)) == 10
+    faults = lambda entries: _certificate_faults(entries, 2, 1, full_spec(2), 5)
+    assert len(entries) == 10 and faults(entries) == 0
+    assert faults([corrupt(entries[0])] + entries[1:]) == 1
+    assert faults([corrupt(e) for e in entries]) == 10
 
 
 def test_certificate_faults_works_out_the_moves_itself():
@@ -688,19 +689,23 @@ def test_certificate_faults_works_out_the_moves_itself():
     far = {"pair": [{"i": 0, "j": 0, "eps": 0}, {"i": 3, "j": 1, "eps": 0}], "separation": 3}
     up = {**far, "images": [{"i": 1, "j": 1, "eps": 0}, {"i": 4, "j": 2, "eps": 0}]}
     swap = {**far, "images": [{"i": 1, "j": 1, "eps": 0}, {"i": 2, "j": 0, "eps": 0}]}
-    assert _certificate_faults([up], 0, 5, trivial_spec(2)) == 1  # order kept
-    assert _certificate_faults([swap], 0, 5, full_spec(2)) == 0
-    assert _certificate_faults([swap], 0, 5, trivial_spec(2)) == 1  # the (-1, -1) corner
+    assert _certificate_faults([up], 2, 0, trivial_spec(2), 5) == 1  # order kept
+    assert _certificate_faults([swap], 2, 0, full_spec(2), 5) == 0
+    assert _certificate_faults([swap], 2, 0, trivial_spec(2), 5) == 1  # the (-1, -1) corner
     off = {**far, "images": [{"i": -1, "j": 1, "eps": 0}, {"i": 2, "j": 0, "eps": 0}]}
-    assert _certificate_faults([off], 0, 5, full_spec(2)) == 1  # an image off the lattice
+    assert _certificate_faults([off], 2, 0, full_spec(2), 5) == 1  # an image off the lattice
     hop = {
         "pair": [{"i": 0, "j": 0, "eps": 1}, {"i": 1, "j": 0, "eps": 0}],
         "images": [{"i": 1, "j": 0, "eps": 0}, {"i": 0, "j": 0, "eps": 1}],
         "separation": 1,
     }
-    assert _certificate_faults([hop], 0, 3, None) == 0
+    assert _certificate_faults([hop], 1, 0, CHAIN_SPEC, 3) == 0
     wrong_way = {**hop, "pair": [{"i": 0, "j": 0, "eps": 0}, hop["pair"][1]]}
-    assert _certificate_faults([wrong_way], 0, 3, None) == 1
+    assert _certificate_faults([wrong_way], 1, 0, CHAIN_SPEC, 3) == 1
+    # the dimension sets the height: the same hop one row up is off a 1D lattice
+    raised = {**hop, **{k: [{**s, "j": 1} for s in hop[k]] for k in ("pair", "images")}}
+    assert _certificate_faults([raised], 1, 0, CHAIN_SPEC, 3) == 1
+    assert _certificate_faults([raised], 2, 0, CHAIN_SPEC, 3) == 0
 
 
 def test_all_shipped_configs_validate():
@@ -749,6 +754,20 @@ def test_scatter_edge_cell_rejected_on_open_chain(tmp_path, cell):
     )
     assert main(["validate", str(p)]) == 2
     assert main(["run", str(p), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("cell, eps", [(0, "minus"), (7, "plus"), (0, "plus"), (7, "minus")])
+def test_wavepacket_first_step_at_the_edges(tmp_path, boundary, cell, eps):
+    # a packet heading off an open chain stays on its cell; on the ring it wraps
+    p = make_config(
+        tmp_path,
+        experiment="wavepacket",
+        lattice={"L": 8, "theta": 0.3, "boundary": boundary},
+        params={"cell": cell, "eps": eps, "nsteps": 1, "compare_thetas": [0.3]},
+    )
+    assert main(["run", str(p), "--quiet"]) == 0
+    assert _checks(tmp_path / "out")["first_step_cell"]["measured"] <= 1e-12
 
 
 def test_heisenberg_check_on_64_cells(tmp_path):

@@ -176,7 +176,7 @@ def test_layers_equal_reference(data, cfg, bosonic):
     assert held(state) == before
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=100, derandomize=True, database=None)
 @given(st.data(), configs(), st.booleans(), st.integers(0, 6))
 def test_evolve_equals_repeated_reference_steps(data, cfg, bosonic, nsteps):
     # a sparse support grows and may fill its sector, so evolve builds plans

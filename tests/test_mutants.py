@@ -3,9 +3,10 @@
 Each mutant rewrites one line of one function in src/fqca, compiles the
 rewritten source into the function's module and binds it there, so every
 caller that looks the name up at call time (all of the engine does) runs
-the mutant. The configs it names, shipped or benchmark, run in process
-through `cli.run_experiment` and must each write a manifest with "ok":
-false and return 1, not raise. The step layers are cached per config, so
+the mutant; a mutated experiment runner is also bound in `cli.RUNNERS`.
+The configs it names, shipped or benchmark, run in process through
+`cli.run_experiment` and must each write a manifest with "ok": false and
+return 1, not raise. The step layers are cached per config, so
 the cache is cleared before and after every mutant.
 
 A witness search whose breadth-first search admits sites near s2 passes
@@ -45,9 +46,16 @@ walk step from the creator's site.
 The ring's seam twist in `fermion.heisenberg_image` has two halves. The
 sign sigma(w) of the seam-crossing sites' occupations is seen only by a
 cell whose spanning words reach the seam, and the column sign (-1)^N(w)
-only at cell 0 or L - 1, whose sites cross it. Of the shipped configs only
-`heisenberg_check_ring` (L = 6, cell 0) has such a cell; the open chain of
-`heisenberg_check` has no seam.
+only at a site that crosses it: (0, Minus), bit 0, or (L - 1, Plus), bit
+2L - 1. On the L = 6 ring, `heisenberg_check_ring` (cell 0) sees sigma and
+the column sign at bit 0, and `heisenberg_check_ring_last` (cell 5) sees
+sigma and the column sign at bit 2L - 1, so a crossing test that misses
+the top bit fails the second alone. The open chain of `heisenberg_check`
+has no seam.
+
+A wavepacket runner that reads "plus" as Minus runs the other packet,
+which its walk comparisons follow just as closely; only `first_step_cell`,
+whose direction comes from the param itself, sees it.
 
 Left out, as an equivalent mutant: `_ladder_arrays` taking the parity of
 the bits above the target instead of below. For a creator on an empty site
@@ -149,12 +157,30 @@ MUTANTS = {
     "heisenberg_seam_sigma_dropped": (
         fermion, "heisenberg_image",
         "(w & seam).bit_count() + crossing", "crossing",
-        ("heisenberg_check_ring",),
+        ("heisenberg_check_ring", "heisenberg_check_ring_last"),
     ),
     "heisenberg_seam_column_sign_dropped": (
         fermion, "heisenberg_image",
         "crossing = bit_index(op.cell, op.eps) in (0, nbits - 1)", "crossing = False",
-        ("heisenberg_check_ring",),
+        ("heisenberg_check_ring", "heisenberg_check_ring_last"),
+    ),
+    # the column sign's top seam bit, 2L - 1, missed
+    "heisenberg_seam_top_bit_missed": (
+        fermion, "heisenberg_image",
+        "crossing = bit_index(op.cell, op.eps) in (0, nbits - 1)",
+        "crossing = bit_index(op.cell, op.eps) in (0, nbits + 1)",
+        ("heisenberg_check_ring_last",),
+    ),
+    "wavepacket_eps_misread": (
+        cli, "run_wavepacket",
+        'eps = Eps.PLUS if params["eps"] == "plus" else Eps.MINUS',
+        'eps = Eps.PLUS if params["eps"] != "plus" else Eps.MINUS',
+        ("wavepacket", "wavepacket_open"),
+    ),
+    "head_on_expected_plus_one": (
+        cli, "run_two_particle_scatter",
+        "head_on = -1.0", "head_on = 1.0",
+        ("two_particle_scatter",),
     ),
     "witness_path_near_s2": (
         nogo, "find_witness_triple",
@@ -166,7 +192,8 @@ MUTANTS = {
 
 def mutate(monkeypatch, module, name: str, line: str, mutated: str) -> None:
     """Bind module.name to its source with line replaced by mutated."""
-    source = inspect.getsource(getattr(module, name))
+    original = getattr(module, name)
+    source = inspect.getsource(original)
     assert source.count(line) == 1, f"{module.__name__}.{name} no longer holds {line!r}"
     code = compile(
         source.replace(line, mutated), inspect.getsourcefile(module), "exec",
@@ -175,6 +202,10 @@ def mutate(monkeypatch, module, name: str, line: str, mutated: str) -> None:
     namespace = dict(vars(module))
     exec(code, namespace)
     monkeypatch.setattr(module, name, namespace[name])
+    # run_experiment finds a runner in cli.RUNNERS, which holds the function itself
+    for experiment, runner in cli.RUNNERS.items():
+        if runner is original:
+            monkeypatch.setitem(cli.RUNNERS, experiment, namespace[name])
 
 
 def run(name: str, outdir: Path) -> tuple[int, dict]:

@@ -9,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import csp_reference
 import witness_reference
+from fqca import Boundary, Eps, LatticeConfig, basis_state, step
 from fqca.cli import dump_json, main
 from fqca.nogo import (
+    CHAIN_SPEC,
     CORNERS,
     FootprintSpec,
     LatticeBounds,
@@ -144,8 +146,33 @@ def test_no_witness_on_degenerate_1d_lattice():
     assert triple is None
 
 
+def _automaton_moves(theta: float) -> dict:
+    """label -> {(displacement, 0): labels} that one step of the automaton
+    reaches from a lone particle at cell 1 of a 3-cell ring."""
+    cfg = LatticeConfig(L=3, theta=theta, boundary=Boundary.PERIODIC)
+    table = {}
+    for eps in Eps:
+        image = step(basis_state(cfg, [(1, eps)]))
+        for word, amp in image.amplitudes.items():
+            if amp:
+                cell, label = divmod(word.bit_length() - 1, 2)
+                table.setdefault(int(eps), {}).setdefault((cell - 1, 0), set()).add(label)
+    return table
+
+
+def test_chain_spec_is_the_automatons_moves():
+    assert _automaton_moves(0.37) == CHAIN_SPEC.targets
+    # at theta = 0 the coin is diagonal, so each move keeps one label: the
+    # angle is what lets the table above see both
+    still = _automaton_moves(0.0)
+    assert still.keys() == CHAIN_SPEC.targets.keys()
+    for eps, moves in still.items():
+        assert moves.keys() == CHAIN_SPEC.targets[eps].keys()
+        assert all(len(labels) == 1 for labels in moves.values())
+
+
 def test_csp_1d_sat_with_crossing_rule():
-    result = sign_csp(dimension=1, radius=1, lattice_size=6)
+    result = sign_csp(dimension=1, radius=1, spec=CHAIN_SPEC, lattice_size=6)
     assert result.sat
     assert result.num_constraints > 0
 
@@ -160,7 +187,7 @@ def test_csp_1d_sat_with_crossing_rule():
 
 
 def test_csp_2d_unsat_with_far_certificate():
-    result = sign_csp(dimension=2, radius=1, lattice_size=5)
+    result = sign_csp(dimension=2, radius=1, spec=full_spec(2), lattice_size=5)
     assert not result.sat
     assert result.violated
     for v in result.violated:
@@ -175,11 +202,11 @@ def test_csp_2d_trivial_spec_sat():
 
 def test_csp_guards():
     with pytest.raises(ValueError, match="dimension must be 1 or 2"):
-        sign_csp(dimension=3, radius=1)
+        sign_csp(dimension=3, radius=1, spec=full_spec(2))
     with pytest.raises(ValueError, match="radius <= 2 supported"):
-        sign_csp(dimension=1, radius=3)
+        sign_csp(dimension=1, radius=3, spec=CHAIN_SPEC)
     with pytest.raises(ValueError, match="2D instance limited to 7 per side"):
-        sign_csp(dimension=2, radius=1, lattice_size=9)
+        sign_csp(dimension=2, radius=1, spec=full_spec(2), lattice_size=9)
 
 
 def test_witness_json_shape():
@@ -192,9 +219,9 @@ def test_witness_json_shape():
 
 
 def test_csp_json_shapes():
-    sat = sign_csp(dimension=1, radius=1, lattice_size=5).to_json_obj()
+    sat = sign_csp(dimension=1, radius=1, spec=CHAIN_SPEC, lattice_size=5).to_json_obj()
     assert sat["type"] == "sat"
-    unsat = sign_csp(dimension=2, radius=1, lattice_size=5).to_json_obj()
+    unsat = sign_csp(dimension=2, radius=1, spec=full_spec(2), lattice_size=5).to_json_obj()
     assert unsat["type"] == "unsat"
     assert unsat["violated_constraints"]
 
@@ -224,13 +251,14 @@ def test_check_witness_size():
 
 
 def _csp_case(dimension, radius, spec, lattice_size):
-    label = "1d" if spec is None else f"{'full' if nontrivial(spec) else 'trivial'}{spec.num_eps}"
+    kind = "full" if nontrivial(spec) else "trivial"
+    label = "1d" if spec is CHAIN_SPEC else f"{kind}{spec.num_eps}"
     return pytest.param(dimension, radius, spec, lattice_size, id=f"{label}-r{radius}-n{lattice_size}")
 
 
 @pytest.mark.parametrize(
     "dimension, radius, spec, lattice_size",
-    [_csp_case(1, r, None, n) for r in (0, 1, 2) for n in range(2, 10)]
+    [_csp_case(1, r, CHAIN_SPEC, n) for r in (0, 1, 2) for n in range(2, 10)]
     + [
         _csp_case(2, r, full_spec(e), n)
         for r in (0, 1, 2)
@@ -243,8 +271,10 @@ def _csp_case(dimension, radius, spec, lattice_size):
     + [_csp_case(2, 2, full_spec(4), 4)],
 )
 def test_csp_matches_reference_loop(dimension, radius, spec, lattice_size):
+    # in 1D the reference takes its own copy of the automaton's moves
     got = sign_csp(dimension, radius, spec, lattice_size)
-    want = csp_reference.sign_csp(dimension, radius, spec, lattice_size)
+    want_spec = csp_reference.CHAIN_1D if spec is CHAIN_SPEC else spec
+    want = csp_reference.sign_csp(dimension, radius, want_spec, lattice_size)
     assert dump_json(got.to_json_obj()) == dump_json(want.to_json_obj())
 
 
