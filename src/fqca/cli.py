@@ -328,38 +328,33 @@ def run_two_particle_scatter(cfg: LatticeConfig, params: dict, rng, outdir: Path
     # a basis word is its creators applied in canonical site order, which
     # carry no sign, so a pair across the ring's seam keeps the bulk's convention
     left, right = (x - 1) % cfg.L, (x + 1) % cfg.L
-    pair = [(x, Eps.PLUS), (right, Eps.MINUS)]
-    final = step(basis_state(cfg, pair))
+    m, p = Eps.MINUS, Eps.PLUS
+    # the pair, two counter-movers meeting head-on at cell x from distance
+    # one, and a lone particle, each stepped once
+    starts = [[(x, p), (right, m)], [(left, p), (right, m)], [(x, p)]]
+    stepped = [step(basis_state(cfg, sites)) for sites in starts]
+    pair, meeting = stepped[:2]
+    # row, check, the stepped state read, the particles of the word read and
+    # its expected amplitude; the crossed head-on pair picks up a bare -1,
+    # independent of theta
     probes = [
-        ("counter_swapped", [(x, Eps.MINUS), (right, Eps.PLUS)], -c * c),
-        ("both_left", [(x, Eps.MINUS), (right, Eps.MINUS)], -c * s),
-        ("both_right", [(x, Eps.PLUS), (right, Eps.PLUS)], c * s),
-        ("counter_restored", [(x, Eps.PLUS), (right, Eps.MINUS)], s * s),
+        ("counter_swapped", "coefficient_counter_swapped", pair, [(x, m), (right, p)], -c * c),
+        ("both_left", "coefficient_both_left", pair, [(x, m), (right, m)], -c * s),
+        ("both_right", "coefficient_both_right", pair, [(x, p), (right, p)], c * s),
+        ("counter_restored", "coefficient_counter_restored", pair, [(x, p), (right, m)], s * s),
+        ("head_on_meeting", "crossing_phase_minus_one", meeting, [(x, m), (x, p)], -1.0),
     ]
     rows = []
     checks = []
-    for name, sites, expected in probes:
-        amp = final.amplitudes.get(basis_from_particles(cfg, sites), 0.0)
+    for name, check, state, sites, expected in probes:
+        amp = state.amplitudes.get(basis_from_particles(cfg, sites), 0.0)
         rows.append((name, float(amp.real), float(amp.imag), float(expected)))
-        checks.append(_check(f"coefficient_{name}", abs(amp - expected), 1e-14))
-    # two counter-movers meeting head-on at cell x from distance one: the
-    # crossed pair picks up a bare -1, independent of theta
-    meet = [(left, Eps.PLUS), (right, Eps.MINUS)]
-    meeting = step(basis_state(cfg, meet))
-    amp = meeting.amplitudes.get(basis_from_particles(cfg, [(x, Eps.MINUS), (x, Eps.PLUS)]), 0.0)
-    head_on = -1.0
-    rows.append(("head_on_meeting", float(amp.real), float(amp.imag), head_on))
-    checks.append(_check("crossing_phase_minus_one", abs(amp - head_on), 1e-14))
+        checks.append(_check(check, abs(amp - expected), 1e-14))
     gates = (coin_matrix(cfg.theta), shift_matrix())
     unitarity = max(np.max(np.abs(g.conj().T @ g - np.eye(4))) for g in gates)
     checks.append(_check("gates_unitary", unitarity, 1e-14))
     # the pairs' cones hold every two-cell move, a lone particle's do not
-    lone = [(x, Eps.PLUS)]
-    leak = (
-        _light_cone_leak(cfg, pair, final)
-        + _light_cone_leak(cfg, meet, meeting)
-        + _light_cone_leak(cfg, lone, step(basis_state(cfg, lone)))
-    )
+    leak = sum(_light_cone_leak(cfg, sites, state) for sites, state in zip(starts, stepped))
     checks.append(_check("light_cone_leak", leak, 0.0))
     write_csv(
         outdir / "scatter.csv", ["branch", "re", "im", "expected"], rows

@@ -69,7 +69,8 @@ add a zero, and the pruning turns every zero part into +0.0.
 
 A config's two step layers (shift, then coin) are built once per
 (config, bosonic), by a cached _step_layers, and every later step of that
-config reuses them.
+config reuses them. step and evolve run the automaton's fermionic layers;
+only step_keys takes the bosonic ones, for the Heisenberg check's control.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def coin_matrix(theta: float, bosonic: bool = False) -> np.ndarray:
 
     A lone Minus occupation maps to cos|Plus> + sin|Minus>; a lone Plus
     occupation maps to cos|Minus> - sin|Plus>; |11> gets a -1 phase. The
-    bosonic flag replaces that -1 by +1 (negative-control use only).
+    bosonic flag replaces that -1 by +1 (the Heisenberg control, via step_keys).
     """
     c, s = np.cos(theta), np.sin(theta)
     phase = 1.0 if bosonic else -1.0
@@ -401,9 +402,9 @@ def _run(state: FockState, layers: Sequence[_Layer]) -> FockState:
     return FockState.from_sorted(state.config, keys, amps)
 
 
-def step(state: FockState, bosonic: bool = False) -> FockState:
+def step(state: FockState) -> FockState:
     """One automaton step: shift, then coin."""
-    return evolve(state, 1, bosonic)
+    return evolve(state, 1)
 
 
 def step_keys(config: LatticeConfig, keys: np.ndarray, amps: np.ndarray, bosonic: bool = False):
@@ -418,10 +419,10 @@ def step_keys(config: LatticeConfig, keys: np.ndarray, amps: np.ndarray, bosonic
     return _run_keys(keys, amps, _step_layers(config, bosonic))
 
 
-def evolve(state: FockState, nsteps: int, bosonic: bool = False) -> FockState:
+def evolve(state: FockState, nsteps: int) -> FockState:
     if nsteps < 0:
         raise ValueError("nsteps must be >= 0")
     if nsteps == 0:
         return state
-    return _run(state, _step_layers(state.config, bosonic) * nsteps)
+    return _run(state, _step_layers(state.config, False) * nsteps)
 

@@ -92,6 +92,8 @@ def heisenberg_image(
     the image parity-dependent: sigma(w) = (-1)^(w_0 + w_{2L-1}), read from
     the seam-crossing sites before the step, times (-1)^N(w) when op's own
     site crosses the seam (bit 0 or 2L-1), N(w) the particle number.
+    Every spanning word enters with modulus 1 and the engine drops a branch
+    of modulus <= PRUNE_THRESHOLD, so the sum skips each such image[t].
     """
     nbits = config.n_sites
     span = _span_words(config, op.cell)
@@ -115,7 +117,7 @@ def heisenberg_image(
     # the difference, keyed by (i, word), summed in site order after the left side
     evolved = (keys & odd) != 0
     parts = [(keys[~evolved], amps[~evolved])]
-    for site in np.flatnonzero(image).tolist():
+    for site in np.flatnonzero(np.abs(image) > PRUNE_THRESHOLD).tolist():
         ladder = LadderOp(op.kind, site // 2, Eps(site % 2))
         k, a, _ = _ladder_arrays(config, ladder, keys[evolved] ^ odd, amps[evolved])
         parts.append((k, -image.flat[site] * a))

@@ -61,9 +61,9 @@ class FootprintSpec:
     """Support pattern of the one-step move coefficients.
 
     targets[eps][(di, dj)] is the frozenset of internal states reachable by
-    the step (di, dj) from a particle in state eps. In 2D the steps are the
-    diagonal CORNERS, and every corner must be reachable for the dynamics
-    to count as nontrivial, except in specs built deliberately trivial.
+    the step (di, dj) from a particle in state eps; a step may be any
+    displacement, as CHAIN_SPEC's (+-1, 0). The 2D specs step by the
+    diagonal CORNERS: full_spec to every label, trivial_spec to one corner.
     """
 
     num_eps: int
@@ -163,9 +163,10 @@ def find_witness_triple(
     min_distance from s2. Each s1 gets one breadth-first search, resumed for
     each s3 until it is reached or the search runs dry; a site's parent is
     fixed when the site is first reached, so resuming finds the path a fresh
-    search from s1 would. spec's moves are the diagonal CORNERS, which never
-    change the parity of i+j, so an s3 of the other parity is skipped.
+    search from s1 would. When every move of spec has an even di + dj, as
+    the diagonal CORNERS do, an s3 of the other parity of i+j is skipped.
     """
+    parity_kept = all((di + dj) % 2 == 0 for moves in spec.targets.values() for di, dj in moves)
     ci, cj = bounds.width // 2, bounds.height // 2
     all_sites = _sites(bounds, spec.num_eps)
     for e2 in range(spec.num_eps):
@@ -178,7 +179,7 @@ def find_witness_triple(
             prev: dict[Site2D, Site2D] = {s1: s1}
             queue = deque([s1])
             for s3 in above:
-                if (s1.i + s1.j) % 2 != (s3.i + s3.j) % 2:
+                if parity_kept and (s1.i + s1.j) % 2 != (s3.i + s3.j) % 2:
                     continue
                 while s3 not in prev and queue:
                     s = queue.popleft()

@@ -62,9 +62,7 @@ def momentum_grid(config: LatticeConfig, offset: float = 0.0) -> np.ndarray:
     L = config.L
     lo = math.floor(-L / 2 - offset) + 1
     hi = math.floor(L / 2 - offset)
-    return np.array(
-        [2 * math.pi * (n + offset) / (L * config.dx) for n in range(lo, hi + 1)]
-    )
+    return 2 * math.pi * (np.arange(lo, hi + 1) + offset) / (L * config.dx)
 
 
 @dataclass

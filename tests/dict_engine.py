@@ -2,10 +2,13 @@
 
 This is the engine fqca used before its array engine, kept only as a test
 oracle. It defines the automaton's amplitudes gate by gate, pruning after
-every gate, so the array engine is checked against it with ==.
+every gate, so the array engine is checked against it with ==. It steps
+with the bosonic phases on request. fqca's own step and evolve run the
+fermionic phases only, so the tests step the array engine through
+engine_step, which runs either.
 """
 
-from fqca.evolution import coin_matrix, shift_matrix
+from fqca.evolution import _run, _step_layers, coin_matrix, evolve, shift_matrix
 from fqca.lattice import Boundary, FockState, PRUNE_THRESHOLD
 
 
@@ -50,3 +53,10 @@ def apply_shift(state: FockState, bosonic: bool = False) -> FockState:
 
 def step(state: FockState, bosonic: bool = False) -> FockState:
     return apply_coin(apply_shift(state, bosonic), bosonic)
+
+
+def engine_step(state: FockState, bosonic: bool = False, nsteps: int = 1) -> FockState:
+    """nsteps steps of the array engine: fqca's evolve, or its layers with the bosonic phases."""
+    if bosonic:
+        return _run(state, _step_layers(state.config, True) * nsteps)
+    return evolve(state, nsteps)

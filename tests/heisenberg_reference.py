@@ -3,23 +3,25 @@
 The ladder is how fqca applied ladder operators before they ran on word
 arrays: it loops over the words of a state, with one popcount per word for
 its sign. The residual is `fermion.heisenberg_image`'s closed form over
-dicts: it steps op|w> and |w> for each spanning word with `step`, one state
-at a time, and sums both sides of the image's identity in a dict keyed by
-(state, word). Both are kept only as test oracles.
+dicts: it steps op|w> and |w> for each spanning word with
+`dict_engine.engine_step`, one state at a time, and sums both sides of the
+image's identity in a dict keyed by (state, word). Both are kept only as
+test oracles.
 """
 
 import itertools
 
 import numpy as np
 
+from dict_engine import engine_step
 from fock_algebra import prune
-from fqca.evolution import step
 from fqca.fermion import LadderOp, OpKind
 from fqca.lattice import (
     Boundary,
     Eps,
     FockState,
     LatticeConfig,
+    PRUNE_THRESHOLD,
     bit_index,
 )
 
@@ -65,17 +67,20 @@ def heisenberg_image(
     words = [sum(1 << b for b in combo) for combo in combos]
     seam = 1 | 1 << (nbits - 1)
     crossing = ring and bit_index(op.cell, op.eps) in (0, nbits - 1)
+    # the engine drops a branch of modulus <= PRUNE_THRESHOLD, so the sum skips such a c
     terms = [
-        (c, LadderOp(op.kind, cell, Eps(eps))) for (cell, eps), c in np.ndenumerate(image) if c
+        (c, LadderOp(op.kind, cell, Eps(eps)))
+        for (cell, eps), c in np.ndenumerate(image)
+        if abs(c) > PRUNE_THRESHOLD
     ]
     diff: dict[tuple[int, int], complex] = {}
     for i, w in enumerate(words):
         # sigma(w), times (-1)^N(w) for a seam-crossing op, on the ring only
         odd = ring and ((w & seam).bit_count() + crossing * w.bit_count()) % 2
-        lhs = step(apply_ladder(FockState(config, {w: -1.0 if odd else 1.0}), op), bosonic)
+        lhs = engine_step(apply_ladder(FockState(config, {w: -1.0 if odd else 1.0}), op), bosonic)
         for w2, a in lhs.amplitudes.items():
             diff[(i, w2)] = a
-        evolved = step(FockState(config, {w: 1.0}), bosonic)
+        evolved = engine_step(FockState(config, {w: 1.0}), bosonic)
         for c, ladder in terms:
             for w2, a in apply_ladder(evolved, ladder).amplitudes.items():
                 diff[(i, w2)] = diff.get((i, w2), 0.0) + -c * a

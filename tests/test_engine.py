@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import dense_sector
 import dict_engine
+from dict_engine import engine_step
 from fqca import evolution
 from fqca.evolution import (
     _coin_layer,
@@ -165,7 +166,7 @@ def test_layers_equal_reference(data, cfg, bosonic):
     state = data.draw(states(cfg))
     before = held(state)
     for engine, reference in (
-        (step, dict_engine.step),
+        (engine_step, dict_engine.step),
         (apply_shift, dict_engine.apply_shift),
         (apply_coin, dict_engine.apply_coin),
     ):
@@ -186,7 +187,7 @@ def test_evolve_equals_repeated_reference_steps(data, cfg, bosonic, nsteps):
     want = state
     for _ in range(nsteps):
         want = dict_engine.step(want, bosonic)
-    assert exact(evolve(state, nsteps, bosonic)) == exact(want)
+    assert exact(engine_step(state, bosonic, nsteps)) == exact(want)
     assert held(state) == before
 
 
@@ -195,7 +196,7 @@ def test_evolve_equals_repeated_reference_steps(data, cfg, bosonic, nsteps):
 def test_batched_images_equal_single_steps(data, cfg, bosonic):
     batch = data.draw(st.lists(states(cfg), max_size=5))
     got = step_batch(cfg, batch, bosonic)
-    assert [exact(s) for s in got] == [exact(step(s, bosonic)) for s in batch]
+    assert [exact(s) for s in got] == [exact(engine_step(s, bosonic)) for s in batch]
 
 
 @pytest.mark.parametrize("L", [6, 28, 40])
@@ -273,7 +274,7 @@ def test_shift_signs_every_doubly_occupied_pair(L, boundary, bosonic):
     ]
     for state in batch:
         assert exact(apply_shift(state, bosonic)) == exact(dict_engine.apply_shift(state, bosonic))
-        assert exact(step(state, bosonic)) == exact(dict_engine.step(state, bosonic))
+        assert exact(engine_step(state, bosonic)) == exact(dict_engine.step(state, bosonic))
     # at L=32 the state index pushes the keys past 64 bits
     got = step_batch(cfg, batch, bosonic)
     assert [exact(s) for s in got] == [exact(dict_engine.step(s, bosonic)) for s in batch]
@@ -315,7 +316,10 @@ def test_coin_signs_filled_pairs_and_mixes_lone_particles(L, boundary, bosonic, 
     family = coin_pair_words(cfg)
     whole = FockState(cfg, {w: complex(1 + i, -0.5) for i, w in enumerate(family)})
     for state in [*(FockState(cfg, {w: a}) for w, a in whole.amplitudes.items()), whole]:
-        for engine, reference in ((step, dict_engine.step), (apply_coin, dict_engine.apply_coin)):
+        for engine, reference in (
+            (engine_step, dict_engine.step),
+            (apply_coin, dict_engine.apply_coin),
+        ):
             assert exact(engine(state, bosonic)) == exact(reference(state, bosonic))
 
 
@@ -343,7 +347,7 @@ def test_permutation_layers_exhaustive(L, boundary, bosonic):
     for engine, reference in (
         (apply_shift, dict_engine.apply_shift),
         (apply_coin, dict_engine.apply_coin),
-        (step, dict_engine.step),
+        (engine_step, dict_engine.step),
     ):
         for state in [*batch, whole]:
             assert exact(engine(state, bosonic)) == exact(reference(state, bosonic))
@@ -394,7 +398,11 @@ def test_whole_spaces_equal_reference(L, n, theta, boundary, bosonic):
     words = [w for w in range(1 << cfg.n_sites) if n is None or w.bit_count() == n]
     state = loaded(cfg, words, seed=L)
     with orbit_layouts() as ran:
-        got = [step(state, bosonic), apply_coin(state, bosonic), evolve(state, 2, bosonic)]
+        got = [
+            engine_step(state, bosonic),
+            apply_coin(state, bosonic),
+            engine_step(state, bosonic, 2),
+        ]
     want = [dict_engine.step(state, bosonic), dict_engine.apply_coin(state, bosonic)]
     want.append(dict_engine.step(want[0], bosonic))
     assert [exact(s) for s in got] == [exact(s) for s in want]
@@ -462,9 +470,9 @@ def test_orbit_layout_equals_reference_on_every_input(data, cfg, bosonic, nsteps
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "ORBIT_CUTOFF", -1)
         mp.setattr(evolution, "ORBIT_FILL", math.inf)
-        assert exact(step(state, bosonic)) == exact(dict_engine.step(state, bosonic))
+        assert exact(engine_step(state, bosonic)) == exact(dict_engine.step(state, bosonic))
         assert exact(apply_coin(state, bosonic)) == exact(dict_engine.apply_coin(state, bosonic))
-        assert exact(evolve(state, nsteps, bosonic)) == exact(want)
+        assert exact(engine_step(state, bosonic, nsteps)) == exact(want)
 
 
 @contextlib.contextmanager
@@ -499,9 +507,9 @@ def test_evolve_equals_chained_steps_on_full_sectors(L, n, theta, boundary, boso
     state = loaded(cfg, sector(cfg, n), seed=L, specials=False)
     want = state
     for _ in range(5):
-        want = step(want, bosonic)
+        want = engine_step(want, bosonic)
     with plans_built() as built:
-        got = evolve(state, 5, bosonic)
+        got = engine_step(state, bosonic, 5)
     assert exact(got) == exact(want)
     assert built == [len(state.amplitudes)] * 2
 

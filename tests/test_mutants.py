@@ -179,7 +179,14 @@ MUTANTS = {
     ),
     "head_on_expected_plus_one": (
         cli, "run_two_particle_scatter",
-        "head_on = -1.0", "head_on = 1.0",
+        '"crossing_phase_minus_one", meeting, [(x, m), (x, p)], -1.0)',
+        '"crossing_phase_minus_one", meeting, [(x, m), (x, p)], 1.0)',
+        ("two_particle_scatter",),
+    ),
+    # the head-on probe reads the pair's stepped state, whose two particles sit on two cells
+    "head_on_read_from_pair": (
+        cli, "run_two_particle_scatter",
+        '"crossing_phase_minus_one", meeting,', '"crossing_phase_minus_one", pair,',
         ("two_particle_scatter",),
     ),
     "witness_path_near_s2": (

@@ -82,9 +82,18 @@ def test_witness_path_respects_exclusion():
         assert nxt in footprint(prev, spec, bounds)
 
 
+# every one-cell displacement: a move along an axis changes the parity of i + j
+MOVES = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+# each label reaches both labels along both axes, so every parity of s3 is reachable
+AXES_SPEC = FootprintSpec(
+    2, {e: {m: frozenset({0, 1}) for m in MOVES if 0 in m} for e in range(2)}
+)
+
+
 @st.composite
 def footprint_specs(draw):
-    """The full or trivial spec, or each label reaching a random label set at each corner."""
+    """The full or trivial spec, or each label reaching a random label set by each of
+    a random set of displacements, diagonal or along an axis."""
     num_eps = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["full", "trivial", "random"]))
     if kind == "full":
@@ -92,8 +101,9 @@ def footprint_specs(draw):
     if kind == "trivial":
         return trivial_spec(num_eps)
     labels = st.frozensets(st.integers(0, num_eps - 1))
+    moves = st.lists(st.sampled_from(MOVES), unique=True)
     return FootprintSpec(
-        num_eps, {e: {c: draw(labels) for c in CORNERS} for e in range(num_eps)}
+        num_eps, {e: {m: draw(labels) for m in draw(moves)} for e in range(num_eps)}
     )
 
 
@@ -108,11 +118,22 @@ def footprint_specs(draw):
 @example(spec=full_spec(2), width=15, height=None, min_distance=3)
 @example(spec=full_spec(2), width=15, height=1, min_distance=3)
 @example(spec=trivial_spec(2), width=15, height=None, min_distance=3)
+# moves along the axes: no s3 may be skipped by the parity of i + j
+@example(spec=AXES_SPEC, width=9, height=None, min_distance=3)
+@example(spec=AXES_SPEC, width=5, height=None, min_distance=1)
 def test_witness_matches_per_pair_search(spec, width, height, min_distance):
     bounds = LatticeBounds(width, width if height is None else height)
     assert find_witness_triple(spec, bounds, min_distance) == (
         witness_reference.find_witness_triple(spec, bounds, min_distance)
     )
+
+
+def test_axis_moves_reach_the_first_s3_in_scan_order():
+    # the first s3 of the scan is (7, 4, 0), of the other parity than s1
+    triple = find_witness_triple(AXES_SPEC, LatticeBounds(9, 9), min_distance=3)
+    assert triple.s3 == Site2D(7, 4, 0)
+    assert (triple.s1.i + triple.s1.j) % 2 != (triple.s3.i + triple.s3.j) % 2
+    assert triple.violations(AXES_SPEC, LatticeBounds(9, 9), 3) == 0
 
 
 def test_witness_found_on_2d_lattice():

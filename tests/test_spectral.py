@@ -44,6 +44,19 @@ def test_momentum_grid_basics():
     assert all(-math.pi < k * cfg.dx <= math.pi for k in half)
 
 
+@pytest.mark.parametrize("dx", [1.0, 0.5, 0.25, 0.1, 0.3, 2.0])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_momentum_grid_equals_the_loop(dx, offset):
+    # the array expression does the loop's float operations in its order, so
+    # every bit agrees; the grid runs over n with -pi < k dx <= pi
+    for L in range(2, 65):
+        cfg = LatticeConfig(L=L, dx=dx)
+        lo, hi = math.floor(-L / 2 - offset) + 1, math.floor(L / 2 - offset)
+        want = [2 * math.pi * (n + offset) / (L * dx) for n in range(lo, hi + 1)]
+        got = momentum_grid(cfg, offset)
+        assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+
+
 def test_step_matrix_unitary_and_phase():
     cfg = LatticeConfig(L=8, theta=0.37)
     for k in momentum_grid(cfg):

@@ -2,7 +2,8 @@
 
 This is how fqca searched for witness triples before each s1 got a single
 resumed search, kept only as a test oracle. `nogo.find_witness_triple` must
-return the same triple and path.
+return the same triple and path. It skips no pair by the parity of i + j,
+so it holds for moves of any displacement.
 """
 
 from collections import deque
@@ -29,8 +30,6 @@ def connected_path(
     """Shortest footprint path a -> b staying Chebyshev-far from the center."""
     if a == b:
         return [a]
-    if (a.i + a.j) % 2 != (b.i + b.j) % 2:
-        return None
 
     def far(s: Site2D) -> bool:
         return chebyshev(s, forbidden_center) >= min_distance
@@ -68,8 +67,6 @@ def find_witness_triple(
         above.sort(key=lambda s: chebyshev(s, s2))
         for s1 in below:
             for s3 in above:
-                if (s1.i + s1.j) % 2 != (s3.i + s3.j) % 2:
-                    continue
                 path = connected_path(s1, s3, spec, bounds, s2, min_distance)
                 if path is not None:
                     return WitnessTriple(s1, s2, s3, path)
