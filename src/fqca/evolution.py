@@ -44,11 +44,19 @@ layer's work that depends on its input keys alone: for a relabelling
 indices the sign rule signs; for the coin those indices and the layout its
 rounds run on. Applying the plan does what depends on the amplitudes: the
 sign, the rounds, the pruning and the dropping of zeros, which keeps the
-sorted order since keys are unique. _run_keys keeps the last plan it built
-for each layer object and applies it again while that layer's input keys
-equal the keys it was built for, so once a state fills a support that the
-step maps onto itself, as a full particle-number sector is, every later
-step reuses both plans. Plans live for one _run_keys call.
+sorted order since keys are unique. Each layer keeps the plans of its last
+two distinct input supports in a memo (_layer_plan) and applies one again
+whenever its input keys equal the keys it was built for, index bits and
+all, within one step, evolve or step_keys call or in a later one. Two is
+what a support that has stopped growing needs: a step moves every
+particle in the bulk one cell, so such a support returns every step, as a
+full particle-number sector does, or every second step, as a one-particle
+packet does, which alternates between the cells of either parity. So a
+layer holds at most two plans, and a plan lives until two other supports
+have come after its last use, or until the layer leaves _step_layers's
+cache. A plan holds read-only arrays of its own and never its layer, so a
+dropped layer is freed at once, and threads that share a layer apply a
+plan only after matching its keys.
 
 The coin's rounds run one of two ways. A coin input of more than
 ORBIT_CUTOFF keys is laid out by orbit (_orbit_plan): one sort finds the
@@ -76,7 +84,7 @@ only step_keys takes the bosonic ones, for the Heisenberg check's control.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -145,6 +153,9 @@ class _Layer:
     # so that every word has exactly one image, as under the shift and the
     # theta = 0 coin
     relabels: bool
+    # (keys, plan) of the layer's last two distinct input supports, the most
+    # recently used last; see _layer_plan
+    memo: list = field(default_factory=list, compare=False, repr=False)
 
     @classmethod
     def of(cls, gate: np.ndarray, nbits: int, rotated: bool, npairs: int) -> "_Layer":
@@ -187,8 +198,8 @@ def _odd(both) -> np.ndarray:
     return has[_bit_parity(both[has])] if has.size else has
 
 
-def _signed(amps, odd, layer: _Layer):
-    """Multiply amps[odd], in place, by diag[3]; returns amps.
+def _signed(amps, odd, sign):
+    """Multiply amps[odd], in place, by sign, the layer's diag[3]; returns amps.
 
     A word picks up diag[3] once per doubly occupied pair, which is diag[3]
     to the parity of their number, so _odd's keys change sign (or not, for
@@ -196,7 +207,7 @@ def _signed(amps, odd, layer: _Layer):
     """
     if odd.size:
         # + 0.0 turns -0.0 into 0.0, as _pruned does
-        amps[odd] = layer.diag[3] * amps[odd] + 0.0
+        amps[odd] = sign * amps[odd] + 0.0
     return amps
 
 
@@ -208,7 +219,9 @@ def _plan(keys, layer: _Layer):
     it takes and returns the layer's sorted (keys, amps); it may be called
     again with new amplitudes of the same keys. The coin's rounds take
     pruned amplitudes, as a step's shift leaves them: its gate is a signed
-    swap, so its plan prunes every amplitude before the coin runs.
+    swap, so its plan prunes every amplitude before the coin runs. A plan
+    holds the layer's numbers, never the layer, whose memo holds the plan;
+    the keys it returns are read-only when they are its own.
     """
     if layer.relabels:
         return _relabel_plan(keys, layer)
@@ -224,10 +237,11 @@ def _plan(keys, layer: _Layer):
         plan = _orbit_plan(keys, odd, v, x, layer)
         if plan is not None:
             return plan
+    d, o = layer.diag, layer.off
 
     def search_rounds(amps):
         # the rounds clear x's bits as they go, so each application gets a copy
-        return _search_rounds(keys, _signed(amps, odd, layer), v, x.copy(), layer)
+        return _search_rounds(keys, _signed(amps, odd, d[3]), v, x.copy(), d, o)
 
     return search_rounds
 
@@ -252,10 +266,12 @@ def _relabel_plan(keys, layer: _Layer):
     odd, out = _odd(lo & hi), keys ^ w ^ v
     order = out.argsort()
     out = out[order]
+    out.flags.writeable = False
+    sign = layer.diag[3]
 
     def relabelling(amps):
         # keys are unique, so dropping the zeros after the sort keeps the order
-        a = _pruned(_signed(amps, odd, layer))[order]
+        a = _pruned(_signed(amps, odd, sign))[order]
         live = a != 0
         return (out, a) if live.all() else (out[live], a[live])
 
@@ -315,6 +331,7 @@ def _orbit_plan(keys, odd, v, x, layer: _Layer):
         hi ^= np.repeat(low * three, size[:nb] >> (r + 1))[:, None]
     worder = words.argsort()
     words = words[worder]
+    words.flags.writeable = False
     # the sorted words hold every key, and only the keys when no orbit lacks a member
     deposit = worder if len(words) == len(keys) else worder[words.searchsorted(keys)]
     # round r mixes the layout's first stops[r] positions
@@ -323,7 +340,7 @@ def _orbit_plan(keys, odd, v, x, layer: _Layer):
 
     def orbit_layout(amps):
         a = np.zeros(len(words), dtype=complex)
-        a[deposit] = _signed(amps, odd, layer)
+        a[deposit] = _signed(amps, odd, d[3])
         # lo holds the particle on p1 (local state 2), hi on p2 (local state 1)
         for r, stop in enumerate(stops):
             blk = a[:stop].reshape(-1, 2, 1 << r)
@@ -336,10 +353,11 @@ def _orbit_plan(keys, odd, v, x, layer: _Layer):
     return orbit_layout
 
 
-def _search_rounds(keys, amps, v, x, layer: _Layer):
+def _search_rounds(keys, amps, v, x, d, o):
     """The coin's rounds, each finding every key's partner by binary search.
 
-    Bit 2j of x marks a lone pair j whose gate has yet to mix the key.
+    Bit 2j of x marks a lone pair j whose gate has yet to mix the key; d
+    and o are the layer's diag and off.
     """
     t = keys.dtype.type
     one, three = t(1), t(3)
@@ -356,8 +374,8 @@ def _search_rounds(keys, amps, v, x, layer: _Layer):
         found = keys[np.minimum(pos, len(keys) - 1)] == partner
         before = np.append(amps, 0)  # the last entry stands in for absent partners
         amps[act] = _pruned(
-            layer.diag[local] * before[act]
-            + layer.off[local] * before[np.where(found, pos, len(keys))]
+            d[local] * before[act]
+            + o[local] * before[np.where(found, pos, len(keys))]
         )
         x[act] = xa ^ low
         # an absent partner enters with its share alone
@@ -365,7 +383,7 @@ def _search_rounds(keys, amps, v, x, layer: _Layer):
         if new.size:
             src = act[new]
             keys = np.concatenate((keys, partner[new]))
-            amps = np.concatenate((amps, _pruned(layer.off[3 - local[new]] * before[src])))
+            amps = np.concatenate((amps, _pruned(o[3 - local[new]] * before[src])))
             v = np.concatenate((v, v[src] ^ pair[new]))
             x = np.concatenate((x, x[src]))
             live = amps != 0
@@ -376,23 +394,37 @@ def _search_rounds(keys, amps, v, x, layer: _Layer):
     return (keys, amps) if live.all() else (keys[live], amps[live])
 
 
+def _layer_plan(keys, layer: _Layer):
+    """layer's plan for sorted keys: from its memo if they equal a memoised support, else new.
+
+    A new plan is built on a read-only copy of keys, so no caller can
+    change what it was built for, and replaces the least recently used of
+    the memo's two entries.
+    """
+    # a snapshot: another thread may replace the memo's entries meanwhile,
+    # but each entry pairs a plan with its own keys, so a lost update costs
+    # a rebuild, never a plan applied to other keys
+    recent = layer.memo[:]
+    for i, (seen, plan) in enumerate(recent):
+        # equal keys of one dtype, index bits and all, not merely as many
+        if keys.dtype == seen.dtype and np.array_equal(keys, seen):
+            layer.memo[:] = [*recent[:i], *recent[i + 1:], recent[i]]
+            return plan
+    seen = keys.copy()
+    seen.flags.writeable = False
+    plan = _plan(seen, layer)
+    layer.memo[:] = [*recent[-1:], (seen, plan)]
+    return plan
+
+
 def _run_keys(keys, amps, layers: Sequence[_Layer]):
     """Apply the layers in order to sorted keys; returns the new sorted (keys, amps).
 
-    Every layer application applies a plan (_plan), built for its input
-    keys. The last plan built for each layer object is kept for the rest of
-    the call and applied again while that layer's input keys equal the
-    keys it was built for, so a support that the step maps onto itself,
-    such as a full particle-number sector, builds one plan per layer. The
-    amps array is overwritten.
+    Each layer application applies the layer's plan for its input keys
+    (_layer_plan). The amps array is overwritten.
     """
-    plans = {}  # id(layer) -> (the keys its plan was built for, the plan)
     for layer in layers:
-        seen, plan = plans.get(id(layer), (None, None))
-        # equal keys, index bits and all, not merely as many
-        if plan is None or not (keys is seen or np.array_equal(keys, seen)):
-            seen, plan = plans[id(layer)] = keys, _plan(keys, layer)
-        keys, amps = plan(amps)
+        keys, amps = _layer_plan(keys, layer)(amps)
     return keys, amps
 
 
@@ -413,8 +445,8 @@ def step_keys(config: LatticeConfig, keys: np.ndarray, amps: np.ndarray, bosonic
     A key is a basis word of config with its state's index above the
     word's 2L bits, so states never mix. keys must be sorted and unique and
     have the word_dtype of the 2L bits plus the index bits. amps holds each
-    key's amplitude and is overwritten. One step applies each layer once,
-    so each layer builds its plan (see _run_keys) and reuses none.
+    key's amplitude and is overwritten. The keys returned may be a plan's
+    own, and then are read-only.
     """
     return _run_keys(keys, amps, _step_layers(config, bosonic))
 

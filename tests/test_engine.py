@@ -16,12 +16,22 @@ fill bound lifted every random input, the empty one included, runs in the
 orbit layout.
 Full sectors, which the step maps onto themselves, evolve on one plan per
 layer and must equal chained steps; a support that keeps its size but not
-its words builds a new plan for every layer application.
+its words builds a new plan for every layer application. Each layer keeps
+the plans of its last two input supports across calls, so a trajectory
+stepped one step call at a time must equal evolve bit for bit, and a
+packet that has stopped growing builds no plan. A layer dropped from the
+cache is freed without the cycle collector, a caller's writes into the
+keys it passed or got back change no later step, and four threads that
+step through shared layers must equal a serial run.
 """
 
 import contextlib
+import gc
 import itertools
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -120,7 +130,7 @@ def built(cfg: LatticeConfig, amps: dict) -> FockState:
 
 
 def held(state: FockState) -> tuple:
-    """A state's words and the bytes of its amplitudes, to show that stepping left them alone."""
+    """A state's words and the bytes of its amplitudes: equal only bit for bit."""
     return state.words.tolist(), state.amps.tobytes()
 
 
@@ -357,7 +367,11 @@ def test_permutation_layers_exhaustive(L, boundary, bosonic):
 
 @contextlib.contextmanager
 def orbit_layouts():
-    """Yields a list that gets, per coin plan that tried the orbit layout, whether it was built."""
+    """Yields a list that gets, per coin plan that tried the orbit layout, whether it was built.
+
+    The cached step layers are dropped first, so every layer starts with an
+    empty memo, whatever earlier tests stepped.
+    """
     ran = []
     real = evolution._orbit_plan
 
@@ -366,6 +380,7 @@ def orbit_layouts():
         ran.append(out is not None)
         return out
 
+    _step_layers.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_orbit_plan", spy)
         yield ran
@@ -406,7 +421,8 @@ def test_whole_spaces_equal_reference(L, n, theta, boundary, bosonic):
     want = [dict_engine.step(state, bosonic), dict_engine.apply_coin(state, bosonic)]
     want.append(dict_engine.step(want[0], bosonic))
     assert [exact(s) for s in got] == [exact(s) for s in want]
-    assert ran == ([True] * 4 if len(words) > evolution.ORBIT_CUTOFF else [])
+    # evolve's first step finds the plans of engine_step's in the memo
+    assert ran == ([True] * 3 if len(words) > evolution.ORBIT_CUTOFF else [])
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -477,7 +493,11 @@ def test_orbit_layout_equals_reference_on_every_input(data, cfg, bosonic, nsteps
 
 @contextlib.contextmanager
 def plans_built():
-    """Yields a list that gets the number of input keys of every plan built."""
+    """Yields a list that gets the number of input keys of every plan built.
+
+    The cached step layers are dropped first, so every layer starts with an
+    empty memo.
+    """
     built = []
     real = evolution._plan
 
@@ -485,6 +505,7 @@ def plans_built():
         built.append(len(keys))
         return real(keys, layer)
 
+    _step_layers.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_plan", spy)
         yield built
@@ -526,3 +547,134 @@ def test_plans_follow_the_keys_not_their_number():
         got = evolve(state, 6)
     assert exact(got) == exact(want)
     assert built == [1] * 12
+
+
+
+def three_particles() -> FockState:
+    """A seeded random state on half the words of the L=6 ring's 3-particle sector."""
+    cfg = LatticeConfig(L=6, theta=0.3)
+    words = np.random.default_rng(6).permutation(sector(cfg, 3))[:110].tolist()
+    return loaded(cfg, words, seed=6)
+
+
+TRAJECTORIES = {
+    # object words; the packet fills its 64 words of each parity by step 34,
+    # and from then on each layer's input support returns every second step
+    "ring64_packet": (basis_state(LatticeConfig(L=64, theta=0.1), [(32, Eps.PLUS)]), 100),
+    "open16_packet": (
+        basis_state(LatticeConfig(L=16, theta=0.3, boundary=Boundary.OPEN), [(2, Eps.MINUS)]), 40,
+    ),
+    "ring6_three_particles": (three_particles(), 20),
+}
+
+
+@pytest.mark.parametrize("name", TRAJECTORIES)
+def test_steps_one_call_at_a_time_equal_evolve(name):
+    # each side starts from layers with empty memos
+    start, nsteps = TRAJECTORIES[name]
+    with plans_built() as built:
+        state, counts = start, []
+        for _ in range(nsteps):
+            state = step(state)
+            counts.append(len(built))
+    _step_layers.cache_clear()
+    assert held(state) == held(evolve(start, nsteps))
+    if name == "ring64_packet":
+        # steps 40-100 find both layers' plans in their memos
+        assert counts[38] == counts[-1]
+
+
+def test_layers_die_with_their_cache():
+    # a memo holds plans and a plan holds no layer, so dropping the cache frees
+    # the layers by reference counting alone; the coin's memo holds a
+    # search-rounds plan and an orbit-layout one
+    cfg = LatticeConfig(L=6, theta=0.3)
+    gc.disable()
+    try:
+        _step_layers.cache_clear()
+        states = [step(three_particles()), evolve(loaded(cfg, sector(cfg, 6), seed=1), 2)]
+        layers = _step_layers(cfg, False)
+        assert [len(layer.memo) for layer in layers] == [2, 2]
+        refs = [weakref.ref(layer) for layer in layers]
+        _step_layers.cache_clear()
+        del layers, states
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+
+def test_memo_keeps_its_own_keys():
+    # a caller that writes into the keys it passed to step_keys, or into the
+    # keys it got back, changes no later step. The two random states hold
+    # 110 words each; the full sector's coin returns its orbit layout's words
+    cfg = LatticeConfig(L=6, theta=0.3)
+    first, second = three_particles(), loaded(cfg, sector(cfg, 3)[:110], seed=7)
+    full = loaded(cfg, sector(cfg, 6), seed=8, specials=False)
+    _step_layers.cache_clear()
+    want = [held(step(s)) for s in (full, second, first)]
+    _step_layers.cache_clear()
+    keys = first.words.copy()
+    got = [step_keys(cfg, keys, first.amps.copy()), step_keys(cfg, full.words, full.amps.copy())]
+    keys[:] = second.words
+    for array in itertools.chain(*got):
+        if array.flags.writeable:
+            array[:] = 0
+    # the full sector first, while both memos still hold its plans
+    again = [
+        step_keys(cfg, k, s.amps.copy())
+        for k, s in ((full.words, full), (keys, second), (first.words, first))
+    ]
+    assert [(k.tolist(), a.tobytes()) for k, a in again] == want
+
+
+def test_memo_matches_the_dtype_too():
+    # L=32 words fit 64 bits, and keys with index bits above them are Python
+    # ints: index-0 keys of that dtype equal a state's words in value alone
+    cfg = LatticeConfig(L=32, theta=0.3)
+    state = basis_state(cfg, [(3, Eps.PLUS), (9, Eps.MINUS)])
+    _step_layers.cache_clear()
+    want = held(step(state))
+    keys, amps = step_keys(cfg, state.words.astype(object), state.amps.copy())
+    assert keys.dtype == object and (keys.tolist(), amps.tobytes()) == want
+
+def test_threads_sharing_layers_equal_a_serial_run():
+    # four threads step 50 times each through both configs' cached layers. The
+    # ring packets start on different cells, so the threads replace each
+    # other's memo entries; the L=6 states fill one sector, so the threads
+    # apply the same orbit-layout plan at once
+    ring, six = LatticeConfig(L=64, theta=0.1), LatticeConfig(L=6, theta=0.3)
+    starts = [
+        [basis_state(ring, [(16 * i, Eps.PLUS)]), loaded(six, sector(six, 6), seed=i)]
+        for i in range(4)
+    ]
+
+    def trajectory(states):
+        out = []
+        for _ in range(50):
+            states = [step(s) for s in states]
+            out.append([held(s) for s in states])
+        return out
+
+    _step_layers.cache_clear()
+    serial = [trajectory(s) for s in starts]
+    _step_layers.cache_clear()
+    got = [None] * len(starts)
+    barrier = threading.Barrier(len(starts))
+
+    def worker(i):
+        barrier.wait(timeout=60)
+        got[i] = trajectory(starts[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(starts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-step
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == serial

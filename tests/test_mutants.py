@@ -26,6 +26,14 @@ above evolution.ORBIT_CUTOFF keys. Of the shipped and benchmark configs
 only `dirac_sea` (780-888 keys at L = 6) reaches it, so its mutant names
 that config alone.
 
+Each step layer keeps the plans of its last two input supports
+(evolution._layer_plan), and the wavepackets' walk comparisons, one `step`
+call per step, reuse them once the packet fills its support: each layer's
+input support then returns every second step. So the two known-bad reuse
+rules fail both wavepacket configs, at some of their coin angles: reuse
+on a mere length match, and search rounds that clear the plan's own
+lone-pair mask, which leave a reused plan with no pair to mix.
+
 A pruning that writes 1 where it should write 0 leaves every overlap check
 passing, since `eigenphase_of` sums <psi|U psi> over psi's own words only;
 only `dirac_sea`'s stepped norm (`steps_keep_norm`) sees it. The open
@@ -108,6 +116,18 @@ MUTANTS = {
         "npairs = cfg.L if cfg.boundary is Boundary.PERIODIC else cfg.L - 1",
         "npairs = cfg.L - 1",
         ("dirac_sea", "dispersion_sweep", "heisenberg_check_ring", "wavepacket"),
+    ),
+    # a plan reused for other keys of the same number
+    "plan_reused_on_length_match": (
+        evolution, "_layer_plan",
+        "if keys.dtype == seen.dtype and np.array_equal(keys, seen):", "if len(keys) == len(seen):",
+        ("wavepacket", "wavepacket_open"),
+    ),
+    # search rounds that clear the plan's own lone-pair mask, so a reused plan mixes no pair
+    "search_rounds_clear_the_plans_mask": (
+        evolution, "_plan",
+        "v, x.copy(), d, o)", "v, x, d, o)",
+        ("wavepacket", "wavepacket_open"),
     ),
     "orbit_round_diag_swapped": (
         evolution, "_orbit_plan",
