@@ -58,20 +58,20 @@ cache. A plan holds read-only arrays of its own and never its layer, so a
 dropped layer is freed at once, and threads that share a layer apply a
 plan only after matching its keys.
 
-The coin's rounds run one of two ways. A coin input of more than
-ORBIT_CUTOFF keys is laid out by orbit (_orbit_plan): one sort finds the
-orbits, each is laid out whole as one block, the blocks in descending s,
-and round r is a reshape of the blocks with s > r. One argsort gives word
-order, and the application gathers into it and drops the zeros once at the
-end, with no search, append or sort per round. Below the cutoff (measured
-crossover: about 500 keys on uint64 words), or when the orbits would hold
-more than ORBIT_FILL words per key, the search rounds (_search_rounds) find
-each key's partner by binary search; a round that appends the absent
-partners it mixes in drops the zeros and sorts again, and the layer drops
-the rest once at its end. Their mid-round drop depends on the
-amplitudes, so only their words and lone-pair masks are planned. Both equal
-applying every gate in order, bit for bit: each gate does the same two
-products and one add in the same pair order, negation is exact, so
+The coin's rounds run one of two ways, chosen by how full the input's
+orbits are. A coin input is laid out by orbit (_orbit_plan): one sort finds
+the orbits, each is laid out whole as one block, the blocks in descending
+s, and round r is a reshape of the blocks with s > r. One argsort gives
+word order, and the application gathers into it and drops the zeros once
+at the end, with no search, append or sort per round. Only when the orbits
+would hold more than ORBIT_FILL words per key, as a few words with many
+lone particles do, the search rounds (_search_rounds) find each key's
+partner by binary search; a round that appends the absent partners it
+mixes in drops the zeros and sorts again, and the layer drops the rest once
+at its end. Their mid-round drop depends on the amplitudes, so only their
+words and lone-pair masks are planned. Both equal applying every gate in
+order, bit for bit: each gate does the same two products and one add in
+the same pair order, negation is exact, so
 d*(-a) + o*(-b) = -(d*a + o*b), a zero amplitude and an absent partner both
 add a zero, and the pruning turns every zero part into +0.0.
 
@@ -219,7 +219,9 @@ def _plan(keys, layer: _Layer):
     it takes and returns the layer's sorted (keys, amps); it may be called
     again with new amplitudes of the same keys. The coin's rounds take
     pruned amplitudes, as a step's shift leaves them: its gate is a signed
-    swap, so its plan prunes every amplitude before the coin runs. A plan
+    swap, so its plan prunes every amplitude before the coin runs. A coin
+    that is not a relabelling runs in the orbit layout, or in the search
+    rounds when its orbits would hold more than ORBIT_FILL words per key. A plan
     holds the layer's numbers, never the layer, whose memo holds the plan;
     the keys it returns are read-only when they are its own.
     """
@@ -233,10 +235,9 @@ def _plan(keys, layer: _Layer):
     odd = _odd(v & p2 & pairs)
     # bit 2j of x: pair j holds one particle
     x = (v ^ p2) & pairs
-    if len(keys) > ORBIT_CUTOFF:
-        plan = _orbit_plan(keys, odd, v, x, layer)
-        if plan is not None:
-            return plan
+    plan = _orbit_plan(keys, odd, v, x, layer)
+    if plan is not None:
+        return plan
     d, o = layer.diag, layer.off
 
     def search_rounds(amps):
@@ -278,19 +279,14 @@ def _relabel_plan(keys, layer: _Layer):
     return relabelling
 
 
-# A coin input of more keys than ORBIT_CUTOFF runs in the orbit layout, a
-# smaller one in search rounds. Measured crossover (2 vCPUs, numpy 2.4): on
-# uint64 words (L = 6 and 8, 3-8 particles, whole orbits) the layout took
-# 1.02-1.45x the search rounds' time at 128-384 keys (one sample 0.77x),
-# 0.91-1.05x at 512 and 0.68-0.96x at 640-1024; on L = 64 object words
-# with one particle, as the wavepacket steps them, 1.5-2.1x at 16-128.
-ORBIT_CUTOFF = 512
 # The layout runs only while its orbits hold at most ORBIT_FILL words per
-# input key. Near a diagonal coin (theta near a multiple of pi/2) the
-# rounds prune the filled-in members again, so the layout's cost grows with
-# the fill and the search rounds' does not: at theta = pi/2 on 400 keys
-# with 8-member orbits the layout took 1.5-2x their time, with 64-member
-# orbits about 8x. At theta = 0.3 it was faster at every fill.
+# input key. A one-particle word's orbit holds 2 words, so one-particle
+# inputs always fit. Near a diagonal coin (theta near a multiple of pi/2)
+# the rounds prune the filled-in members again, so the layout's cost grows
+# with the fill and the search rounds' does not: at theta = pi/2 on 400
+# keys with 8-member orbits the layout took 1.5-2x their time, with
+# 64-member orbits about 8x, and one word of s lone particles would fill
+# 2**s. At theta = 0.3 it was faster at every fill.
 ORBIT_FILL = 2
 
 

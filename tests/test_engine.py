@@ -10,10 +10,13 @@ at L = 2 and 3 under the layers that only relabel words. Random states and
 one dict in descending word order must build states that hold every entry
 in sorted read-only arrays, which stepping leaves unchanged. Batches of
 states run through one step_keys pass and must equal stepping each state
-alone. Coin inputs just below, at and above ORBIT_CUTOFF, whole Fock spaces
-and sectors among them, check both coin paths, and with the cutoff and the
-fill bound lifted every random input, the empty one included, runs in the
-orbit layout.
+alone. Coin inputs at and just past the fill bound (evolution.ORBIT_FILL)
+check both coin paths: whole Fock spaces and sectors, the wavepacket
+configs' one-particle inputs and object words run in the orbit layout,
+while sparse words with many lone particles, 40 and 64 of them on the L=64
+ring, fall back to the search rounds, which the layout could not hold. With
+the fill bound lifted every random input, the empty one included, runs in
+the orbit layout.
 Full sectors, which the step maps onto themselves, evolve on one plan per
 layer and must equal chained steps; a support that keeps its size but not
 its words builds a new plan for every layer application. Each layer keeps
@@ -32,6 +35,7 @@ import math
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +44,7 @@ from hypothesis import given, settings, strategies as st
 import dense_sector
 import dict_engine
 from dict_engine import engine_step
-from fqca import evolution
+from fqca import cli, evolution
 from fqca.evolution import (
     _coin_layer,
     _pruned,
@@ -406,9 +410,9 @@ def shift_preimage(cfg: LatticeConfig, words) -> list[int]:
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("bosonic", [False, True])
 def test_whole_spaces_equal_reference(L, n, theta, boundary, bosonic):
-    # the full L=4 space (256 words) and the L=6, n=3 sector (220) stay below
-    # ORBIT_CUTOFF, the full L=5 space (1024) runs in the orbit layout; at
-    # theta = pi/2 the coin is diagonal, so the filled-in members prune to zeros
+    # whole spaces and sectors hold whole orbits, so each runs in the orbit
+    # layout; at theta = pi/2 the coin is diagonal, so the filled-in members
+    # prune to zeros
     cfg = LatticeConfig(L=L, theta=theta, boundary=boundary)
     words = [w for w in range(1 << cfg.n_sites) if n is None or w.bit_count() == n]
     state = loaded(cfg, words, seed=L)
@@ -422,23 +426,54 @@ def test_whole_spaces_equal_reference(L, n, theta, boundary, bosonic):
     want.append(dict_engine.step(want[0], bosonic))
     assert [exact(s) for s in got] == [exact(s) for s in want]
     # evolve's first step finds the plans of engine_step's in the memo
-    assert ran == ([True] * 3 if len(words) > evolution.ORBIT_CUTOFF else [])
+    assert ran == [True] * 3
 
 
-@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("over", [False, True])
 @pytest.mark.parametrize("theta", [0.3, math.pi / 2])
-def test_coin_paths_meet_at_the_cutoff(offset, theta):
-    # ORBIT_CUTOFF - 1, ORBIT_CUTOFF and ORBIT_CUTOFF + 1 coin input keys,
-    # no amplitude pruned before the coin, so both step and the coin alone see them all
-    cfg = LatticeConfig(L=5, theta=theta)
-    order = np.random.default_rng(0).permutation(1 << cfg.n_sites)
-    size = evolution.ORBIT_CUTOFF + offset
-    state = loaded(cfg, shift_preimage(cfg, order[:size].tolist()), seed=size, specials=False)
-    coin_input = loaded(cfg, order[:size].tolist(), seed=size, specials=False)
+def test_coin_paths_meet_at_the_fill_bound(over, theta):
+    # one-particle words on distinct cells: each is alone in its 2-word
+    # orbit, exactly ORBIT_FILL words per key, so the layout runs. One more
+    # word with two lone particles brings a 4-word orbit, past the bound, so
+    # the search rounds run. No amplitude is pruned before the coin, so both
+    # step and the coin alone see every word
+    cfg = LatticeConfig(L=8, theta=theta)
+    words = [1 << (2 * c + c % 2) for c in range(cfg.L)] + [0b1001 << 2] * over
+    state = loaded(cfg, shift_preimage(cfg, words), seed=8, specials=False)
+    coin_input = loaded(cfg, words, seed=8, specials=False)
     with orbit_layouts() as ran:
         assert exact(step(state)) == exact(dict_engine.step(state))
         assert exact(apply_coin(coin_input)) == exact(dict_engine.apply_coin(coin_input))
-    assert ran == [True, True] * (offset > 0)
+    assert ran == [not over] * 2
+
+
+@pytest.mark.parametrize("nparticles", [40, 64])
+@pytest.mark.parametrize("theta", [math.pi / 2, math.pi])
+def test_many_lone_particles_fall_back_to_the_search_rounds(nparticles, theta):
+    # a particle on every Minus site of the first cells: after the shift each
+    # sits alone in its coin pair, so the word's orbit holds 2**nparticles
+    # words, which no array could. The coin is nearly diagonal or nearly a
+    # swap, so the word stays one word, and only the search rounds step it
+    cfg = LatticeConfig(L=64, theta=theta)
+    state = basis_state(cfg, [(c, Eps.MINUS) for c in range(nparticles)])
+    want = state
+    for _ in range(3):
+        want = dict_engine.step(want)
+    with orbit_layouts() as ran:
+        got = evolve(state, 3)
+    assert exact(got) == exact(want)
+    assert len(got.amplitudes) == 1
+    assert not any(ran)
+
+
+@pytest.mark.parametrize("name", ["wavepacket", "wavepacket_open"])
+def test_wavepackets_run_in_the_orbit_layout(tmp_path, name):
+    # a one-particle word's orbit holds 2 words, so every coin plan of the
+    # walk comparisons is an orbit layout and none falls back
+    cfg = cli.load_config(Path(__file__).resolve().parents[1] / "experiments" / f"{name}.json")
+    with orbit_layouts() as ran:
+        assert cli.run_experiment(cfg, str(tmp_path), quiet=True) == 0
+    assert ran and all(ran)
 
 
 def test_object_words_and_wide_batches_in_the_orbit_layout():
@@ -454,7 +489,6 @@ def test_object_words_and_wide_batches_in_the_orbit_layout():
         for cells in itertools.combinations(range(0, 30, 3), 3)
     ]
     batch = [loaded(cfg32, shift_preimage(cfg32, o), seed=i) for i, o in enumerate(orbits)]
-    assert sum(len(s.amplitudes) for s in batch) > evolution.ORBIT_CUTOFF
     with orbit_layouts() as ran:
         assert exact(step(state)) == exact(dict_engine.step(state))
         got = step_batch(cfg32, batch)
@@ -477,14 +511,13 @@ def test_sparse_coin_input_past_the_fill_bound():
 @settings(deadline=None, max_examples=200)
 @given(st.data(), configs(), st.booleans(), st.integers(0, 2))
 def test_orbit_layout_equals_reference_on_every_input(data, cfg, bosonic, nsteps):
-    # with no cutoff and no fill bound every coin input, the empty one
-    # included, runs in the orbit layout
+    # with no fill bound every coin input, the empty one included, runs in
+    # the orbit layout
     state = data.draw(states(cfg))
     want = state
     for _ in range(nsteps):
         want = dict_engine.step(want, bosonic)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evolution, "ORBIT_CUTOFF", -1)
         mp.setattr(evolution, "ORBIT_FILL", math.inf)
         assert exact(engine_step(state, bosonic)) == exact(dict_engine.step(state, bosonic))
         assert exact(apply_coin(state, bosonic)) == exact(dict_engine.apply_coin(state, bosonic))
@@ -516,9 +549,10 @@ def sector(cfg: LatticeConfig, n: int) -> list[int]:
     return [sum(1 << b for b in bits) for bits in itertools.combinations(range(cfg.n_sites), n)]
 
 
-# a full sector maps onto itself, so evolve builds 2 plans and reuses them:
-# the search rounds (L=4, n=4: 70 keys; L=5, n=3: 120), the orbit layout
-# (L=6, n=6: 924) and, on object words, both (L=33, n=1: 66; L=40, n=2: 3160)
+# a full sector maps onto itself, so evolve builds 2 plans and reuses them;
+# its coin runs in the orbit layout, on uint64 words (L=4, n=4: 70 keys;
+# L=5, n=3: 120; L=6, n=6: 924) and on object words (L=33, n=1: 66; L=40,
+# n=2: 3160)
 @pytest.mark.parametrize("L, n", [(4, 4), (5, 3), (6, 6), (33, 1), (40, 2)])
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2, -math.pi / 2, 0.3, -1.1])
 @pytest.mark.parametrize("boundary", list(Boundary))
@@ -586,8 +620,8 @@ def test_steps_one_call_at_a_time_equal_evolve(name):
 
 def test_layers_die_with_their_cache():
     # a memo holds plans and a plan holds no layer, so dropping the cache frees
-    # the layers by reference counting alone; the coin's memo holds a
-    # search-rounds plan and an orbit-layout one
+    # the layers by reference counting alone; the coin's memo holds two
+    # orbit-layout plans
     cfg = LatticeConfig(L=6, theta=0.3)
     gc.disable()
     try:

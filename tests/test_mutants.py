@@ -21,18 +21,21 @@ not swap. The same re-check sees a source separation taken as the
 Manhattan sum: the certificate then reports sums that are not the
 sources' Chebyshev distance.
 
-The coin's orbit layout (evolution._orbit_plan) runs only on coin inputs
-above evolution.ORBIT_CUTOFF keys. Of the shipped and benchmark configs
-only `dirac_sea` (780-888 keys at L = 6) reaches it, so its mutant names
-that config alone.
+The coin's orbit layout (evolution._orbit_plan) runs on every coin input
+whose orbits hold at most evolution.ORBIT_FILL words per key, so its
+mutant fails `dirac_sea` and both wavepackets, whose one-particle words
+each fill a 2-word orbit.
 
 Each step layer keeps the plans of its last two input supports
 (evolution._layer_plan), and the wavepackets' walk comparisons, one `step`
 call per step, reuse them once the packet fills its support: each layer's
-input support then returns every second step. So the two known-bad reuse
-rules fail both wavepacket configs, at some of their coin angles: reuse
-on a mere length match, and search rounds that clear the plan's own
-lone-pair mask, which leave a reused plan with no pair to mix.
+input support then returns every second step. So a plan reused on a mere
+length match fails both wavepacket configs, at some of their coin angles.
+The search rounds run only on the coin inputs past the fill bound, and no
+shipped or benchmark config applies such a plan twice, so search rounds
+that clear the plan's own lone-pair mask, which leave a reused plan with
+no pair to mix, pass every manifest. The dict reference sees them instead,
+on a fallback plan applied twice (test_search_rounds_keep_their_plans_mask).
 
 A pruning that writes 1 where it should write 0 leaves every overlap check
 passing, since `eigenphase_of` sums <psi|U psi> over psi's own words only;
@@ -80,7 +83,9 @@ from pathlib import Path
 
 import pytest
 
+import dict_engine
 from fqca import cli, evolution, fermion, nogo, spectral, walk
+from fqca.lattice import Eps, LatticeConfig, basis_state
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = {p.stem: p for p in sorted(REPO.glob("experiments/*.json"))}
@@ -123,17 +128,11 @@ MUTANTS = {
         "if keys.dtype == seen.dtype and np.array_equal(keys, seen):", "if len(keys) == len(seen):",
         ("wavepacket", "wavepacket_open"),
     ),
-    # search rounds that clear the plan's own lone-pair mask, so a reused plan mixes no pair
-    "search_rounds_clear_the_plans_mask": (
-        evolution, "_plan",
-        "v, x.copy(), d, o)", "v, x, d, o)",
-        ("wavepacket", "wavepacket_open"),
-    ),
     "orbit_round_diag_swapped": (
         evolution, "_orbit_plan",
         "_pruned(d[2] * lo + o[2] * hi), _pruned(d[1] * hi + o[1] * lo)",
         "_pruned(d[1] * lo + o[2] * hi), _pruned(d[2] * hi + o[1] * lo)",
-        ("dirac_sea",),
+        ("dirac_sea", "wavepacket", "wavepacket_open"),
     ),
     "pruned_to_one": (
         evolution, "_pruned",
@@ -263,6 +262,23 @@ def test_mutant_fails_its_configs(tmp_path, fresh_layers, monkeypatch, mutant):
         rc, manifest = run(config, tmp_path / config)
         failed = [c["name"] for c in manifest["checks"] if not c["passed"]]
         assert rc == 1 and manifest["ok"] is False and failed, config
+
+
+@pytest.mark.parametrize("mutated", [False, True])
+def test_search_rounds_keep_their_plans_mask(monkeypatch, mutated):
+    # a word with two lone particles fills a 4-word orbit, past the fill
+    # bound, so its coin plan is the search rounds'. Rounds that clear the
+    # plan's own lone-pair mask mix the right pairs once, and on the plan's
+    # second application skip the pair of their first round
+    if mutated:
+        mutate(monkeypatch, evolution, "_plan", "v, x.copy(), d, o)", "v, x, d, o)")
+    cfg = LatticeConfig(L=8, theta=0.3)
+    state = basis_state(cfg, [(1, Eps.MINUS), (4, Eps.PLUS)])
+    layer = evolution._coin_layer(cfg, False)
+    want = dict_engine.apply_coin(state).amplitudes
+    got = [evolution._run(state, [layer]).amplitudes for _ in range(2)]
+    assert len(want) == 4 and len(layer.memo) == 1
+    assert got[0] == want and (got[1] != want) == mutated
 
 
 @pytest.mark.parametrize("mutant", ["hamiltonian_times_dt", "k_over_dx"])
