@@ -129,9 +129,13 @@ def dump_json(obj) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write rows as CSV, each field as its str (a float's shortest round-trip repr)."""
+    """Write rows as CSV, each field as its str (a float's shortest round-trip repr).
+
+    Each row has one field per header column; any other width raises TypeError.
+    """
+    fmt = ",".join(["%s"] * len(header))
     lines = [",".join(header)]
-    lines += (",".join(map(str, row)) for row in rows)
+    lines += (fmt % tuple(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
 
 

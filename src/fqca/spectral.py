@@ -13,9 +13,11 @@ Mode conventions, fixed once here and checked by the sector-spectrum tests:
 - The positive-energy band ladder b_{k,Plus} is built on vminus: then
   U b^dag_{k,Plus}|vac> = exp(-i phi) b^dag_{k,Plus}|vac>, i.e. energy
   +phi/dt, and the Minus band gets -phi/dt.
-- The modes are free, so the Dirac sea and each of its excitations is one
-  Slater determinant of band orbitals (mode_orbital, slater_state). The sea
-  runs on sorted word and amplitude arrays from the determinant to the
+- The modes are free, so the Dirac sea is one Slater determinant of band
+  orbitals (mode_orbital, slater_state), and each of its excitations is one
+  ladder, b^dag_{k,Plus} or b_{k,Minus}, on one shared Slater state: the
+  run takes two determinant batches, the sea's and the shared state's. The
+  sea runs on sorted word and amplitude arrays from the determinant to the
   overlap: dirac_sea_excitations enumerates each sector once, builds each
   grid's orbitals in one call, and steps each state, the sea included, once.
 - On the ring, the n-particle sector behaves like free modes on a momentum
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import step_keys
-from .lattice import PRUNE_THRESHOLD, Boundary, LatticeConfig, word_dtype
+from .lattice import PRUNE_THRESHOLD, Boundary, LatticeConfig, _bit_parity, word_dtype
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -312,26 +314,18 @@ def parity_offset(config: LatticeConfig, n: int) -> float:
 # Dirac sea
 
 
-def slater_state(
-    config: LatticeConfig,
-    orbitals: list[np.ndarray],
-    sector: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized b^dag_{m_n} ... b^dag_{m_1}|vac> for orbitals m_1..m_n in creation order.
+def _slater_amps(orbitals: list[np.ndarray], sites: np.ndarray) -> np.ndarray:
+    """det[c_{m_{n+1-j}}(s_i)] for each row of sites, orbitals m_1..m_n in creation order."""
+    return np.linalg.det(np.array(orbitals[::-1]).T[sites])
 
-    Moving the creators into canonical order a^dag_{s_1} ... a^dag_{s_n}|vac>
-    = |word> (s_1 < ... < s_n) gives the word the amplitude
-    det[c_{m_{n+1-j}}(s_i)]: column j holds the j-th orbital from the last
-    created. One batched determinant covers the whole sector, which is
-    _sector(config.n_sites, n) or the sector passed in. Returns the sorted
-    (words, amps) without the amplitudes of modulus <= PRUNE_THRESHOLD.
+
+def _pruned_normalized(words: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted (words, amps) without the amplitudes of modulus <= PRUNE_THRESHOLD, normalized.
 
     Moduli, the norm's sum and the quotients are taken as Python's abs, sum
     and complex-by-float division take them, so every amplitude is bit for
     bit the one a pruned, normalized FockState holds.
     """
-    words, sites = _sector(config.n_sites, len(orbitals)) if sector is None else sector
-    amps = np.linalg.det(np.array(orbitals[::-1]).T[sites])
     modulus = np.hypot(amps.real, amps.imag)
     keep = modulus > PRUNE_THRESHOLD
     words, re, im = words[keep], amps.real[keep], amps.imag[keep]
@@ -344,14 +338,71 @@ def slater_state(
     return words, amps
 
 
-def build_dirac_sea(config: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Fill every negative-energy mode of the L-particle sector's grid; sorted (words, amps)."""
+def slater_state(
+    config: LatticeConfig,
+    orbitals: list[np.ndarray],
+    sector: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized b^dag_{m_n} ... b^dag_{m_1}|vac> for orbitals m_1..m_n in creation order.
+
+    Moving the creators into canonical order a^dag_{s_1} ... a^dag_{s_n}|vac>
+    = |word> (s_1 < ... < s_n) gives the word the amplitude
+    det[c_{m_{n+1-j}}(s_i)]: column j holds the j-th orbital from the last
+    created. One batched determinant covers the whole sector, which is
+    _sector(config.n_sites, n) or the sector passed in. Returns the sorted
+    (words, amps), pruned and normalized (_pruned_normalized).
+    """
+    words, sites = _sector(config.n_sites, len(orbitals)) if sector is None else sector
+    return _pruned_normalized(words, _slater_amps(orbitals, sites))
+
+
+def build_dirac_sea(
+    config: LatticeConfig, sector: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill every negative-energy mode of the L-particle sector's grid; sorted (words, amps).
+
+    sector is _sector(config.n_sites, config.L), enumerated here if not passed in.
+    """
     _require_periodic(config)
     if config.L > MAX_SEA_CELLS:
         raise ValueError(f"build_dirac_sea needs L <= {MAX_SEA_CELLS}")
     offset = parity_offset(config, config.L)
     minus = mode_orbital(config, momentum_grid(config, offset), Band.MINUS, offset)
-    return slater_state(config, list(minus))
+    return slater_state(config, list(minus), sector)
+
+
+def _one_site_away(
+    words: np.ndarray, sites: np.ndarray, base_words: np.ndarray, base_amps: np.ndarray
+) -> np.ndarray:
+    """The base state's amplitude at each word's partner across each of its ladder sites.
+
+    sites holds each word's ladder sites, one (dim, n) row per word, and the
+    base state (base_words, base_amps) has one particle more or one fewer
+    than the words. The partner of w across s is w with bit s flipped. a^dag_s takes w - s
+    to w and a_s takes w + s to w, each with the sign (-1)^(occupied sites
+    of w below s), which the returned (dim, n) amplitudes carry.
+    """
+    t = words.dtype.type
+    bit = t(1) << sites.astype(t)
+    partner = base_amps[np.searchsorted(base_words, words[:, None] ^ bit)]
+    odd = _bit_parity(words[:, None] & (bit - t(1)))
+    partner[odd] = -partner[odd]
+    return partner
+
+
+def _ladder_amps(coef: np.ndarray, sites: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """sum_j coef[sites[:, j]] partner[:, j], summed one site at a time in ascending order.
+
+    Each product is taken as Python's complex product takes it.
+    """
+    c = coef[sites]
+    terms = np.empty(c.shape, dtype=complex)
+    terms.real = c.real * partner.real - c.imag * partner.imag
+    terms.imag = c.real * partner.imag + c.imag * partner.real
+    amps = terms[:, 0].copy()
+    for j in range(1, terms.shape[1]):
+        amps += terms[:, j]
+    return amps
 
 
 def eigenphase_of(
@@ -406,24 +457,46 @@ def dirac_sea_excitations(config: LatticeConfig) -> DiracSea:
     mode's phi_k / dt. At odd L it maps one grid onto the other, so
     sum_{1/2} phi = L pi - sum_0 phi and the gaps miss phi_k / dt.
 
-    Each of the three sectors is enumerated once, each grid's orbitals are
-    built in one call, and each of the 2L + 1 states is stepped once.
+    Every excitation is one ladder on one shared state S, the excitation
+    grid's filled Minus band b^dag_{m_L} ... b^dag_{m_1}|vac> on the sea's
+    L-particle words. The modes are free, so b^dag_{p_i} S is the Slater
+    state of m_1..m_L, p_i, and since the orbitals are orthonormal,
+    b_{m_i} S = (-1)^(L-1-i) times the Slater state of the m without m_i.
+    The sea and S are the run's two determinant batches; the ladders are
+    sums over sites (_one_site_away, _ladder_amps). Each of the three
+    sectors is enumerated once, each grid's orbitals are built in one call,
+    and each of the 2L + 1 states is stepped once.
     """
-    words, amps = build_dirac_sea(config)
+    L, n_sites = config.L, config.n_sites
+    sea_sector = _sector(n_sites, L)
+    words, amps = build_dirac_sea(config, sea_sector)
     modulus, sea_phase, norm = eigenphase_of(config, words, amps)
     norm_err = abs(norm - 1.0)
-    other = parity_offset(config, config.L + 1)
+    other = parity_offset(config, L + 1)
     grid = momentum_grid(config, other)
-    minus = list(mode_orbital(config, grid, Band.MINUS, other))
+    minus = mode_orbital(config, grid, Band.MINUS, other)
     plus = mode_orbital(config, grid, Band.PLUS, other)
     phis = step_matrix(config, grid).phi.tolist()
-    sectors = {n: _sector(config.n_sites, n) for n in (config.L + 1, config.L - 1)}
+    shared = (sea_sector[0], _slater_amps(list(minus), sea_sector[1]))
+    # the ladder sites of an (L+1)-particle word are its occupied sites,
+    # those of an (L-1)-particle word its empty ones
+    above = _sector(n_sites, L + 1)
+    below_words, occupied = _sector(n_sites, L - 1)
+    empty = np.ones((len(below_words), n_sites), dtype=bool)
+    empty[np.arange(len(below_words))[:, None], occupied] = False
+    below = (below_words, np.nonzero(empty)[1].reshape(len(below_words), L + 1))
+    ladders = {
+        kind: (*sector, _one_site_away(*sector, *shared))
+        for kind, sector in (("add_plus", above), ("remove_minus", below))
+    }
     excitations = []
     for i, (k, phi) in enumerate(zip(grid.tolist(), phis)):
-        add_plus = minus + [plus[i]]
-        remove_minus = minus[:i] + minus[i + 1:]
-        for kind, orbitals in (("add_plus", add_plus), ("remove_minus", remove_minus)):
-            state = slater_state(config, orbitals, sectors[len(orbitals)])
+        annihilator = minus[i].conj()
+        if (L - 1 - i) % 2:
+            annihilator = -annihilator
+        for kind, coef in (("add_plus", plus[i]), ("remove_minus", annihilator)):
+            ladder_words, sites, partner = ladders[kind]
+            state = _pruned_normalized(ladder_words, _ladder_amps(coef, sites, partner))
             mod, ph, norm = eigenphase_of(config, *state)
             norm_err = max(norm_err, abs(norm - 1.0))
             gap = ((sea_phase - ph) % (2 * math.pi)) / config.dt

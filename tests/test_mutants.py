@@ -68,6 +68,12 @@ A wavepacket runner that reads "plus" as Minus runs the other packet,
 which its walk comparisons follow just as closely; only `first_step_cell`,
 whose direction comes from the param itself, sees it.
 
+Each Dirac-sea excitation is one ladder on a shared state
+(spectral.dirac_sea_excitations). A ladder that drops the sign of the
+occupied sites below its site, or an annihilator whose coefficients are
+left unconjugated, builds states that are not eigenstates of the step, so
+`dirac_sea` fails `excitations_are_eigenstates` and `gaps_match_phi`.
+
 Left out, as an equivalent mutant: `_ladder_arrays` taking the parity of
 the bits above the target instead of below. For a creator on an empty site
 the parity above equals the parity below times (-1)^N(w), with N(w) the
@@ -207,6 +213,17 @@ MUTANTS = {
         cli, "run_two_particle_scatter",
         '"crossing_phase_minus_one", meeting,', '"crossing_phase_minus_one", pair,',
         ("two_particle_scatter",),
+    ),
+    # the Dirac sea's excitations, each one ladder on a shared state
+    "sea_ladder_sign_dropped": (
+        spectral, "_one_site_away",
+        "partner[odd] = -partner[odd]", "partner[odd] = partner[odd]",
+        ("dirac_sea",),
+    ),
+    "sea_annihilator_unconjugated": (
+        spectral, "dirac_sea_excitations",
+        "annihilator = minus[i].conj()", "annihilator = minus[i]",
+        ("dirac_sea",),
     ),
     "witness_path_near_s2": (
         nogo, "find_witness_triple",

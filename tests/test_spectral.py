@@ -418,6 +418,32 @@ def test_sea_equals_dict_reference(tmp_path, monkeypatch, L, theta):
     assert (tmp_path / "sea_state.json").read_text() == sea_reference.sea_json(ref_sea)
 
 
+@pytest.mark.parametrize("theta", [0.4, -0.9])
+@pytest.mark.parametrize("L", [2, 4, 6, 8])
+def test_ladder_excitations_equal_slater_states(monkeypatch, L, theta):
+    # each excitation is one ladder on a shared state; it must be the Slater
+    # state of its own orbitals, amplitude by amplitude over both states'
+    # words, global phase included
+    cfg = LatticeConfig(L=L, theta=theta)
+    stepped = []
+    real = spectral.eigenphase_of
+    monkeypatch.setattr(
+        spectral, "eigenphase_of", lambda c, w, a: stepped.append((w, a)) or real(c, w, a)
+    )
+    dirac_sea_excitations(cfg)
+    other = parity_offset(cfg, L + 1)
+    grid = momentum_grid(cfg, other)
+    minus = list(mode_orbital(cfg, grid, Band.MINUS, other))
+    plus = mode_orbital(cfg, grid, Band.PLUS, other)
+    orbitals = []
+    for i in range(L):
+        orbitals += [minus + [plus[i]], minus[:i] + minus[i + 1:]]
+    for (words, amps), orbs in zip(stepped[1:], orbitals, strict=True):
+        a = dict(zip(words.tolist(), amps.tolist()))
+        b = dict(zip(*(x.tolist() for x in slater_state(cfg, orbs))))
+        assert max(abs(a.get(w, 0.0) - b.get(w, 0.0)) for w in a.keys() | b.keys()) <= 1e-12
+
+
 def test_circular_multiset_distance():
     a = np.array([math.pi - 1e-12, 0.0])
     b = np.array([-math.pi, 0.0])
